@@ -1,36 +1,31 @@
 // Serial vs parallel branch-and-bound on the seeded random designs: wall
 // time, explored nodes, and the (identical) optimum cost at each size --
-// plus a scheduler face-off (work-stealing vs fixed-depth split) on an
-// unbalanced hub-and-spoke tree.
+// plus a multi-type spot check and an unbalanced hub-and-spoke tree.
 //
-// Both schedulers share the incumbent bound through an atomic and carry
-// the DFS-ordinal tie-break, so every *completed* run is bit-identical
-// to the serial search; the bench asserts that on every run (non-zero
-// exit on mismatch).  Speedup therefore comes purely from wall-clock
-// parallelism; the bench prints both times plus node counts so runs on
-// different machines stay comparable.  On a multi-core host expect
-// >= 2x at 4 threads on the largest sizes; on a single hardware thread
-// both columns converge.
+// Workers share the incumbent bound through an atomic and carry the
+// DFS-ordinal tie-break, so every *completed* parallel run is
+// bit-identical to the serial search; the bench asserts that on every
+// run (non-zero exit on mismatch).  Speedup therefore comes purely from
+// wall-clock parallelism; the bench prints both times plus node counts
+// so runs on different machines stay comparable.  On a multi-core host
+// expect >= 2x at 4 threads on the largest sizes; on a single hardware
+// thread both columns converge.
 //
-// The unbalanced workload is where the schedulers separate: an unseeded
-// deep tree whose strong incumbents live far from the serial DFS
-// frontier.  The fixed split drains its task list in DFS order, so all
-// workers cluster at the head of the list and inherit the serial
-// order's pathology -- node counts stay near serial.  Work-stealing
-// keeps worker 0 on the serial frontier but hands thieves the *front*
-// of a victim's deque, i.e. the subtrees farthest from it, so some
-// worker reaches the incumbent region early and the published bound
-// collapses the rest of the tree.  The bench requires work-stealing to
-// complete no slower than fixed-split (with noise tolerance) -- on this
-// workload it typically finishes in a fraction of fixed-split's time
-// and node count.
+// The unbalanced workload is an unseeded deep tree whose strong
+// incumbents live far from the serial DFS frontier.  Work-stealing keeps
+// worker 0 on the serial frontier but hands thieves the *front* of a
+// victim's deque, i.e. the subtrees farthest from it, so some worker
+// reaches the incumbent region early and the published bound collapses
+// the rest of the tree: the parallel run typically explores a fraction
+// of serial's nodes.  The bench prints both runs' node counts and
+// per-worker load balance and requires the identical result.
 //
 // Usage: bench_parallel_speedup [max-inner] [per-size] [threads] [limit-s]
 //                               [--json=PATH]
 // With --json the per-size serial/parallel node counts and the
-// hub-and-spoke face-off are recorded as "eblocks-bench-partition/1"
-// records; the serial rows are deterministic and diffed against the
-// committed baseline by scripts/compare_bench.py.
+// hub-and-spoke serial/parallel pair are recorded as
+// "eblocks-bench-partition/1" records; the serial rows are deterministic
+// and diffed against the committed baseline by scripts/compare_bench.py.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -72,6 +67,17 @@ bool identicalRuns(const partition::PartitionRun& a,
   return true;
 }
 
+bool identicalTyped(const partition::TypedPartitioning& a,
+                    const partition::TypedPartitioning& b) {
+  if (a.optionIndex != b.optionIndex ||
+      a.partitions.size() != b.partitions.size())
+    return false;
+  for (std::size_t i = 0; i < a.partitions.size(); ++i)
+    if (a.partitions[i].toVector() != b.partitions[i].toVector())
+      return false;
+  return true;
+}
+
 /// The unbalanced-tree workload: one 3-input hub placed first in DFS
 /// order, fed by three input chains and feeding two output chains.  With
 /// no seed the initial bound is the weak "replace nothing" incumbent, so
@@ -105,36 +111,30 @@ Network hubAndSpoke(int chainLen) {
   return net;
 }
 
-/// Serial vs both schedulers on the hub-and-spoke tree.  Returns false
-/// when a completed run diverges from serial or work-stealing falls
-/// behind fixed-split beyond the noise tolerance.
-bool unbalancedFaceOff(int threads, double limit,
-                       eblocks::bench::BenchJson& json) {
+/// Serial vs work-stealing on the hub-and-spoke tree.  Returns false
+/// when the parallel run diverges from a completed serial run or fails
+/// to complete where serial did.
+bool unbalancedTree(int threads, double limit,
+                    eblocks::bench::BenchJson& json) {
   const Network net = hubAndSpoke(2);
   const int n = static_cast<int>(net.innerBlocks().size());
   const partition::PartitionProblem problem(net, {});
 
   partition::ExhaustiveOptions base;
   base.timeLimitSeconds = limit;  // no seed: the bound must be discovered
-  // The face-off measures how the schedulers cope with a *weakly
+  // This workload measures how work-stealing copes with a *weakly
   // bounded* unbalanced tree, so the admissible pruning layer is
-  // disabled here -- with it on, this workload collapses to a few
-  // thousand nodes and both schedulers finish instantly
-  // (bench_exhaustive_blowup measures that effect).
+  // disabled here -- with it on, it collapses to a few thousand nodes
+  // and both runs finish instantly (bench_exhaustive_blowup measures
+  // that effect).
   base.pruningBound = false;
 
   partition::ExhaustiveOptions serialOptions = base;
   serialOptions.threads = 1;
   const auto serial = partition::exhaustiveSearch(problem, serialOptions);
 
-  partition::ExhaustiveOptions fixedOptions = base;
-  fixedOptions.threads = threads;
-  fixedOptions.scheduler = partition::SearchScheduler::kFixedSplit;
-  const auto fixed = partition::exhaustiveSearch(problem, fixedOptions);
-
   partition::ExhaustiveOptions stealOptions = base;
   stealOptions.threads = threads;
-  stealOptions.scheduler = partition::SearchScheduler::kWorkStealing;
   const auto steal = partition::exhaustiveSearch(problem, stealOptions);
 
   std::printf("\nUnbalanced hub-and-spoke tree (%d inner, unseeded, "
@@ -148,7 +148,6 @@ bool unbalancedFaceOff(int threads, double limit,
                 run.timedOut ? "  DID NOT FINISH" : "");
   };
   row("serial", serial);
-  row("fixed-split", fixed);
   row("work-stealing", steal);
   json.add(eblocks::bench::BenchRecord{
       .workload = "hub_spoke/serial/threads=1",
@@ -169,36 +168,24 @@ bool unbalancedFaceOff(int threads, double limit,
 
   if (serial.timedOut) {
     std::printf("  serial hit the limit; raise [limit-s] to compare "
-                "schedulers here\n");
+                "here\n");
     return true;
   }
-  bool ok = true;
   if (steal.timedOut) {
     std::printf("  ERROR: work-stealing hit the limit on a workload "
                 "serial completed\n");
-    ok = false;
-  } else if (!identicalRuns(serial, steal, n)) {
+    return false;
+  }
+  if (!identicalRuns(serial, steal, n)) {
     std::printf("  ERROR: work-stealing diverged from serial\n");
-    ok = false;
+    return false;
   }
-  if (!fixed.timedOut && !identicalRuns(serial, fixed, n)) {
-    std::printf("  ERROR: fixed-split diverged from serial\n");
-    ok = false;
-  }
-  // Throughput: completion time, counting a DNF as the full limit (a
-  // lower bound on its true cost).  Work-stealing wins this workload by
-  // 4-7x, so the generous tolerance still catches a real regression
-  // while OS scheduling noise on a contended CI runner cannot red the
-  // build.
-  const double fixedTime = fixed.timedOut ? limit : fixed.seconds;
-  if (steal.seconds > fixedTime * 1.5 + 0.25) {
-    std::printf("  ERROR: work-stealing slower than fixed-split beyond "
-                "tolerance\n");
-    ok = false;
-  }
-  std::printf("  work-stealing vs fixed-split: %.2fx\n",
-              steal.seconds > 0 ? fixedTime / steal.seconds : 0.0);
-  return ok;
+  std::printf("  work-stealing vs serial: %.2fx time, %.2fx nodes\n",
+              steal.seconds > 0 ? serial.seconds / steal.seconds : 0.0,
+              steal.explored > 0 ? static_cast<double>(serial.explored) /
+                                       static_cast<double>(steal.explored)
+                                 : 0.0);
+  return true;
 }
 
 }  // namespace
@@ -284,7 +271,8 @@ int main(int argc, char** argv) {
         .cost = static_cast<double>(costSum)});
   }
 
-  // The multi-type search shares the same engine; spot-check one size.
+  // The multi-type search runs on the same kernel; spot-check one size,
+  // down to the partitions and their chosen options.
   {
     partition::ProgCostModel model;
     model.preDefinedBlockCost = 1.0;
@@ -302,8 +290,7 @@ int main(int argc, char** argv) {
     parallelOptions.threads = threads;
     const auto parallel =
         partition::multiTypeExhaustive(net, model, parallelOptions);
-    const bool same = serial.result.totalCost(n, model) ==
-                      parallel.result.totalCost(n, model);
+    const bool same = identicalTyped(serial.result, parallel.result);
     allIdentical = allIdentical && same;
     std::printf("\nmulti-type @12 inner: serial %.4fs, parallel %.4fs "
                 "(%.2fx), cost %.1f, identical: %s\n",
@@ -313,10 +300,10 @@ int main(int argc, char** argv) {
                 parallel.result.totalCost(n, model), same ? "yes" : "NO");
   }
 
-  allIdentical = unbalancedFaceOff(threads, limit, json) && allIdentical;
+  allIdentical = unbalancedTree(threads, limit, json) && allIdentical;
   allIdentical = json.write() && allIdentical;
 
-  std::printf("\nall results identical to serial (and work-stealing >= "
-              "fixed-split): %s\n", allIdentical ? "yes" : "NO");
+  std::printf("\nall results identical to serial: %s\n",
+              allIdentical ? "yes" : "NO");
   return allIdentical ? 0 : 1;
 }

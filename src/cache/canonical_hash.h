@@ -26,7 +26,7 @@
 //     option set: only knobs that can change the returned partitioning
 //     participate (algorithm, port budget, counting mode, convexity;
 //     plus the lns knobs and rng seed for `lns`).  Accelerator-only
-//     knobs -- threads, scheduler, time limit, pruning, seeding -- are
+//     knobs -- threads, time limit, pruning, seeding -- are
 //     bit-identity-preserving by the engine's contract, so they
 //     normalize away and a request at 8 threads hits a record computed
 //     at 1.

@@ -54,7 +54,6 @@ class ExhaustiveStrategy final : public Partitioner {
     ex.timeLimitSeconds = options.timeLimitSeconds;
     ex.requireConvex = options.requireConvex;
     ex.threads = options.threads;
-    ex.scheduler = options.scheduler;
     ex.pruningBound = options.pruningBound;
     ex.cancel = options.cancel;
     ex.progressNodes = options.progressNodes;
@@ -165,7 +164,6 @@ class MultiTypeExhaustiveStrategy final : public TypedPartitioner {
     MultiTypeExhaustiveOptions ex;
     ex.timeLimitSeconds = options.timeLimitSeconds;
     ex.threads = options.threads;
-    ex.scheduler = options.scheduler;
     ex.pruningBound = options.pruningBound;
     if (options.seedFromPareDown)
       ex.seed = multiTypePareDown(net, model).result;

@@ -32,7 +32,6 @@
 #include "partition/multitype.h"
 #include "partition/problem.h"
 #include "partition/result.h"
-#include "partition/scheduler.h"
 
 namespace eblocks::partition {
 
@@ -46,10 +45,6 @@ struct EngineOptions {
   /// thread, 1 = serial.  Completed searches return identical results at
   /// every thread count; only timed-out runs are scheduling-dependent.
   int threads = 0;
-  /// How parallel strategies distribute search subtrees over workers
-  /// (work-stealing by default; fixed-split kept for comparison).  Does
-  /// not affect results, only load balance -- see scheduler.h.
-  SearchScheduler scheduler = SearchScheduler::kWorkStealing;
   /// Require convex partitions (classical DAG covering; see validity.h).
   bool requireConvex = false;
   /// Exhaustive strategies seed their branch-and-bound with the PareDown

@@ -9,8 +9,10 @@
 #include <optional>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "partition/multitype.h"
 #include "partition/port_counter.h"
 #include "partition/validity.h"
 #include "partition/work_steal.h"
@@ -31,15 +33,213 @@ Clock::time_point deadlineFor(double seconds) {
              : Clock::time_point::max();
 }
 
+double secondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+std::uint64_t packKey(int cost, std::uint32_t ordinal) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cost))
+          << 32) |
+         ordinal;
+}
+
+/// One open bin: the incremental port counter over its members plus the
+/// members' irreducible connection counts.
+struct Bin {
+  Bin(const CompactGraph& graph, CountingMode mode, const BitSet* frozen)
+      : counter(graph, mode, BorderTracking::kOff, frozen) {}
+  PortCounter counter;
+  int fixedIn = 0;   // irreducible inputs (edges from non-inner blocks)
+  int fixedOut = 0;  // irreducible outputs (edges to non-inner blocks)
+};
+
+// The plain search (Section 4.1) and the multi-type search (Section 6)
+// are one branch-and-bound kernel -- Worker and branchAndBound() below --
+// instantiated on a compile-time cost policy.  A policy supplies, as
+// inline non-virtual calls:
+//   cost(bins, uncovered)     the baseline lower bound of a node;
+//   blockCost(), binnable()   the terms of the unbinnable-suffix floor;
+//   canJoin(), canOpen()      the per-child feasibility filter;
+//   floorPrunes()             the admissible layer (pruningBound);
+//   leafCost()                a leaf's cost, or nullopt when the leaf is
+//                             invalid or not below the given bound.
+// Both policies' costs are integers, so both searches share the packed
+// (cost, DFS-ordinal) incumbent key and its deterministic tie-break.
+
+/// The paper's objective: every bin and every uncovered block costs one
+/// unit, and a bin is a valid partition when it has >= 2 members and fits
+/// the port budget (plus the optional convexity and acyclic-quotient
+/// requirements).
+class PlainCost {
+ public:
+  PlainCost(const PartitionProblem& problem, const ExhaustiveOptions& options)
+      : net_(&problem.network()),
+        spec_(problem.spec()),
+        edgesMode_(spec_.mode == CountingMode::kEdges),
+        requireConvex_(options.requireConvex),
+        requireAcyclicQuotient_(options.requireAcyclicQuotient) {}
+
+  int cost(std::size_t bins, int uncovered) const {
+    return static_cast<int>(bins) + uncovered;
+  }
+  int blockCost() const { return 1; }
+  bool binnable(const IoCount& own) const { return fits(own, spec_); }
+
+  /// The irreducible-I/O child filter (edge counting only): a block's
+  /// edges to non-inner blocks can never be internalized, so a bin whose
+  /// non-inner I/O alone would exceed the budget leads to no valid leaf.
+  bool canJoin(const Bin& bin, int in, int out) const {
+    return !(edgesMode_ && (bin.fixedIn + in > spec_.inputs ||
+                            bin.fixedOut + out > spec_.outputs));
+  }
+  bool canOpen(int in, int out) const {
+    return !(edgesMode_ && (in > spec_.inputs || out > spec_.outputs));
+  }
+
+  /// Remaining unbinnable blocks each add +1 to any valid completion,
+  /// and a bin whose irreducible I/O already overflows admits no valid
+  /// completion at all.
+  template <typename Prunes>
+  bool floorPrunes(const Bin* bins, std::size_t binCount, int costSoFar,
+                   int /*uncovered*/, int floor, Prunes&& prunes) const {
+    if (floor > 0 && prunes(costSoFar + floor)) return true;
+    for (std::size_t j = 0; j < binCount; ++j)
+      if (!fits(bins[j].counter.fixedIo(), spec_)) return true;
+    return false;
+  }
+
+  std::optional<int> leafCost(const Bin* bins, std::size_t binCount,
+                              int uncovered, int bound,
+                              std::vector<int>& /*chosen*/) const {
+    const int total = cost(binCount, uncovered);
+    if (total >= bound) return std::nullopt;
+    for (std::size_t j = 0; j < binCount; ++j) {
+      const PortCounter& bin = bins[j].counter;
+      if (bin.memberCount() < 2)
+        return std::nullopt;  // single-node partitions are invalid
+      if (!fits(bin.io(), spec_)) return std::nullopt;
+      if (requireConvex_ && !isConvex(*net_, bin.members()))
+        return std::nullopt;
+    }
+    if (requireAcyclicQuotient_ && !quotientAcyclic(bins, binCount))
+      return std::nullopt;
+    return total;
+  }
+
+ private:
+  /// Checks that contracting every bin leaves the block graph acyclic.
+  bool quotientAcyclic(const Bin* bins, std::size_t binCount) const {
+    // Map each block to its group: bins get ids [n, n+k), others self.
+    const std::size_t n = net_->blockCount();
+    std::vector<std::uint32_t> group(n);
+    for (std::size_t i = 0; i < n; ++i)
+      group[i] = static_cast<std::uint32_t>(i);
+    for (std::size_t k = 0; k < binCount; ++k)
+      bins[k].counter.members().forEach([&](std::size_t b) {
+        group[b] = static_cast<std::uint32_t>(n + k);
+      });
+    const std::size_t total = n + binCount;
+    std::vector<std::vector<std::uint32_t>> adj(total);
+    std::vector<int> indeg(total, 0);
+    for (const Connection& c : net_->connections()) {
+      const std::uint32_t u = group[c.from.block], v = group[c.to.block];
+      if (u == v) continue;
+      adj[u].push_back(v);
+      ++indeg[v];
+    }
+    std::vector<std::uint32_t> stack;
+    for (std::size_t v = 0; v < total; ++v)
+      if (indeg[v] == 0) stack.push_back(static_cast<std::uint32_t>(v));
+    std::size_t seen = 0;
+    while (!stack.empty()) {
+      const std::uint32_t u = stack.back();
+      stack.pop_back();
+      ++seen;
+      for (std::uint32_t v : adj[u])
+        if (--indeg[v] == 0) stack.push_back(v);
+    }
+    return seen == total;
+  }
+
+  const Network* net_;
+  ProgBlockSpec spec_;
+  bool edgesMode_;
+  bool requireConvex_;
+  bool requireAcyclicQuotient_;
+};
+
+/// Section 6's cost model in exact milli-units (toMilliCosts): a bin
+/// costs its cheapest fitting option, an uncovered block
+/// preDefinedBlockCost.  Every child is feasible; a leaf is valid when
+/// each bin fits some option.
+class TypedCost {
+ public:
+  TypedCost(const ProgCostModel& model, MilliCostModel milli)
+      : model_(&model), milli_(std::move(milli)) {
+    if (!milli_.optionCost.empty())
+      minOption_ = *std::min_element(milli_.optionCost.begin(),
+                                     milli_.optionCost.end());
+  }
+
+  int cost(std::size_t bins, int uncovered) const {
+    return static_cast<int>(bins) * minOption_ +
+           milli_.preDefinedBlockCost * uncovered;
+  }
+  int blockCost() const { return milli_.preDefinedBlockCost; }
+  bool binnable(const IoCount& own) const {
+    return cheapestFittingOption(own, *model_).has_value();
+  }
+  bool canJoin(const Bin&, int, int) const { return true; }
+  bool canOpen(int, int) const { return true; }
+
+  /// Each bin's final option must fit its irreducible I/O, so the
+  /// cheapest such option floors the bin's cost (none fitting kills the
+  /// subtree outright); remaining unbinnable blocks add `floor`.
+  template <typename Prunes>
+  bool floorPrunes(const Bin* bins, std::size_t binCount, int /*costSoFar*/,
+                   int uncovered, int floor, Prunes&& prunes) const {
+    int bound = milli_.preDefinedBlockCost * uncovered + floor;
+    for (std::size_t j = 0; j < binCount; ++j) {
+      const auto option =
+          cheapestFittingOption(bins[j].counter.fixedIo(), *model_);
+      if (!option) return true;
+      bound += milli_.optionCost[static_cast<std::size_t>(*option)];
+    }
+    return prunes(bound);
+  }
+
+  std::optional<int> leafCost(const Bin* bins, std::size_t binCount,
+                              int uncovered, int bound,
+                              std::vector<int>& chosen) const {
+    int total = milli_.preDefinedBlockCost * uncovered;
+    chosen.clear();
+    for (std::size_t j = 0; j < binCount; ++j) {
+      const auto option =
+          cheapestFittingOption(bins[j].counter.io(), *model_);
+      if (!option) return std::nullopt;  // some bin fits no block type
+      chosen.push_back(*option);
+      total += milli_.optionCost[static_cast<std::size_t>(*option)];
+    }
+    if (total >= bound) return std::nullopt;
+    return total;
+  }
+
+ private:
+  const ProgCostModel* model_;
+  MilliCostModel milli_;
+  int minOption_ = 0;  // no options: bins price at zero (and never fit)
+};
+
 /// Immutable per-search configuration shared by every worker.
+template <typename Policy>
 struct SearchContext {
-  SearchContext(const PartitionProblem& p, const ExhaustiveOptions& o)
-      : problem(p),
+  SearchContext(Policy p, const Network& net, const CompactGraph& g,
+                CountingMode m, const ExhaustiveOptions& o)
+      : policy(std::move(p)),
+        graph(g),
+        mode(m),
+        inner(g.innerBlocks()),
         options(o),
-        net(p.network()),
-        graph(p.graph()),
-        edgesMode(p.spec().mode == CountingMode::kEdges),
-        inner(p.innerBlocks()),
         deadline(deadlineFor(o.timeLimitSeconds)) {
     // Pre-compute each inner block's irreducible connection counts
     // (edges to non-inner neighbors can never be internalized), indexed
@@ -57,35 +257,30 @@ struct SearchContext {
       // The admissible-bound layer's static half: the frozen-set root
       // (non-inner blocks can never join any bin) and the unbinnable
       // suffix floor -- a block whose own mode-aware irreducible I/O
-      // exceeds the budget is coverable by no feasible bin, so every
-      // valid completion leaves it uncovered at cost +1.
+      // fits no bin stays uncovered in every valid completion, paying
+      // the policy's uncovered-block cost.
       baseFrozen = graph.nonInnerSet();
-      suffixUnbinnable.assign(inner.size() + 1, 0);
+      suffixFloor.assign(inner.size() + 1, 0);
       for (std::size_t i = inner.size(); i-- > 0;) {
-        const IoCount own =
-            irreducibleBlockIo(net, inner[i], p.spec().mode);
-        const bool unbinnable = own.inputs > p.spec().inputs ||
-                                own.outputs > p.spec().outputs;
-        suffixUnbinnable[i] = suffixUnbinnable[i + 1] + (unbinnable ? 1 : 0);
+        const IoCount own = irreducibleBlockIo(net, inner[i], mode);
+        suffixFloor[i] = suffixFloor[i + 1] +
+                         (policy.binnable(own) ? 0 : policy.blockCost());
       }
     }
   }
 
-  const PartitionProblem& problem;
-  const ExhaustiveOptions& options;
-  const Network& net;
+  const Policy policy;
   const CompactGraph& graph;
-  bool edgesMode;
+  CountingMode mode;
   const std::vector<BlockId>& inner;
+  const ExhaustiveOptions& options;
   // Irreducible in/out connection counts per *inner rank* (not block id).
   std::vector<int> fixedIn, fixedOut;
   // pruningBound statics (empty / unused when the layer is off).
-  std::vector<int> suffixUnbinnable;
+  std::vector<int> suffixFloor;
   BitSet baseFrozen;
   /// Strict cost bound from the initial incumbent: nodes at or above it
-  /// prune.  "Replace nothing" baseline -> n; a cheaper heuristic seed
-  /// -> seedCost + 1 (equal-cost solutions must stay reachable so the
-  /// returned optimum is bit-identical to the unseeded search's).
+  /// prune (see branchAndBound).
   int initialBound = 0;
   Clock::time_point deadline;
 };
@@ -112,7 +307,7 @@ struct Task {
 /// Mutable state shared across workers.
 ///
 /// The incumbent is a packed (cost, DFS-ordinal) pair: ordinal 0 is the
-/// initial seed/baseline incumbent.  A node with ordinal o prunes iff
+/// initial "replace nothing" baseline.  A node with ordinal o prunes iff
 /// ((costSoFar << 32) | o) >= liveKey, which is exactly the
 /// lexicographic rule "worse cost, or equal cost but not earlier in
 /// serial DFS order".  This keeps the subtree containing the serial
@@ -128,19 +323,14 @@ struct SharedState {
   std::atomic<std::uint64_t> budgetUsed{0};
 };
 
-std::uint64_t packKey(int cost, std::uint32_t ordinal) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cost))
-          << 32) |
-         ordinal;
-}
-
 /// Depth-first branch-and-bound below one task's prefix.  One instance
 /// per worker thread; reused across tasks.  Accumulates the worker's best
 /// solution as a packed (cost, ordinal) key plus partitioning; the final
 /// reduction takes the smallest key over all workers.
+template <typename Policy>
 class Worker {
  public:
-  Worker(const SearchContext& ctx, SharedState& shared,
+  Worker(const SearchContext<Policy>& ctx, SharedState& shared,
          detail::WorkStealingPool<Task>* pool, int workerId)
       : ctx_(ctx),
         shared_(shared),
@@ -188,18 +378,10 @@ class Worker {
   std::uint64_t explored() const { return explored_; }
   std::uint64_t pruned() const { return pruned_; }
   std::uint64_t bestKey() const { return bestKey_; }
-  Partitioning takeBest() { return std::move(best_); }
+  TypedPartitioning takeBest() { return std::move(best_); }
 
  private:
   static constexpr std::size_t kNoOwnBin = static_cast<std::size_t>(-1);
-
-  struct Bin {
-    Bin(const CompactGraph& graph, CountingMode mode, const BitSet* frozen)
-        : counter(graph, mode, BorderTracking::kOff, frozen) {}
-    PortCounter counter;
-    int fixedIn = 0;   // irreducible inputs (edges from non-inner blocks)
-    int fixedOut = 0;  // irreducible outputs (edges to non-inner blocks)
-  };
 
   void resetBins() {
     for (std::size_t j = 0; j < binCount_; ++j) {
@@ -213,8 +395,7 @@ class Worker {
 
   void openBin() {
     if (binCount_ == bins_.size())
-      bins_.emplace_back(ctx_.graph, ctx_.problem.spec().mode,
-                         pruning_ ? &frozen_ : nullptr);
+      bins_.emplace_back(ctx_.graph, ctx_.mode, pruning_ ? &frozen_ : nullptr);
     ++binCount_;
   }
 
@@ -234,16 +415,6 @@ class Worker {
     frozen_.reset(b);
   }
 
-  /// True when some open bin's irreducible crossing I/O already exceeds
-  /// the port budget: every completion of this subtree keeps that I/O
-  /// crossing, so no valid leaf exists below.
-  bool binInfeasible() const {
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (!fits(bins_[j].counter.fixedIo(), ctx_.problem.spec()))
-        return true;
-    return false;
-  }
-
   // Bin updates take the block's dense inner rank `i` (the search
   // depth); the fixed-I/O tables are rank-indexed.
   void addToBin(std::size_t j, std::size_t i) {
@@ -258,17 +429,8 @@ class Worker {
     bins_[j].counter.remove(ctx_.inner[i]);
   }
 
-  bool fixedOverflow(std::size_t j, std::size_t i) const {
-    return ctx_.edgesMode &&
-           (bins_[j].fixedIn + ctx_.fixedIn[i] > ctx_.problem.spec().inputs ||
-            bins_[j].fixedOut + ctx_.fixedOut[i] >
-                ctx_.problem.spec().outputs);
-  }
-
-  bool canOpenNewBin(std::size_t i) const {
-    return !(ctx_.edgesMode &&
-             (ctx_.fixedIn[i] > ctx_.problem.spec().inputs ||
-              ctx_.fixedOut[i] > ctx_.problem.spec().outputs));
+  bool canJoin(std::size_t j, std::size_t i) const {
+    return ctx_.policy.canJoin(bins_[j], ctx_.fixedIn[i], ctx_.fixedOut[i]);
   }
 
   bool timeExpired() {
@@ -308,20 +470,17 @@ class Worker {
     if (timeExpired()) return;
     // Lower bound on the final cost: every open bin stays a bin, every
     // uncovered block stays uncovered.
-    const int costSoFar = static_cast<int>(binCount_) + uncovered;
+    const int costSoFar = ctx_.policy.cost(binCount_, uncovered);
     if (boundPrunes(costSoFar, lo)) return;
-    if (pruning_) {
-      // The admissible layer: remaining unbinnable blocks each add +1 to
-      // any valid completion, and a bin whose irreducible I/O already
-      // overflows admits no valid completion at all.  Counted as a
-      // pruned subtree only here, where the baseline bound above did not
-      // already cut the node.
-      const int floor = ctx_.suffixUnbinnable[idx];
-      if ((floor > 0 && boundPrunes(costSoFar + floor, lo)) ||
-          binInfeasible()) {
-        ++pruned_;
-        return;
-      }
+    // The admissible layer, counted as a pruned subtree only here, where
+    // the baseline bound above did not already cut the node.
+    if (pruning_ &&
+        ctx_.policy.floorPrunes(
+            bins_.data(), binCount_, costSoFar, uncovered,
+            ctx_.suffixFloor[idx],
+            [&](int bound) { return boundPrunes(bound, lo); })) {
+      ++pruned_;
+      return;
     }
     if (idx == ctx_.inner.size()) {
       finish(uncovered, lo);
@@ -332,18 +491,19 @@ class Worker {
     // new bin (all empty bins are interchangeable, so a single branch
     // suffices -- the paper's symmetry pruning), leave uncovered.
     const std::size_t openBins = binCount_;
-    const bool newBin = canOpenNewBin(idx);
+    const bool newBin =
+        ctx_.policy.canOpen(ctx_.fixedIn[idx], ctx_.fixedOut[idx]);
     // Ordinal ranges are split only where a child could be offloaded
     // (parallel pool present, subtree above the leaf margin): everywhere
-    // else -- the serial and fixed-split modes, and the leaf region that
-    // dominates node counts -- children inherit [lo, hi) wholesale and
-    // the within-task DFS order settles ties, sparing the hot path the
-    // child-count scan and the split arithmetic.
+    // else -- the serial search, and the leaf region that dominates node
+    // counts -- children inherit [lo, hi) wholesale and the within-task
+    // DFS order settles ties, sparing the hot path the child-count scan
+    // and the split arithmetic.
     std::optional<detail::RangeSplitter> ranges;
     if (pool_ != nullptr && ctx_.inner.size() - idx > detail::kLeafMargin) {
       std::size_t k = 1;  // "leave uncovered" is always a child
       for (std::size_t j = 0; j < openBins; ++j)
-        if (!fixedOverflow(j, idx)) ++k;
+        if (canJoin(j, idx)) ++k;
       if (newBin) ++k;
       ranges.emplace(lo, hi, k);
     }
@@ -379,7 +539,7 @@ class Worker {
       undo();
     };
     for (std::size_t j = 0; j < openBins; ++j) {
-      if (fixedOverflow(j, idx)) continue;  // irreducible I/O over budget
+      if (!canJoin(j, idx)) continue;
       visit(static_cast<std::int16_t>(j), uncovered,
             [&] {
               addToBin(j, idx);
@@ -413,28 +573,21 @@ class Worker {
   }
 
   void finish(int uncovered, std::uint32_t lo) {
-    const int cost = static_cast<int>(binCount_) + uncovered;
-    if (cost >= localBest_) return;
-    for (std::size_t j = 0; j < binCount_; ++j) {
-      const Bin& bin = bins_[j];
-      if (bin.counter.memberCount() < 2)
-        return;  // single-node partitions are invalid
-      if (!fits(bin.counter.io(), ctx_.problem.spec())) return;
-      if (ctx_.options.requireConvex &&
-          !isConvex(ctx_.net, bin.counter.members()))
-        return;
-    }
-    if (ctx_.options.requireAcyclicQuotient && !quotientAcyclic()) return;
-    // Tie handling: within a task only strict cost improvements are
-    // recorded, so the first optimum found in DFS order is kept; across
-    // tasks the packed (cost, ordinal) key decides.
-    localBest_ = cost;
-    const std::uint64_t key = packKey(cost, lo);
+    // Tie handling: within a task only strict cost improvements pass
+    // (leafCost rejects cost >= localBest_), so the first optimum found
+    // in DFS order is kept; across tasks the packed (cost, ordinal) key
+    // decides.
+    const std::optional<int> cost = ctx_.policy.leafCost(
+        bins_.data(), binCount_, uncovered, localBest_, chosen_);
+    if (!cost) return;
+    localBest_ = *cost;
+    const std::uint64_t key = packKey(*cost, lo);
     if (key < bestKey_) {
       bestKey_ = key;
       best_.partitions.clear();
       for (std::size_t j = 0; j < binCount_; ++j)
         best_.partitions.push_back(bins_[j].counter.members());
+      best_.optionIndex = chosen_;
     }
     // Publish to the shared incumbent (monotone lexicographic minimum).
     std::uint64_t cur = shared_.liveKey.load(std::memory_order_relaxed);
@@ -443,43 +596,9 @@ class Worker {
     }
   }
 
-  /// Checks that contracting every bin leaves the block graph acyclic.
-  bool quotientAcyclic() const {
-    // Map each block to its group: bins get ids [n, n+k), others self.
-    const std::size_t n = ctx_.net.blockCount();
-    std::vector<std::uint32_t> group(n);
-    for (std::size_t i = 0; i < n; ++i)
-      group[i] = static_cast<std::uint32_t>(i);
-    for (std::size_t k = 0; k < binCount_; ++k)
-      bins_[k].counter.members().forEach([&](std::size_t b) {
-        group[b] = static_cast<std::uint32_t>(n + k);
-      });
-    const std::size_t total = n + binCount_;
-    std::vector<std::vector<std::uint32_t>> adj(total);
-    std::vector<int> indeg(total, 0);
-    for (const Connection& c : ctx_.net.connections()) {
-      const std::uint32_t u = group[c.from.block], v = group[c.to.block];
-      if (u == v) continue;
-      adj[u].push_back(v);
-      ++indeg[v];
-    }
-    std::vector<std::uint32_t> stack;
-    for (std::size_t v = 0; v < total; ++v)
-      if (indeg[v] == 0) stack.push_back(static_cast<std::uint32_t>(v));
-    std::size_t seen = 0;
-    while (!stack.empty()) {
-      const std::uint32_t u = stack.back();
-      stack.pop_back();
-      ++seen;
-      for (std::uint32_t v : adj[u])
-        if (--indeg[v] == 0) stack.push_back(v);
-    }
-    return seen == total;
-  }
-
-  const SearchContext& ctx_;
+  const SearchContext<Policy>& ctx_;
   SharedState& shared_;
-  detail::WorkStealingPool<Task>* pool_;  // null = no splitting (fixed mode)
+  detail::WorkStealingPool<Task>* pool_;  // null = no splitting (serial)
   int workerId_ = 0;
   bool pruning_ = false;
   BitSet frozen_;  // non-inner + assigned prefix; bins point at this
@@ -487,86 +606,88 @@ class Worker {
   std::size_t binCount_ = 0;
   std::vector<std::int16_t> choice_;  // live assignment of blocks [0, idx)
   std::vector<Task> frames_;  // recycled task frames (see takeFrame)
+  std::vector<int> chosen_;   // leafCost scratch: the option per bin
   int localBest_ = 0;
   std::uint64_t bestKey_;
-  Partitioning best_;
+  TypedPartitioning best_;
   std::uint64_t explored_ = 0;
   std::uint64_t pruned_ = 0;
   bool aborted_ = false;
 };
 
-/// Enumerates every surviving assignment of the first `depth` inner blocks
-/// in serial DFS order -- the kFixedSplit task generator.  Applies only
-/// deterministic prunes (the initial bound and the irreducible-I/O rule),
-/// so the task list is a superset of the subtrees the serial search would
-/// enter -- including equal-cost ties.
-class PrefixGenerator {
- public:
-  explicit PrefixGenerator(const SearchContext& ctx) : ctx_(ctx) {}
-
-  std::vector<Task> generate(std::size_t depth, std::uint64_t& explored) {
-    depth_ = depth;
-    tasks_.clear();
-    choice_.clear();
-    binFixedIn_.clear();
-    binFixedOut_.clear();
-    explored_ = 0;
-    gen(0, 0);
-    explored = explored_;
-    return std::move(tasks_);
+/// Runs the kernel from the "replace nothing" incumbent `baseline`,
+/// improved by a verified `seed` of cost `seedCost` when that is cheaper.
+///
+/// The baseline sits at ordinal 0 with strict bound `baseline`, so
+/// unseeded node counts are those of the plain serial search.  A seed is
+/// installed at ordinal UINT32_MAX -- lexicographically *behind* every
+/// real DFS node of equal cost -- with strict bound seedCost + 1, so the
+/// search still rediscovers and returns the canonical (first in serial
+/// DFS order) optimum whenever the seed merely ties it: the result stays
+/// bit-identical to the unseeded search's.
+template <typename Policy>
+TypedPartitionRun branchAndBound(SearchContext<Policy>& ctx, int baseline,
+                                 const TypedPartitioning* seed,
+                                 int seedCost) {
+  int bestCost = baseline;
+  std::uint32_t bestOrdinal = 0;
+  TypedPartitioning best;
+  ctx.initialBound = baseline;
+  if (seed && seedCost < baseline) {
+    bestCost = seedCost;
+    bestOrdinal = std::numeric_limits<std::uint32_t>::max();
+    best = *seed;
+    ctx.initialBound = seedCost + 1;
   }
+  SharedState shared;
+  shared.liveKey.store(packKey(bestCost, bestOrdinal),
+                       std::memory_order_relaxed);
 
- private:
-  void gen(std::size_t idx, int uncovered) {
-    ++explored_;
-    const int costSoFar = static_cast<int>(binFixedIn_.size()) + uncovered;
-    if (costSoFar >= ctx_.initialBound) return;
-    if (idx == depth_ || idx == ctx_.inner.size()) {
-      // Task i owns the degenerate ordinal range [i+1, i+2): the fixed
-      // split never subdivides further, so one ordinal per task is
-      // exactly the PR-2 tie-break.
-      const auto ord = static_cast<std::uint32_t>(tasks_.size()) + 1;
-      tasks_.push_back(Task{choice_, ord, ord + 1});
-      return;
+  // Work-stealing: seed the pool with the whole tree as one task owning
+  // the full ordinal range; workers split subtrees on demand when peers
+  // are starved and steal half a victim's deque when their own is dry.
+  const int workerCount =
+      ctx.inner.size() >= 2 ? resolveSearchThreads(ctx.options.threads) : 1;
+  detail::WorkStealingPool<Task> taskPool(workerCount);
+  taskPool.push(0, Task{});
+  std::vector<std::unique_ptr<Worker<Policy>>> workers(
+      static_cast<std::size_t>(workerCount));
+  detail::runOnWorkers(workerCount, [&](int w) {
+    auto worker = std::make_unique<Worker<Policy>>(
+        ctx, shared, workerCount > 1 ? &taskPool : nullptr, w);
+    Task task;
+    while (taskPool.acquire(w, task, shared.timedOut)) {
+      worker->runTask(task);
+      taskPool.release();
+      // The executed frame's buffer feeds this worker's future splits.
+      worker->recycleFrame(std::move(task));
     }
-    const std::size_t openBins = binFixedIn_.size();
-    for (std::size_t j = 0; j < openBins; ++j) {
-      if (ctx_.edgesMode &&
-          (binFixedIn_[j] + ctx_.fixedIn[idx] > ctx_.problem.spec().inputs ||
-           binFixedOut_[j] + ctx_.fixedOut[idx] >
-               ctx_.problem.spec().outputs))
-        continue;
-      binFixedIn_[j] += ctx_.fixedIn[idx];
-      binFixedOut_[j] += ctx_.fixedOut[idx];
-      choice_.push_back(static_cast<std::int16_t>(j));
-      gen(idx + 1, uncovered);
-      choice_.pop_back();
-      binFixedOut_[j] -= ctx_.fixedOut[idx];
-      binFixedIn_[j] -= ctx_.fixedIn[idx];
+    workers[static_cast<std::size_t>(w)] = std::move(worker);
+  });
+
+  // Deterministic reduction: every worker accumulated its best solution
+  // as a packed (cost, DFS-ordinal) key; the smallest key over all
+  // workers -- against the initial incumbent -- reproduces the serial
+  // result bit for bit.
+  TypedPartitionRun out;
+  std::uint64_t bestKey = packKey(bestCost, bestOrdinal);
+  for (const auto& worker : workers) {
+    out.explored += worker->explored();
+    out.pruned += worker->pruned();
+    if (worker->bestKey() < bestKey) {
+      bestKey = worker->bestKey();
+      best = worker->takeBest();
     }
-    if (!(ctx_.edgesMode &&
-          (ctx_.fixedIn[idx] > ctx_.problem.spec().inputs ||
-           ctx_.fixedOut[idx] > ctx_.problem.spec().outputs))) {
-      binFixedIn_.push_back(ctx_.fixedIn[idx]);
-      binFixedOut_.push_back(ctx_.fixedOut[idx]);
-      choice_.push_back(static_cast<std::int16_t>(openBins));
-      gen(idx + 1, uncovered);
-      choice_.pop_back();
-      binFixedOut_.pop_back();
-      binFixedIn_.pop_back();
+    if (workers.size() > 1) {
+      out.workerExplored.push_back(worker->explored());
+      out.workerPruned.push_back(worker->pruned());
     }
-    choice_.push_back(kUncovered);
-    gen(idx + 1, uncovered + 1);
-    choice_.pop_back();
   }
-
-  const SearchContext& ctx_;
-  std::size_t depth_ = 0;
-  std::vector<Task> tasks_;
-  std::vector<std::int16_t> choice_;
-  std::vector<int> binFixedIn_, binFixedOut_;
-  std::uint64_t explored_ = 0;
-};
+  out.result = std::move(best);
+  out.timedOut = shared.timedOut.load(std::memory_order_relaxed);
+  out.optimal = !out.timedOut;
+  return out;
+}
 
 }  // namespace
 
@@ -578,32 +699,16 @@ int resolveSearchThreads(int threads) {
 
 PartitionRun exhaustiveSearch(const PartitionProblem& problem,
                               const ExhaustiveOptions& options) {
-  PartitionRun out;
-  out.algorithm = "exhaustive";
   const auto start = Clock::now();
+  SearchContext<PlainCost> ctx(PlainCost(problem, options),
+                               problem.network(), problem.graph(),
+                               problem.spec().mode, options);
 
-  SearchContext ctx(problem, options);
-  const int n = static_cast<int>(ctx.inner.size());
-
-  // Initial incumbent: "no partitions" is always feasible with cost n.
-  // A heuristic seed that beats it is installed at ordinal UINT32_MAX --
-  // lexicographically *behind* every real DFS node of equal cost -- so
-  // the search still rediscovers and returns the canonical (first in
-  // serial DFS order) optimum whenever the seed merely ties it, and the
-  // result stays bit-identical to the unseeded search's.  The strict
-  // bound is seedCost + 1 for the same reason: equal-cost subtrees ahead
-  // of the incumbent's ordinal must stay alive.  Unseeded searches keep
-  // the historical (n, ordinal 0, bound n) baseline, so their node
-  // counts are unchanged.
-  int bestCost = n;
-  std::uint32_t bestOrdinal = 0;
-  Partitioning best;
-  ctx.initialBound = n;
+  // Trust but verify: only use a seed that is actually feasible -- every
+  // partition valid on its own AND all pairwise disjoint (overlap would
+  // understate totalAfter and over-tighten the bound).
+  std::optional<TypedPartitioning> seed;
   if (options.seed) {
-    const int seedCost = options.seed->totalAfter(n);
-    // Trust but verify: only use a seed that is actually feasible --
-    // every partition valid on its own AND all pairwise disjoint
-    // (overlap would understate totalAfter and over-tighten the bound).
     bool feasible = true;
     BitSet seen = problem.network().emptySet();
     for (const BitSet& p : options.seed->partitions) {
@@ -614,112 +719,51 @@ PartitionRun exhaustiveSearch(const PartitionProblem& problem,
         seen.set(b);
       });
     }
-    if (feasible && seedCost < n) {
-      bestCost = seedCost;
-      bestOrdinal = std::numeric_limits<std::uint32_t>::max();
-      best = *options.seed;
-      ctx.initialBound = seedCost + 1;
-    }
+    if (feasible) seed = TypedPartitioning{options.seed->partitions, {}};
   }
+  const int n = problem.innerCount();
+  TypedPartitionRun run =
+      branchAndBound(ctx, n, seed ? &*seed : nullptr,
+                     seed ? options.seed->totalAfter(n) : 0);
 
-  SharedState shared;
-  shared.liveKey.store(packKey(bestCost, bestOrdinal),
-                       std::memory_order_relaxed);
+  PartitionRun out;
+  out.algorithm = "exhaustive";
+  out.result.partitions = std::move(run.result.partitions);
+  out.optimal = run.optimal;
+  out.timedOut = run.timedOut;
+  out.explored = run.explored;
+  out.pruned = run.pruned;
+  out.workerExplored = std::move(run.workerExplored);
+  out.workerPruned = std::move(run.workerPruned);
+  out.seconds = secondsSince(start);
+  return out;
+}
 
-  const int threads = resolveSearchThreads(options.threads);
-  std::uint64_t explored = 0;
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::atomic<std::uint64_t> totalExplored{0};
-  std::atomic<std::uint64_t> totalPruned{0};
+TypedPartitionRun multiTypeExhaustive(
+    const Network& net, const ProgCostModel& model,
+    const MultiTypeExhaustiveOptions& options) {
+  const auto start = Clock::now();
+  // The multi-type entry takes a raw Network, so it owns the CSR view
+  // every bin counter of this search walks.
+  const CompactGraph graph(net);
+  const int n = static_cast<int>(graph.innerCount());
+  const MilliCostModel milli = toMilliCosts(model, n);
+  ExhaustiveOptions limits;
+  limits.timeLimitSeconds = options.timeLimitSeconds;
+  limits.threads = options.threads;
+  limits.pruningBound = options.pruningBound;
+  SearchContext<TypedCost> ctx(TypedCost(model, milli), net, graph,
+                               model.mode, limits);
 
-  if (options.scheduler == SearchScheduler::kFixedSplit && threads > 1 &&
-      n >= 2) {
-    // Fixed-depth split: cut the tree once at the shallowest depth that
-    // yields enough subtrees to keep every worker busy (the branching
-    // factor is ~3, so this converges in a few cheap enumeration passes),
-    // then drain the list through a shared cursor.
-    PrefixGenerator gen(ctx);
-    const std::size_t target =
-        std::max<std::size_t>(64, static_cast<std::size_t>(threads) * 8);
-    std::uint64_t genExplored = 0;
-    std::vector<Task> tasks;
-    for (std::size_t depth = 1;; ++depth) {
-      tasks = gen.generate(depth, genExplored);
-      if (tasks.size() >= target || depth >= static_cast<std::size_t>(n) ||
-          tasks.size() > 4096)
-        break;
-    }
-    explored += genExplored;
-
-    const int workerCount = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(threads), tasks.size()));
-    workers.resize(static_cast<std::size_t>(std::max(workerCount, 1)));
-    std::atomic<std::size_t> next{0};
-    detail::runOnWorkers(workerCount, [&](int w) {
-      auto worker =
-          std::make_unique<Worker>(ctx, shared, nullptr, w);
-      for (;;) {
-        if (shared.timedOut.load(std::memory_order_relaxed)) break;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) break;
-        worker->runTask(tasks[i]);
-      }
-      totalExplored.fetch_add(worker->explored(),
-                              std::memory_order_relaxed);
-      totalPruned.fetch_add(worker->pruned(), std::memory_order_relaxed);
-      workers[static_cast<std::size_t>(w)] = std::move(worker);
-    });
-  } else {
-    // Work-stealing: seed the pool with the whole tree as one task owning
-    // the full ordinal range; workers split subtrees on demand when peers
-    // are starved and steal half a victim's deque when their own is dry.
-    const int workerCount = n >= 2 ? threads : 1;
-    detail::WorkStealingPool<Task> taskPool(workerCount);
-    taskPool.push(0, Task{});
-    workers.resize(static_cast<std::size_t>(workerCount));
-    detail::runOnWorkers(workerCount, [&](int w) {
-      auto worker = std::make_unique<Worker>(
-          ctx, shared, workerCount > 1 ? &taskPool : nullptr, w);
-      Task task;
-      while (taskPool.acquire(w, task, shared.timedOut)) {
-        worker->runTask(task);
-        taskPool.release();
-        // The executed frame's buffer feeds this worker's future splits.
-        worker->recycleFrame(std::move(task));
-      }
-      totalExplored.fetch_add(worker->explored(),
-                              std::memory_order_relaxed);
-      totalPruned.fetch_add(worker->pruned(), std::memory_order_relaxed);
-      workers[static_cast<std::size_t>(w)] = std::move(worker);
-    });
-  }
-  explored += totalExplored.load(std::memory_order_relaxed);
-
-  // Deterministic reduction: every worker accumulated its best solution
-  // as a packed (cost, DFS-ordinal) key; the smallest key over all
-  // workers -- against the initial incumbent at ordinal 0 -- reproduces
-  // the serial result bit for bit.
-  std::uint64_t bestKey = packKey(bestCost, bestOrdinal);
-  for (const auto& worker : workers) {
-    if (worker && worker->bestKey() < bestKey) {
-      bestKey = worker->bestKey();
-      best = worker->takeBest();
-      bestCost = static_cast<int>(bestKey >> 32);
-    }
-  }
-  if (workers.size() > 1)
-    for (const auto& worker : workers)
-      if (worker) {
-        out.workerExplored.push_back(worker->explored());
-        out.workerPruned.push_back(worker->pruned());
-      }
-
-  out.result = std::move(best);
-  out.explored = explored;
-  out.pruned = totalPruned.load(std::memory_order_relaxed);
-  out.timedOut = shared.timedOut.load(std::memory_order_relaxed);
-  out.optimal = !out.timedOut;
-  out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  const bool seeded =
+      options.seed &&
+      verifyTypedPartitioning(net, model, *options.seed).empty();
+  TypedPartitionRun out = branchAndBound(
+      ctx, milli.preDefinedBlockCost * n,
+      seeded ? &*options.seed : nullptr,
+      seeded ? milli.totalCost(*options.seed, n) : 0);
+  out.algorithm = "multitype-exhaustive";
+  out.seconds = secondsSince(start);
   return out;
 }
 

@@ -25,19 +25,20 @@
 // results stay bit-identical to the unpruned search; see
 // docs/partitioning.md for the derivation and soundness argument.
 //
-// With threads != 1 the search runs as a parallel branch-and-bound.
-// Workers share the incumbent bound through an atomic packed
-// (cost, DFS-ordinal) key, and every subtree handed to a worker carries a
-// DFS-ordinal range, so a *completed* search returns a partitioning
-// bit-identical to the serial search's, on every run at every thread
-// count -- under either scheduler (see scheduler.h and
-// docs/partitioning.md): the default work-stealing scheduler splits
-// subtrees on demand when workers starve, while kFixedSplit reproduces
-// the original one-shot fixed-depth split.  Only a run that hits the
-// time limit is scheduling-dependent: workers stop at whatever node they
-// reach, so the (still feasible, timedOut-flagged) best-so-far may
-// differ between runs -- exactly as two serial runs with different time
-// budgets may.
+// With threads != 1 the search runs as a parallel branch-and-bound:
+// workers split subtrees on demand when peers starve (work_steal.h),
+// share the incumbent bound through an atomic packed (cost, DFS-ordinal)
+// key, and every subtree handed to a worker carries a DFS-ordinal range,
+// so a *completed* search returns a partitioning bit-identical to the
+// serial search's, on every run at every thread count (see
+// docs/partitioning.md).  Only a run that hits the time limit is
+// scheduling-dependent: workers stop at whatever node they reach, so the
+// (still feasible, timedOut-flagged) best-so-far may differ between runs
+// -- exactly as two serial runs with different time budgets may.
+//
+// exhaustive.cpp also implements multiTypeExhaustive() (multitype.h):
+// both searches are one kernel templated on a cost policy -- unit costs
+// here, the cost model's integer milli-units there.
 #ifndef EBLOCKS_PARTITION_EXHAUSTIVE_H_
 #define EBLOCKS_PARTITION_EXHAUSTIVE_H_
 
@@ -46,7 +47,6 @@
 
 #include "partition/problem.h"
 #include "partition/result.h"
-#include "partition/scheduler.h"
 
 namespace eblocks::partition {
 
@@ -78,15 +78,11 @@ struct ExhaustiveOptions {
   /// search.  Every thread count returns the identical result unless the
   /// time limit cuts the search short (see the header comment).
   int threads = 0;
-  /// How subtrees are distributed over workers (threads != 1 only).
-  /// Both schedulers return the identical result; work-stealing
-  /// rebalances unbalanced trees that starve the fixed split.
-  SearchScheduler scheduler = SearchScheduler::kWorkStealing;
   /// Admissible lower-bound pruning (see the header comment).  Purely an
   /// accelerator: the result is bit-identical with it on or off, at
-  /// every thread count, under both schedulers, in both counting modes.
-  /// Off exists for measurement (bench_exhaustive_blowup ablates it) and
-  /// as the equivalence-test baseline.
+  /// every thread count, in both counting modes.  Off exists for
+  /// measurement (bench_exhaustive_blowup ablates it) and as the
+  /// equivalence-test baseline.
   bool pruningBound = true;
   /// Cooperative cancellation: when non-null and set, the search stops at
   /// its next periodic check -- the same 4096-node cadence as the wall

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "partition/port_counter.h"
@@ -48,29 +48,28 @@ class PlainCost final : public CostAdapter {
   long long w_;
 };
 
-/// Multi-type problem: the cost model itself, in 1/1024ths of a cost
-/// unit so the integer total tracks TypedPartitioning::totalCost exactly
-/// up to rounding.
+/// Multi-type problem: the cost model itself, in the exact milli-units of
+/// toMilliCosts(), so the integer total is TypedPartitioning::totalCost
+/// scaled by 1000.
 class TypedCost final : public CostAdapter {
  public:
-  explicit TypedCost(const ProgCostModel& model)
-      : model_(&model),
-        preDefScaled_(std::llround(model.preDefinedBlockCost * 1024.0)) {}
+  TypedCost(const ProgCostModel& model, MilliCostModel milli)
+      : model_(&model), milli_(std::move(milli)) {}
   bool fitsBin(const IoCount& io) const override {
     return cheapestFittingOption(io, *model_).has_value();
   }
   long long binCost(const IoCount& io, int size) const override {
     if (size == 0) return 0;
-    if (size == 1) return preDefScaled_;
+    if (size == 1) return milli_.preDefinedBlockCost;
     const std::optional<int> opt = cheapestFittingOption(io, *model_);
     // The refiner never forms a bin no option fits; a desynced caller
     // would have tripped the feasibility probes long before this.
-    return std::llround(model_->options[*opt].cost * 1024.0);
+    return milli_.optionCost[static_cast<std::size_t>(*opt)];
   }
 
  private:
   const ProgCostModel* model_;
-  long long preDefScaled_;
+  MilliCostModel milli_;
 };
 
 struct Move {
@@ -386,7 +385,8 @@ TypedPartitionRun multiTypeFmRefine(const Network& net,
                                     const FmOptions& options) {
   const auto start = std::chrono::steady_clock::now();
   const CompactGraph graph(net);
-  const TypedCost cost(model);
+  const TypedCost cost(
+      model, toMilliCosts(model, static_cast<int>(graph.innerCount())));
   Refiner refiner(graph, model.mode, cost);
   refiner.load(initial.partitions);
   refiner.refine(options.maxPasses);

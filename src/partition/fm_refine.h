@@ -18,8 +18,8 @@
 // paper's "inner blocks after replacement" = #bins) strictly dominates
 // and the port-sum only breaks ties -- fewer crossing ports is what
 // later merges feed on.  The multi-type problem uses the cost model
-// directly (cheapest fitting option, x1024 fixed point), so the integer
-// total is the model's totalCost up to rounding.
+// directly (cheapest fitting option, in toMilliCosts()'s exact
+// milli-units), so the integer total is the model's totalCost exactly.
 //
 // One FM pass: compute each unlocked block's best feasible move (target
 // bins = bins of its CSR neighbors, plus detaching into a new singleton)

@@ -87,7 +87,6 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
     ex.timeLimitSeconds = unlimited ? 0.0 : remaining();
     ex.requireConvex = options.requireConvex;
     ex.threads = options.threads;
-    ex.scheduler = options.scheduler;
     ex.pruningBound = options.pruningBound;
     ex.cancel = options.cancel;
     ex.progressNodes = options.progressNodes;

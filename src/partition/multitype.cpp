@@ -1,28 +1,20 @@
 #include "partition/multitype.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <optional>
-#include <thread>
-#include <tuple>
+#include <stdexcept>
 #include <vector>
 
 #include "core/levels.h"
-#include "partition/exhaustive.h"
 #include "partition/port_counter.h"
 #include "partition/validity.h"
-#include "partition/work_steal.h"
 
 namespace eblocks::partition {
 
 namespace {
-
-constexpr double kCostSlack = 1e-9;
 
 /// Shared removal choice (same tiebreaks as classic PareDown).
 BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
@@ -50,6 +42,23 @@ BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
   return best;
 }
 
+constexpr std::int64_t kMaxMilliCost = std::numeric_limits<std::int32_t>::max();
+
+/// One cost in milli-units; throws unless it is finite, non-negative,
+/// and within 1e-6 of a multiple of 0.001.
+int toMilli(double cost, const std::string& what) {
+  if (!std::isfinite(cost) || cost < 0)
+    throw std::invalid_argument(what + " cost must be finite and >= 0");
+  const double milli = cost * 1000.0;
+  if (milli > static_cast<double>(kMaxMilliCost))
+    throw std::invalid_argument(what + " cost overflows the cost key");
+  const double rounded = std::round(milli);
+  if (std::abs(milli - rounded) > 1e-3)
+    throw std::invalid_argument(what + " cost " + std::to_string(cost) +
+                                " is not a multiple of 0.001");
+  return static_cast<int>(rounded);
+}
+
 }  // namespace
 
 ProgCostModel ProgCostModel::paperDefault() {
@@ -71,6 +80,32 @@ double TypedPartitioning::totalCost(int originalInnerCount,
                 (originalInnerCount - coveredBlocks());
   for (int idx : optionIndex)
     cost += model.options.at(static_cast<std::size_t>(idx)).cost;
+  return cost;
+}
+
+MilliCostModel toMilliCosts(const ProgCostModel& model, int innerCount) {
+  MilliCostModel milli;
+  milli.preDefinedBlockCost =
+      toMilli(model.preDefinedBlockCost, "pre-defined block");
+  std::int64_t largest = milli.preDefinedBlockCost;
+  for (const ProgBlockOption& o : model.options) {
+    milli.optionCost.push_back(toMilli(o.cost, "option '" + o.name + "'"));
+    largest = std::max<std::int64_t>(largest, milli.optionCost.back());
+  }
+  // No search bound or solution cost exceeds innerCount x the largest
+  // cost, which must fit the packed incumbent key's 32-bit cost half.
+  if (std::max(innerCount, 0) * largest > kMaxMilliCost)
+    throw std::invalid_argument(
+        "cost model overflows the cost key at " +
+        std::to_string(innerCount) + " inner blocks");
+  return milli;
+}
+
+int MilliCostModel::totalCost(const TypedPartitioning& typed,
+                              int originalInnerCount) const {
+  int cost = preDefinedBlockCost * (originalInnerCount - typed.coveredBlocks());
+  for (int idx : typed.optionIndex)
+    cost += optionCost.at(static_cast<std::size_t>(idx));
   return cost;
 }
 
@@ -105,6 +140,8 @@ TypedPartitionRun multiTypePareDown(const Network& net,
   // maintained incrementally (one O(degree) update per removal) on the
   // shared validity kernel, walking a CSR view built once per run.
   const CompactGraph graph(net);
+  const MilliCostModel milli =
+      toMilliCosts(model, static_cast<int>(graph.innerCount()));
   PortCounter candidate(graph, model.mode, BorderTracking::kOn);
   std::vector<BlockId> border;  // reused across rounds
   std::vector<int> ranks;
@@ -116,12 +153,10 @@ TypedPartitionRun multiTypePareDown(const Network& net,
       ++run.explored;
       const auto option = cheapestFittingOption(candidate.io(), model);
       if (option) {
-        const double replaceCost =
-            model.options[static_cast<std::size_t>(*option)].cost;
-        const double keepCost =
-            model.preDefinedBlockCost *
-            static_cast<double>(candidate.memberCount());
-        if (replaceCost + kCostSlack < keepCost) {
+        // Replace only when the option costs less than the pre-defined
+        // blocks it would replace.
+        if (milli.optionCost[static_cast<std::size_t>(*option)] <
+            milli.preDefinedBlockCost * candidate.memberCount()) {
           run.result.partitions.push_back(candidate.members());
           run.result.optionIndex.push_back(*option);
         }
@@ -154,530 +189,11 @@ TypedPartitionRun multiTypePareDown(const Network& net,
   return run;
 }
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// One unit of parallel work: the bin assignment of the first
-/// `choice.size()` inner blocks (-1 = uncovered, j = join bin j, j ==
-/// #bins = open a new bin), plus the half-open DFS-ordinal range
-/// [ordLo, ordHi) owned by the subtree -- see the Task comment in
-/// exhaustive.cpp for how ordinals realize the deterministic tie-break.
-struct MultiTask {
-  std::vector<std::int16_t> choice;
-  std::uint32_t ordLo = 1;
-  std::uint32_t ordHi = std::numeric_limits<std::uint32_t>::max();
-};
-
-constexpr std::int16_t kUncovered = -1;
-
-struct MultiShared {
-  /// Best cost discovered anywhere; pruning uses the *strict* comparison
-  /// `lowerBound > liveCost + slack`, which keeps every subtree that can
-  /// still tie the optimum alive, so the deterministic ordinal tie-break
-  /// in the reduction reproduces the serial result exactly.  (Costs are
-  /// doubles, so unlike exhaustive.cpp the ordinal cannot be packed into
-  /// the atomic; ties stay alive globally and are settled per worker.)
-  std::atomic<double> liveCost{std::numeric_limits<double>::infinity()};
-  std::atomic<bool> timedOut{false};
-};
-
-void lowerLive(std::atomic<double>& live, double c) {
-  double cur = live.load(std::memory_order_relaxed);
-  while (c < cur &&
-         !live.compare_exchange_weak(cur, c, std::memory_order_relaxed)) {
-  }
-}
-
-/// The deterministic reduction order: better cost (beyond FP slack)
-/// first, then the smaller DFS ordinal among (slack-)equal costs.
-bool betterTyped(double cost, std::uint32_t ord, double bestCost,
-                 std::uint32_t bestOrd) {
-  if (cost < bestCost - kCostSlack) return true;
-  if (cost > bestCost + kCostSlack) return false;
-  return ord < bestOrd;
-}
-
-/// Immutable per-search configuration shared by every worker.
-struct MultiContext {
-  MultiContext(const Network& n, const ProgCostModel& m,
-               const MultiTypeExhaustiveOptions& o)
-      : net(n),
-        model(m),
-        options(o),
-        graph(n),
-        inner(n.innerBlocks()),
-        deadline(o.timeLimitSeconds > 0
-                     ? Clock::now() +
-                           std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   o.timeLimitSeconds))
-                     : Clock::time_point::max()) {
-    minOptionCost = std::numeric_limits<double>::infinity();
-    for (const ProgBlockOption& opt : m.options)
-      minOptionCost = std::min(minOptionCost, opt.cost);
-    if (m.options.empty()) minOptionCost = 0;
-    if (o.pruningBound) {
-      // Static half of the admissible bound: the frozen-set root and the
-      // unbinnable suffix -- a block whose own irreducible I/O fits no
-      // option stays a pre-defined block in every valid completion.
-      baseFrozen = graph.nonInnerSet();
-      suffixUnbinnable.assign(inner.size() + 1, 0);
-      for (std::size_t i = inner.size(); i-- > 0;) {
-        const IoCount own = irreducibleBlockIo(n, inner[i], m.mode);
-        const bool unbinnable = !cheapestFittingOption(own, m).has_value();
-        suffixUnbinnable[i] = suffixUnbinnable[i + 1] + (unbinnable ? 1 : 0);
-      }
-    }
-  }
-
-  const Network& net;
-  const ProgCostModel& model;
-  const MultiTypeExhaustiveOptions& options;
-  // The CSR view every bin counter of this search walks (owned: the
-  // multi-type entry points take a raw Network, not a PartitionProblem).
-  CompactGraph graph;
-  std::vector<BlockId> inner;
-  double minOptionCost = 0;
-  // pruningBound statics (empty / unused when the layer is off).
-  std::vector<int> suffixUnbinnable;
-  BitSet baseFrozen;
-  double initialBound = 0;
-  Clock::time_point deadline;
-};
-
-class MultiWorker {
- public:
-  MultiWorker(const MultiContext& ctx, MultiShared& shared,
-              detail::WorkStealingPool<MultiTask>* pool, int workerId)
-      : ctx_(ctx),
-        shared_(shared),
-        pool_(pool),
-        workerId_(workerId),
-        pruning_(ctx.options.pruningBound),
-        frozen_(ctx.baseFrozen),
-        bestCost_(ctx.initialBound) {
-    bins_.reserve(ctx.inner.size() + 1);
-    choice_.reserve(ctx.inner.size());
-  }
-
-  void runTask(const MultiTask& task) {
-    localBest_ = ctx_.initialBound;
-    resetBins();
-    choice_ = task.choice;
-    int uncovered = 0;
-    for (std::size_t i = 0; i < task.choice.size(); ++i) {
-      const std::int16_t c = task.choice[i];
-      const BlockId b = ctx_.inner[i];
-      if (c == kUncovered) {
-        ++uncovered;
-        if (pruning_) freezeAssigned(b, kNoOwnBin);
-        continue;
-      }
-      if (static_cast<std::size_t>(c) == binCount_) openBin();
-      bins_[static_cast<std::size_t>(c)].add(b);
-      if (pruning_) freezeAssigned(b, static_cast<std::size_t>(c));
-    }
-    dfs(task.choice.size(), uncovered, task.ordLo, task.ordHi);
-  }
-
-  /// Frame recycling; see Worker::takeFrame in exhaustive.cpp.
-  MultiTask takeFrame() {
-    if (frames_.empty()) return {};
-    MultiTask t = std::move(frames_.back());
-    frames_.pop_back();
-    return t;
-  }
-  void recycleFrame(MultiTask&& t) { frames_.push_back(std::move(t)); }
-
-  std::uint64_t explored() const { return explored_; }
-  std::uint64_t pruned() const { return pruned_; }
-  double bestCost() const { return bestCost_; }
-  std::uint32_t bestOrdinal() const { return bestOrd_; }
-  TypedPartitioning takeBest() { return std::move(best_); }
-
- private:
-  static constexpr std::size_t kNoOwnBin = static_cast<std::size_t>(-1);
-
-  void resetBins() {
-    for (std::size_t j = 0; j < binCount_; ++j) bins_[j].clear();
-    binCount_ = 0;
-    if (pruning_) frozen_ = ctx_.baseFrozen;
-  }
-
-  void openBin() {
-    if (binCount_ == bins_.size())
-      bins_.emplace_back(ctx_.graph, ctx_.model.mode, BorderTracking::kOff,
-                         pruning_ ? &frozen_ : nullptr);
-    ++binCount_;
-  }
-
-  /// See Worker::freezeAssigned in exhaustive.cpp: just-assigned `b` is
-  /// fixed for the whole subtree, so every other bin's crossing edges to
-  /// it turn irreducible.
-  void freezeAssigned(BlockId b, std::size_t own) {
-    frozen_.set(b);
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].freeze(b);
-  }
-
-  void unfreezeAssigned(BlockId b, std::size_t own) {
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].unfreeze(b);
-    frozen_.reset(b);
-  }
-
-  bool timeExpired() {
-    if (aborted_) return true;
-    if ((explored_ & 0xfff) == 0) {
-      if (shared_.timedOut.load(std::memory_order_relaxed)) {
-        aborted_ = true;
-      } else if (Clock::now() > ctx_.deadline) {
-        shared_.timedOut.store(true, std::memory_order_relaxed);
-        aborted_ = true;
-      }
-    }
-    return aborted_;
-  }
-
-  void dfs(std::size_t idx, int uncovered, std::uint32_t lo,
-           std::uint32_t hi) {
-    ++explored_;
-    if (timeExpired()) return;
-    // Baseline bound first (cheap, and pruning here keeps the admissible
-    // layer off the node entirely -- mirrors exhaustive.cpp).  The
-    // strengthened bound dominates the weak one, so the set of pruned
-    // nodes is identical either way; only the work per node changes.
-    const double weakBound =
-        static_cast<double>(binCount_) * ctx_.minOptionCost +
-        ctx_.model.preDefinedBlockCost * uncovered;
-    const double live = shared_.liveCost.load(std::memory_order_relaxed);
-    if (weakBound + kCostSlack >= localBest_) return;
-    if (weakBound > live + kCostSlack) return;
-    if (pruning_) {
-      // The admissible layer: each bin's final option must fit its
-      // irreducible crossing I/O, so the cheapest such option floors the
-      // bin's cost (none fitting kills the subtree outright); remaining
-      // unbinnable blocks each stay pre-defined.  Counted as a pruned
-      // subtree only here, past the baseline checks above.
-      double binFloor = 0;
-      for (std::size_t j = 0; j < binCount_; ++j) {
-        const auto opt = cheapestFittingOption(bins_[j].fixedIo(),
-                                               ctx_.model);
-        if (!opt) {
-          ++pruned_;
-          return;
-        }
-        binFloor += ctx_.model.options[static_cast<std::size_t>(*opt)].cost;
-      }
-      const double lowerBound =
-          binFloor + ctx_.model.preDefinedBlockCost *
-                         (uncovered + ctx_.suffixUnbinnable[idx]);
-      if (lowerBound + kCostSlack >= localBest_ ||
-          lowerBound > live + kCostSlack) {
-        ++pruned_;
-        return;
-      }
-    }
-    if (idx == ctx_.inner.size()) {
-      finish(uncovered, lo);
-      return;
-    }
-    const BlockId b = ctx_.inner[idx];
-    // Children in serial DFS order: join each open bin, open a new bin,
-    // leave uncovered.  The multi-type search has no per-child
-    // feasibility filter, so the child count is simply binCount_ + 2.
-    const std::size_t openBins = binCount_;
-    // Split ordinal ranges only where offloading is possible; see the
-    // matching comment in exhaustive.cpp.
-    std::optional<detail::RangeSplitter> ranges;
-    if (pool_ != nullptr && ctx_.inner.size() - idx > detail::kLeafMargin)
-      ranges.emplace(lo, hi, openBins + 2);
-    const bool offloadable = ranges && ranges->offloadable();
-    bool firstChild = true;
-    const auto visit = [&](std::int16_t c, int childUncovered,
-                           auto&& apply, auto&& undo) {
-      std::uint32_t clo = lo, chi = hi;
-      if (ranges) std::tie(clo, chi) = ranges->next();
-      const bool inlineChild = firstChild;
-      firstChild = false;
-      if (!inlineChild && offloadable && pool_->hungry() > 0 &&
-          pool_->queueDepth(workerId_) < detail::kMaxLocalBacklog) {
-        MultiTask t = takeFrame();
-        t.choice = choice_;
-        t.choice.push_back(c);
-        t.ordLo = clo;
-        t.ordHi = chi;
-        pool_->push(workerId_, std::move(t));
-        return;
-      }
-      apply();
-      choice_.push_back(c);
-      dfs(idx + 1, childUncovered, clo, chi);
-      choice_.pop_back();
-      undo();
-    };
-    for (std::size_t j = 0; j < openBins; ++j) {
-      visit(static_cast<std::int16_t>(j), uncovered,
-            [&] {
-              bins_[j].add(b);
-              if (pruning_) freezeAssigned(b, j);
-            },
-            [&] {
-              if (pruning_) unfreezeAssigned(b, j);
-              bins_[j].remove(b);
-            });
-    }
-    visit(static_cast<std::int16_t>(openBins), uncovered,
-          [&] {
-            openBin();
-            bins_[binCount_ - 1].add(b);
-            if (pruning_) freezeAssigned(b, binCount_ - 1);
-          },
-          [&] {
-            if (pruning_) unfreezeAssigned(b, binCount_ - 1);
-            bins_[binCount_ - 1].remove(b);
-            --binCount_;
-          });
-    visit(kUncovered, uncovered + 1,
-          [&] {
-            if (pruning_) freezeAssigned(b, kNoOwnBin);
-          },
-          [&] {
-            if (pruning_) unfreezeAssigned(b, kNoOwnBin);
-          });
-  }
-
-  void finish(int uncovered, std::uint32_t lo) {
-    double cost = ctx_.model.preDefinedBlockCost * uncovered;
-    // chosen_ is a pooled scratch: finish() runs at every surviving
-    // leaf, so a fresh vector here would be a per-leaf allocation.
-    chosen_.clear();
-    for (std::size_t j = 0; j < binCount_; ++j) {
-      const auto option = cheapestFittingOption(bins_[j].io(), ctx_.model);
-      if (!option) return;  // some bin fits no block type
-      chosen_.push_back(*option);
-      cost += ctx_.model.options[static_cast<std::size_t>(*option)].cost;
-    }
-    // Within a task only strict (beyond-slack) improvements pass, so the
-    // first solution of the task's best cost is kept in DFS order;
-    // across tasks betterTyped()'s ordinal tie-break decides.
-    if (cost + kCostSlack >= localBest_) return;
-    localBest_ = cost;
-    if (betterTyped(cost, lo, bestCost_, bestOrd_)) {
-      bestCost_ = cost;
-      bestOrd_ = lo;
-      best_.partitions.clear();
-      for (std::size_t j = 0; j < binCount_; ++j)
-        best_.partitions.push_back(bins_[j].members());
-      best_.optionIndex = chosen_;
-    }
-    lowerLive(shared_.liveCost, cost);
-  }
-
-  const MultiContext& ctx_;
-  MultiShared& shared_;
-  detail::WorkStealingPool<MultiTask>* pool_;  // null = no splitting
-  int workerId_ = 0;
-  bool pruning_ = false;
-  BitSet frozen_;  // non-inner + assigned prefix; bins point at this
-  std::vector<PortCounter> bins_;  // pool; first binCount_ entries live
-  std::size_t binCount_ = 0;
-  std::vector<std::int16_t> choice_;  // live assignment of blocks [0, idx)
-  std::vector<MultiTask> frames_;  // recycled task frames (see takeFrame)
-  std::vector<int> chosen_;        // finish() scratch (option per bin)
-  double localBest_ = 0;
-  double bestCost_;
-  std::uint32_t bestOrd_ = 0;
-  TypedPartitioning best_;
-  std::uint64_t explored_ = 0;
-  std::uint64_t pruned_ = 0;
-  bool aborted_ = false;
-};
-
-/// Enumerates the surviving prefixes of the first `depth` inner blocks in
-/// serial DFS order, pruning only against the deterministic initial bound.
-class MultiPrefixGenerator {
- public:
-  explicit MultiPrefixGenerator(const MultiContext& ctx) : ctx_(ctx) {}
-
-  std::vector<MultiTask> generate(std::size_t depth,
-                                  std::uint64_t& explored) {
-    depth_ = depth;
-    tasks_.clear();
-    choice_.clear();
-    openBins_ = 0;
-    explored_ = 0;
-    gen(0, 0);
-    explored = explored_;
-    return std::move(tasks_);
-  }
-
- private:
-  void gen(std::size_t idx, int uncovered) {
-    ++explored_;
-    const double lowerBound =
-        static_cast<double>(openBins_) * ctx_.minOptionCost +
-        ctx_.model.preDefinedBlockCost * uncovered;
-    if (lowerBound + kCostSlack >= ctx_.initialBound) return;
-    if (idx == depth_ || idx == ctx_.inner.size()) {
-      // Degenerate range [i+1, i+2): one ordinal per fixed-split task.
-      const auto ord = static_cast<std::uint32_t>(tasks_.size()) + 1;
-      tasks_.push_back(MultiTask{choice_, ord, ord + 1});
-      return;
-    }
-    for (std::size_t j = 0; j < openBins_; ++j) {
-      choice_.push_back(static_cast<std::int16_t>(j));
-      gen(idx + 1, uncovered);
-      choice_.pop_back();
-    }
-    choice_.push_back(static_cast<std::int16_t>(openBins_));
-    ++openBins_;
-    gen(idx + 1, uncovered);
-    --openBins_;
-    choice_.pop_back();
-    choice_.push_back(kUncovered);
-    gen(idx + 1, uncovered + 1);
-    choice_.pop_back();
-  }
-
-  const MultiContext& ctx_;
-  std::size_t depth_ = 0;
-  std::vector<MultiTask> tasks_;
-  std::vector<std::int16_t> choice_;
-  std::size_t openBins_ = 0;
-  std::uint64_t explored_ = 0;
-};
-
-}  // namespace
-
-TypedPartitionRun multiTypeExhaustive(
-    const Network& net, const ProgCostModel& model,
-    const MultiTypeExhaustiveOptions& options) {
-  TypedPartitionRun out;
-  out.algorithm = "multitype-exhaustive";
-  const auto start = Clock::now();
-
-  MultiContext ctx(net, model, options);
-  const int n = static_cast<int>(ctx.inner.size());
-
-  // Initial incumbent: "replace nothing", improved by a feasible seed.
-  double bestCost = model.preDefinedBlockCost * n;
-  TypedPartitioning best;
-  if (options.seed &&
-      verifyTypedPartitioning(net, model, *options.seed).empty()) {
-    const double c = options.seed->totalCost(n, model);
-    if (c < bestCost) {
-      bestCost = c;
-      best = *options.seed;
-    }
-  }
-  ctx.initialBound = bestCost;
-
-  MultiShared shared;
-  shared.liveCost.store(bestCost, std::memory_order_relaxed);
-
-  const int threads = resolveSearchThreads(options.threads);
-  std::uint64_t explored = 0;
-  std::vector<std::unique_ptr<MultiWorker>> workers;
-  std::atomic<std::uint64_t> totalExplored{0};
-  std::atomic<std::uint64_t> totalPruned{0};
-
-  if (options.scheduler == SearchScheduler::kFixedSplit && threads > 1 &&
-      n >= 2) {
-    // One-shot fixed-depth split; see exhaustive.cpp.
-    MultiPrefixGenerator gen(ctx);
-    const std::size_t target =
-        std::max<std::size_t>(64, static_cast<std::size_t>(threads) * 8);
-    std::uint64_t genExplored = 0;
-    std::vector<MultiTask> tasks;
-    for (std::size_t depth = 1;; ++depth) {
-      tasks = gen.generate(depth, genExplored);
-      if (tasks.size() >= target || depth >= static_cast<std::size_t>(n) ||
-          tasks.size() > 4096)
-        break;
-    }
-    explored += genExplored;
-
-    const int workerCount = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(threads), tasks.size()));
-    workers.resize(static_cast<std::size_t>(std::max(workerCount, 1)));
-    std::atomic<std::size_t> next{0};
-    detail::runOnWorkers(workerCount, [&](int w) {
-      auto worker = std::make_unique<MultiWorker>(ctx, shared, nullptr, w);
-      for (;;) {
-        if (shared.timedOut.load(std::memory_order_relaxed)) break;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) break;
-        worker->runTask(tasks[i]);
-      }
-      totalExplored.fetch_add(worker->explored(),
-                              std::memory_order_relaxed);
-      totalPruned.fetch_add(worker->pruned(), std::memory_order_relaxed);
-      workers[static_cast<std::size_t>(w)] = std::move(worker);
-    });
-  } else {
-    // Work-stealing over on-demand subtree splits; see exhaustive.cpp.
-    const int workerCount = n >= 2 ? threads : 1;
-    detail::WorkStealingPool<MultiTask> taskPool(workerCount);
-    taskPool.push(0, MultiTask{});
-    workers.resize(static_cast<std::size_t>(workerCount));
-    detail::runOnWorkers(workerCount, [&](int w) {
-      auto worker = std::make_unique<MultiWorker>(
-          ctx, shared, workerCount > 1 ? &taskPool : nullptr, w);
-      MultiTask task;
-      while (taskPool.acquire(w, task, shared.timedOut)) {
-        worker->runTask(task);
-        taskPool.release();
-        // The executed frame's buffer feeds this worker's future splits.
-        worker->recycleFrame(std::move(task));
-      }
-      totalExplored.fetch_add(worker->explored(),
-                              std::memory_order_relaxed);
-      totalPruned.fetch_add(worker->pruned(), std::memory_order_relaxed);
-      workers[static_cast<std::size_t>(w)] = std::move(worker);
-    });
-  }
-  explored += totalExplored.load(std::memory_order_relaxed);
-
-  // Deterministic reduction: replay the serial acceptance rule (strict
-  // beyond-slack improvement only) over the worker bests in ascending
-  // DFS-ordinal order, starting from the initial incumbent at ordinal 0.
-  // Scanning in ordinal order -- not worker order -- matters because the
-  // slack comparison is not transitive: a fixed scan order makes the
-  // fold independent of which worker happened to hold which candidate.
-  std::vector<MultiWorker*> byOrdinal;
-  for (const auto& worker : workers)
-    if (worker) byOrdinal.push_back(worker.get());
-  std::sort(byOrdinal.begin(), byOrdinal.end(),
-            [](const MultiWorker* a, const MultiWorker* b) {
-              return a->bestOrdinal() < b->bestOrdinal();
-            });
-  for (MultiWorker* worker : byOrdinal) {
-    if (worker->bestCost() + kCostSlack < bestCost) {
-      bestCost = worker->bestCost();
-      best = worker->takeBest();
-    }
-  }
-  if (workers.size() > 1)
-    for (const auto& worker : workers)
-      if (worker) {
-        out.workerExplored.push_back(worker->explored());
-        out.workerPruned.push_back(worker->pruned());
-      }
-
-  out.result = std::move(best);
-  out.explored = explored;
-  out.pruned = totalPruned.load(std::memory_order_relaxed);
-  out.timedOut = shared.timedOut.load(std::memory_order_relaxed);
-  out.optimal = !out.timedOut;
-  out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  return out;
-}
-
 std::vector<std::string> verifyTypedPartitioning(
     const Network& net, const ProgCostModel& model,
     const TypedPartitioning& typed) {
+  const MilliCostModel milli =
+      toMilliCosts(model, static_cast<int>(net.innerBlocks().size()));
   std::vector<std::string> problems;
   if (typed.partitions.size() != typed.optionIndex.size()) {
     problems.push_back("partition/option count mismatch");
@@ -709,8 +225,8 @@ std::vector<std::string> verifyTypedPartitioning(
     });
     // Cost sanity: a rational result never uses a partition that costs
     // more than the blocks it replaces.
-    if (o.cost > model.preDefinedBlockCost * static_cast<double>(p.count()) +
-                     kCostSlack)
+    if (milli.optionCost[static_cast<std::size_t>(idx)] >
+        milli.preDefinedBlockCost * static_cast<int>(p.count()))
       problems.push_back(label + ": option " + o.name +
                          " costs more than the blocks it replaces");
   }

@@ -12,6 +12,14 @@
 // A partition is only worth forming when its cheapest fitting option costs
 // less than the pre-defined blocks it replaces -- the |P| >= 2 rule of the
 // base problem falls out as the special case cost(prog) in (1, 2).
+//
+// Costs are compared as exact integers: toMilliCosts() converts a model
+// to milli-units once, and PareDown's accept rule, fm's gains, the
+// verifier, and the exact search all work on that form.  The exact
+// search is the plain search's kernel (exhaustive.cpp) under a cost
+// policy, so it shares the packed (cost, DFS-ordinal) incumbent key and
+// with it the bit-identity contracts across thread counts and warm
+// starts.
 #ifndef EBLOCKS_PARTITION_MULTITYPE_H_
 #define EBLOCKS_PARTITION_MULTITYPE_H_
 
@@ -21,7 +29,6 @@
 
 #include "partition/problem.h"
 #include "partition/result.h"
-#include "partition/scheduler.h"
 
 namespace eblocks::partition {
 
@@ -30,7 +37,9 @@ struct ProgBlockOption {
   std::string name;   ///< e.g. "prog_2x2"
   int inputs = 2;
   int outputs = 2;
-  double cost = 1.5;  ///< relative to ProgCostModel::preDefinedBlockCost
+  /// Relative to ProgCostModel::preDefinedBlockCost; a multiple of 0.001
+  /// (see toMilliCosts).
+  double cost = 1.5;
 };
 
 /// The cost landscape of the target platform.
@@ -72,6 +81,26 @@ struct TypedPartitionRun {
   std::vector<std::uint64_t> workerPruned;
 };
 
+/// A ProgCostModel in exact integer milli-units (1 = 0.001 cost units),
+/// so equal costs compare equal without floating-point slack.
+struct MilliCostModel {
+  int preDefinedBlockCost = 0;
+  std::vector<int> optionCost;  ///< parallel to ProgCostModel::options
+
+  /// TypedPartitioning::totalCost in milli-units (every optionIndex must
+  /// be in range).
+  int totalCost(const TypedPartitioning& typed, int originalInnerCount) const;
+};
+
+/// Converts `model` for a network of `innerCount` inner blocks.  Throws
+/// std::invalid_argument for a negative (or non-finite) cost, a cost more
+/// than 1e-6 off a multiple of 0.001, or a model whose worst-case total
+/// -- innerCount x its largest cost -- does not fit the 32-bit cost half
+/// of the exact search's packed incumbent key.  multiTypePareDown,
+/// multiTypeExhaustive, multiTypeFmRefine, and verifyTypedPartitioning
+/// convert their model this way, so each rejects such models.
+MilliCostModel toMilliCosts(const ProgCostModel& model, int innerCount);
+
 /// Index of the cheapest option that fits the subgraph, or nullopt.
 std::optional<int> cheapestFittingOption(const Network& net,
                                          const BitSet& members,
@@ -96,8 +125,6 @@ struct MultiTypeExhaustiveOptions {
   /// the identical result (deterministic DFS-order tie-break) unless the
   /// time limit cuts the search short (see exhaustive.h).
   int threads = 0;
-  /// Subtree distribution policy, as in ExhaustiveOptions::scheduler.
-  SearchScheduler scheduler = SearchScheduler::kWorkStealing;
   /// Admissible lower-bound pruning, generalized to the cost model: each
   /// bin's future option cost is floored by the cheapest option fitting
   /// its *irreducible* crossing I/O (a bin fitting no option kills the
@@ -107,7 +134,9 @@ struct MultiTypeExhaustiveOptions {
   bool pruningBound = true;
 };
 
-/// Exhaustive branch-and-bound over assignments and option choices.
+/// Exhaustive branch-and-bound over assignments and option choices.  A
+/// verified seed is purely an accelerator, as in ExhaustiveOptions::seed:
+/// the result is bit-identical to the unseeded search's.
 TypedPartitionRun multiTypeExhaustive(
     const Network& net, const ProgCostModel& model,
     const MultiTypeExhaustiveOptions& options = {});

@@ -1,5 +1,6 @@
-// Work-stealing task pool and subtree-splitting helpers shared by the
-// parallel branch-and-bound searches (exhaustive.cpp and multitype.cpp).
+// Work-stealing task pool and subtree-splitting helpers behind the
+// parallel branch-and-bound kernel (exhaustive.cpp), which runs both the
+// plain and the multi-type search.
 //
 // Design: one deque of tasks per worker.  A worker pushes and pops at the
 // *back* of its own deque (LIFO keeps it close to serial DFS order, which
@@ -7,7 +8,7 @@
 // *half* of a victim's deque (the oldest entries are the shallowest --
 // and therefore largest -- subtrees, so one steal buys a long stretch of
 // independent work).  Workers signal starvation through a shared counter;
-// the searches consult hungry() while walking a subtree and peel off
+// the search consults hungry() while walking a subtree and peels off
 // stealable child tasks only when somebody is actually starved, so a
 // single-threaded or well-balanced run degenerates to plain DFS with no
 // task traffic at all.
@@ -57,8 +58,7 @@ constexpr std::size_t kMaxLocalBacklog = 16;
 
 /// Splits a subtree's half-open ordinal range [lo, hi) into k
 /// consecutive child subranges in DFS order -- the arithmetic behind the
-/// deterministic tie-break, kept in one place so both searches stay in
-/// lock-step.  When the range is too narrow to give every child a
+/// deterministic tie-break.  When the range is too narrow to give every child a
 /// non-empty slice (width < k), splitting is off: every child inherits
 /// the parent range, shares its lo, and must run inline on one worker.
 class RangeSplitter {
@@ -117,8 +117,8 @@ class WorkStealingPool {
 
   int workers() const { return static_cast<int>(slots_.size()); }
 
-  /// Number of workers currently failing to find work.  Searches check
-  /// this (relaxed) to decide whether to split their current subtree.
+  /// Number of workers currently failing to find work.  The search
+  /// checks this (relaxed) to decide whether to split its current subtree.
   int hungry() const { return hungry_.load(std::memory_order_relaxed); }
 
   /// Current size of worker w's own deque (the kMaxLocalBacklog gate).

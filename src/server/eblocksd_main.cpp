@@ -72,12 +72,13 @@ bool parseAddr(const std::string& addr, std::string* host, int* port) {
   return true;
 }
 
-bool parseCount(const char* text, int* out) {
+template <typename Count>
+bool parseCount(const char* text, Count* out) {
   char* end = nullptr;
   const long value = std::strtol(text, &end, 10);
   if (end == nullptr || *end != '\0' || value < 1 || value > 4096)
     return false;
-  *out = static_cast<int>(value);
+  *out = static_cast<Count>(value);
   return true;
 }
 
@@ -86,7 +87,6 @@ bool parseCount(const char* text, int* out) {
 int main(int argc, char** argv) {
   eblocks::server::ServerOptions options;
   options.port = 4857;
-  int queueCapacity = 16;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--queue") {
-      if (!parseCount(value(), &queueCapacity)) {
+      if (!parseCount(value(), &options.queueCapacity)) {
         std::fprintf(stderr, "eblocksd: bad --queue (want 1..4096)\n");
         return 2;
       }
@@ -133,7 +133,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  options.queueCapacity = static_cast<std::size_t>(queueCapacity);
 
   std::string fpError;
   if (!eblocks::core::failpoint::installFromEnv(&fpError)) {
@@ -160,9 +159,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "eblocksd: %s\n", error.c_str());
     return 1;
   }
-  std::printf("eblocksd listening on %s:%d (jobs=%d queue=%d cache=%s)\n",
+  std::printf("eblocksd listening on %s:%d (jobs=%d queue=%zu cache=%s)\n",
               options.host.c_str(), server.port(), options.executors,
-              queueCapacity,
+              options.queueCapacity,
               options.cacheEnabled
                   ? (options.cacheDir.empty() ? "mem" : options.cacheDir.c_str())
                   : "off");

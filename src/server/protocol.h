@@ -63,8 +63,8 @@ enum class ErrorCode : std::uint16_t {
 const char* toString(ErrorCode code);
 
 /// A synthesis request.  Options mirror synth::SynthOptions /
-/// partition::EngineOptions; knobs not on the wire (scheduler,
-/// convexity, LNS tuning) take their defaults, so a served result is
+/// partition::EngineOptions; knobs not on the wire (convexity, LNS
+/// tuning) take their defaults, so a served result is
 /// bit-identical to a one-shot synthesize() with these options.
 struct SynthRequest {
   std::uint64_t id = 0;  ///< client-chosen, unique per connection

@@ -376,8 +376,8 @@ const SynthResponse* Server::findRemembered(const std::string& key) {
   if (key.empty()) return nullptr;
   const auto it = remembered_.find(key);
   if (it == remembered_.end()) return nullptr;
-  it->second.lastUse = ++rememberedClock_;
-  return &it->second.response;
+  recency_.splice(recency_.begin(), recency_, it->second);
+  return &it->second->response;
 }
 
 void Server::rememberResponse(const std::string& key,
@@ -390,23 +390,21 @@ void Server::rememberResponse(const std::string& key,
   if (bytes > options_.idempotencyBytes) return;  // would evict everything
   const auto existing = remembered_.find(key);
   if (existing != remembered_.end()) {
-    rememberedBytes_ -= existing->second.bytes;
+    rememberedBytes_ -= existing->second->bytes;
+    recency_.erase(existing->second);
     remembered_.erase(existing);
   }
-  while (!remembered_.empty() &&
+  while (!recency_.empty() &&
          rememberedBytes_ + bytes > options_.idempotencyBytes) {
-    auto lru = remembered_.begin();
-    for (auto it = remembered_.begin(); it != remembered_.end(); ++it)
-      if (it->second.lastUse < lru->second.lastUse) lru = it;
-    rememberedBytes_ -= lru->second.bytes;
-    remembered_.erase(lru);
+    const RememberedResponse& oldest = recency_.back();
+    rememberedBytes_ -= oldest.bytes;
+    remembered_.erase(remembered_.find(*oldest.key));
+    recency_.pop_back();
   }
-  RememberedResponse entry;
-  entry.response = response;
-  entry.bytes = bytes;
-  entry.lastUse = ++rememberedClock_;
+  recency_.push_front(RememberedResponse{nullptr, response, bytes});
+  const auto indexed = remembered_.emplace(key, recency_.begin()).first;
+  recency_.front().key = &indexed->first;
   rememberedBytes_ += bytes;
-  remembered_.emplace(key, std::move(entry));
 }
 
 void Server::maybeFinishDrain() {

@@ -34,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -167,14 +168,17 @@ class Server {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> byConnReq_;
   /// Idempotent-replay table (loop-thread only): content key -> the
   /// completed response, LRU-bounded by options_.idempotencyBytes.
+  /// `recency_` holds the entries most recently used first and
+  /// `remembered_` indexes them by key, so a replay splices its entry to
+  /// the front and eviction pops the back -- never a scan of the table.
   struct RememberedResponse {
+    const std::string* key = nullptr;  ///< the owning index entry's key
     SynthResponse response;
     std::uint64_t bytes = 0;
-    std::uint64_t lastUse = 0;
   };
-  std::map<std::string, RememberedResponse> remembered_;
+  std::list<RememberedResponse> recency_;
+  std::map<std::string, std::list<RememberedResponse>::iterator> remembered_;
   std::uint64_t rememberedBytes_ = 0;
-  std::uint64_t rememberedClock_ = 0;
 
   mutable std::mutex statsMu_;
   ServerStats stats_;

@@ -29,8 +29,7 @@ constexpr char kHelp[] = R"(commands:
   probe <block> <var>            read a block variable
   synth [algo] [ins outs] [thr] [opts...]
                                  run synthesis (default paredown 2 2;
-                                 opts, any order: work-stealing |
-                                 fixed-split; prune | no-prune;
+                                 opts, any order: prune | no-prune;
                                  limit=<seconds> pocket=<blocks>
                                  rounds=<n>)
   algorithms                     list registered partitioning algorithms
@@ -315,13 +314,13 @@ void Shell::cmdSynth(std::istream& args, std::ostream& out) {
   }
   // Positional, each group optional: a group that fails on its first
   // token leaves it in place (clear() resets the failbit) so a trailing
-  // scheduler name works with or without the numeric groups.  A ports
+  // keyword works with or without the numeric groups.  A ports
   // group missing its second number is an error, not a silent default.
   int ins = 0, outs = 0;
   if (args >> ins) {
     if (!(args >> outs)) {
-      out << "usage: synth [algo] [ins outs] [threads] [scheduler] "
-             "[prune|no-prune] [limit=<s>] [pocket=<k>] [rounds=<n>]\n";
+      out << "usage: synth [algo] [ins outs] [threads] [prune|no-prune] "
+             "[limit=<s>] [pocket=<k>] [rounds=<n>]\n";
       return;
     }
     options.spec.inputs = ins;
@@ -340,19 +339,15 @@ void Shell::cmdSynth(std::istream& args, std::ostream& out) {
   } else {
     args.clear();
   }
-  // Trailing keywords, in any order, at most one of each: a scheduler
-  // name, a pruning flag, and the heuristic knobs (limit= applies to
-  // every anytime strategy; pocket=/rounds= steer lns).  Anything else
-  // is an error -- never a silent default.
-  bool haveScheduler = false, havePruning = false;
+  // Trailing keywords, in any order, at most one of each: a pruning
+  // flag and the heuristic knobs (limit= applies to every anytime
+  // strategy; pocket=/rounds= steer lns).  Anything else is an error --
+  // never a silent default.
+  bool havePruning = false;
   bool haveLimit = false, havePocket = false, haveRounds = false;
   std::string word;
   while (args >> word) {
-    const auto scheduler = partition::parseScheduler(word);
-    if (scheduler && !haveScheduler) {
-      options.engine.scheduler = *scheduler;
-      haveScheduler = true;
-    } else if ((word == "prune" || word == "no-prune") && !havePruning) {
+    if ((word == "prune" || word == "no-prune") && !havePruning) {
       options.engine.pruningBound = (word == "prune");
       havePruning = true;
     } else if (word.rfind("limit=", 0) == 0 && !haveLimit) {
@@ -382,8 +377,8 @@ void Shell::cmdSynth(std::istream& args, std::ostream& out) {
       haveRounds = true;
     } else {
       out << "error: unknown synth option '" << word
-          << "' (scheduler: work-stealing | fixed-split; pruning: prune | "
-             "no-prune; heuristics: limit=<s> pocket=<k> rounds=<n>)\n";
+          << "' (pruning: prune | no-prune; heuristics: limit=<s> "
+             "pocket=<k> rounds=<n>)\n";
       return;
     }
   }

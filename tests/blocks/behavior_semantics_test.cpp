@@ -67,6 +67,11 @@ struct Gate2Case {
   int expected[4];  // f(00), f(01), f(10), f(11)
 };
 
+// gtest puts the printed parameter into each listed test name. The default
+// printer dumps the bytes of `name`, a pointer that moves from run to run,
+// so print the gate name to keep the test names stable.
+void PrintTo(const Gate2Case& c, std::ostream* os) { *os << c.name; }
+
 class Gate2Semantics : public ::testing::TestWithParam<Gate2Case> {};
 
 TEST_P(Gate2Semantics, TruthTable) {

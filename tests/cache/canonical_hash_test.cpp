@@ -204,7 +204,6 @@ TEST(OptionsFingerprint, AcceleratorKnobsNormalizeAway) {
   partition::EngineOptions accel = engine;
   accel.threads = 8;
   accel.timeLimitSeconds = 3600.0;
-  accel.scheduler = partition::SearchScheduler::kFixedSplit;
   accel.seedFromPareDown = false;
   accel.pruningBound = false;
   accel.initialIncumbent = partition::Partitioning{};

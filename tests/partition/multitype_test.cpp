@@ -1,5 +1,8 @@
 #include "partition/multitype.h"
 
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "blocks/catalog.h"
@@ -164,6 +167,32 @@ TEST(MultiType, VerifierCatchesViolations) {
   badIndex.partitions.push_back(pair);
   badIndex.optionIndex.push_back(7);  // out of range
   EXPECT_FALSE(verifyTypedPartitioning(net, model, badIndex).empty());
+}
+
+TEST(MultiType, CostConversionIsExactOnTheMilliGrid) {
+  const MilliCostModel milli = toMilliCosts(
+      modelOf({{"prog_2x2", 2, 2, 1.5}, {"prog_3x2", 3, 2, 1.9}}), 8);
+  EXPECT_EQ(milli.preDefinedBlockCost, 1000);
+  EXPECT_EQ(milli.optionCost, (std::vector<int>{1500, 1900}));
+}
+
+TEST(MultiType, CostConversionRejectsUnrepresentableModels) {
+  const Network net = designs::figure5();  // 8 inner blocks
+  // Off the 0.001 grid: rejected by every entry point that compares costs.
+  const auto offGrid = modelOf({{"odd", 2, 2, 1.2345}});
+  EXPECT_THROW(toMilliCosts(offGrid, 8), std::invalid_argument);
+  EXPECT_THROW(multiTypeExhaustive(net, offGrid), std::invalid_argument);
+  EXPECT_THROW(multiTypePareDown(net, offGrid), std::invalid_argument);
+  // Negative costs, on an option or on the pre-defined blocks.
+  EXPECT_THROW(toMilliCosts(modelOf({{"neg", 2, 2, -1.5}}), 8),
+               std::invalid_argument);
+  EXPECT_THROW(toMilliCosts(modelOf({{"prog", 2, 2, 1.5}}, -1.0), 8),
+               std::invalid_argument);
+  // 8 blocks x 1e9 milli-units overflows the 32-bit cost key; 2 fit.
+  const auto huge = modelOf({{"huge", 2, 2, 1e6}});
+  EXPECT_THROW(toMilliCosts(huge, 8), std::invalid_argument);
+  EXPECT_THROW(multiTypeExhaustive(net, huge), std::invalid_argument);
+  EXPECT_NO_THROW(toMilliCosts(huge, 2));
 }
 
 TEST(MultiType, CostAccounting) {

@@ -1,8 +1,7 @@
 // The parallel branch-and-bound must return the *identical* result to the
 // serial search -- same optimum cost and bit-identical partitions -- at
-// every thread count and under both schedulers (the default work-stealing
-// one and the fixed-depth split), on the paper's Table-1 designs and on a
-// population of fixed-seed random networks.
+// every thread count, on the paper's Table-1 designs and on a population
+// of fixed-seed random networks.
 #include <gtest/gtest.h>
 
 #include "designs/library.h"
@@ -14,9 +13,6 @@
 
 namespace eblocks::partition {
 namespace {
-
-constexpr SearchScheduler kBothSchedulers[] = {
-    SearchScheduler::kWorkStealing, SearchScheduler::kFixedSplit};
 
 void expectIdenticalRuns(const PartitionRun& serial,
                          const PartitionRun& parallel,
@@ -45,20 +41,17 @@ TEST(ParallelExhaustive, Table1DesignsMatchSerialBitForBit) {
     serialOptions.seed = pareDown(problem).result;
     const PartitionRun serial = exhaustiveSearch(problem, serialOptions);
     ASSERT_TRUE(serial.optimal) << entry.name;
-    for (SearchScheduler scheduler : kBothSchedulers) {
-      for (int threads : {2, 4, 8}) {
-        ExhaustiveOptions parallelOptions = serialOptions;
-        parallelOptions.threads = threads;
-        parallelOptions.scheduler = scheduler;
-        const PartitionRun parallel =
-            exhaustiveSearch(problem, parallelOptions);
-        ASSERT_TRUE(parallel.optimal) << entry.name;
-        expectIdenticalRuns(serial, parallel, entry.innerBlocks,
-                            entry.name + " @" + std::to_string(threads) +
-                                " threads, " + toString(scheduler));
-        EXPECT_TRUE(verifyPartitioning(problem, parallel.result).empty())
-            << entry.name;
-      }
+    for (int threads : {2, 4, 8}) {
+      ExhaustiveOptions parallelOptions = serialOptions;
+      parallelOptions.threads = threads;
+      const PartitionRun parallel =
+          exhaustiveSearch(problem, parallelOptions);
+      ASSERT_TRUE(parallel.optimal) << entry.name;
+      expectIdenticalRuns(serial, parallel, entry.innerBlocks,
+                          entry.name + " @" + std::to_string(threads) +
+                              " threads");
+      EXPECT_TRUE(verifyPartitioning(problem, parallel.result).empty())
+          << entry.name;
     }
   }
 }
@@ -75,19 +68,15 @@ TEST(ParallelExhaustive, RandomNetworksMatchSerialBitForBit) {
     serialOptions.seed = pareDown(problem).result;
     const PartitionRun serial = exhaustiveSearch(problem, serialOptions);
     ASSERT_TRUE(serial.optimal) << "seed " << seed;
-    for (SearchScheduler scheduler : kBothSchedulers) {
-      for (int threads : {2, 4, 8}) {
-        ExhaustiveOptions parallelOptions = serialOptions;
-        parallelOptions.threads = threads;
-        parallelOptions.scheduler = scheduler;
-        const PartitionRun parallel =
-            exhaustiveSearch(problem, parallelOptions);
-        ASSERT_TRUE(parallel.optimal) << "seed " << seed;
-        expectIdenticalRuns(serial, parallel, inner,
-                            "seed " + std::to_string(seed) + " @" +
-                                std::to_string(threads) + " threads, " +
-                                toString(scheduler));
-      }
+    for (int threads : {2, 4, 8}) {
+      ExhaustiveOptions parallelOptions = serialOptions;
+      parallelOptions.threads = threads;
+      const PartitionRun parallel =
+          exhaustiveSearch(problem, parallelOptions);
+      ASSERT_TRUE(parallel.optimal) << "seed " << seed;
+      expectIdenticalRuns(serial, parallel, inner,
+                          "seed " + std::to_string(seed) + " @" +
+                              std::to_string(threads) + " threads");
     }
   }
 }
@@ -100,18 +89,12 @@ TEST(ParallelExhaustive, UnseededSearchAlsoMatches) {
   ExhaustiveOptions serialOptions;
   serialOptions.threads = 1;
   const PartitionRun serial = exhaustiveSearch(problem, serialOptions);
-  for (SearchScheduler scheduler : kBothSchedulers) {
-    for (int threads : {2, 4, 8}) {
-      ExhaustiveOptions parallelOptions;
-      parallelOptions.threads = threads;
-      parallelOptions.scheduler = scheduler;
-      const PartitionRun parallel =
-          exhaustiveSearch(problem, parallelOptions);
-      expectIdenticalRuns(serial, parallel, 9,
-                          std::string("unseeded @") +
-                              std::to_string(threads) + ", " +
-                              toString(scheduler));
-    }
+  for (int threads : {2, 4, 8}) {
+    ExhaustiveOptions parallelOptions;
+    parallelOptions.threads = threads;
+    const PartitionRun parallel = exhaustiveSearch(problem, parallelOptions);
+    expectIdenticalRuns(serial, parallel, 9,
+                        "unseeded @" + std::to_string(threads));
   }
 }
 
@@ -134,23 +117,18 @@ TEST(ParallelExhaustive, TightTimeLimitStillReturnsVerifiedResult) {
   // reduction assembles from the partial subtree results must verify.
   const Network net = randgen::randomNetwork({.innerBlocks = 26, .seed = 3});
   const PartitionProblem problem(net, ProgBlockSpec{});
-  for (SearchScheduler scheduler : kBothSchedulers) {
-    for (int threads : {2, 4, 8}) {
-      ExhaustiveOptions options;
-      options.threads = threads;
-      options.scheduler = scheduler;
-      options.timeLimitSeconds = 0.02;
-      options.seed = pareDown(problem).result;
-      const PartitionRun run = exhaustiveSearch(problem, options);
-      EXPECT_TRUE(run.timedOut) << threads;
-      EXPECT_FALSE(run.optimal) << threads;
-      EXPECT_TRUE(verifyPartitioning(problem, run.result).empty())
-          << threads;
-      // With a feasible seed the timeout result is never worse than it.
-      EXPECT_LE(run.result.totalAfter(26),
-                options.seed->totalAfter(26))
-          << threads;
-    }
+  for (int threads : {2, 4, 8}) {
+    ExhaustiveOptions options;
+    options.threads = threads;
+    options.timeLimitSeconds = 0.02;
+    options.seed = pareDown(problem).result;
+    const PartitionRun run = exhaustiveSearch(problem, options);
+    EXPECT_TRUE(run.timedOut) << threads;
+    EXPECT_FALSE(run.optimal) << threads;
+    EXPECT_TRUE(verifyPartitioning(problem, run.result).empty()) << threads;
+    // With a feasible seed the timeout result is never worse than it.
+    EXPECT_LE(run.result.totalAfter(26), options.seed->totalAfter(26))
+        << threads;
   }
 }
 
@@ -172,7 +150,6 @@ TEST(ParallelExhaustive, WorkStealingIsRepeatable) {
   const PartitionProblem problem(net, ProgBlockSpec{});
   ExhaustiveOptions options;
   options.threads = 4;
-  options.scheduler = SearchScheduler::kWorkStealing;
   const PartitionRun first = exhaustiveSearch(problem, options);
   ASSERT_TRUE(first.optimal);
   for (int rep = 0; rep < 3; ++rep) {
@@ -197,31 +174,26 @@ TEST(ParallelMultiType, MatchesSerialAcrossThreadCounts) {
     const TypedPartitionRun serial =
         multiTypeExhaustive(net, model, serialOptions);
     ASSERT_TRUE(serial.optimal) << "seed " << seed;
-    for (SearchScheduler scheduler : kBothSchedulers) {
-      for (int threads : {2, 4, 8}) {
-        MultiTypeExhaustiveOptions parallelOptions;
-        parallelOptions.threads = threads;
-        parallelOptions.scheduler = scheduler;
-        const TypedPartitionRun parallel =
-            multiTypeExhaustive(net, model, parallelOptions);
-        ASSERT_TRUE(parallel.optimal) << "seed " << seed;
-        EXPECT_DOUBLE_EQ(serial.result.totalCost(n, model),
-                         parallel.result.totalCost(n, model))
-            << "seed " << seed << " @" << threads << " "
-            << toString(scheduler);
-        ASSERT_EQ(serial.result.partitions.size(),
-                  parallel.result.partitions.size())
-            << "seed " << seed << " @" << threads << " "
-            << toString(scheduler);
-        for (std::size_t i = 0; i < serial.result.partitions.size(); ++i) {
-          EXPECT_EQ(serial.result.partitions[i].toVector(),
-                    parallel.result.partitions[i].toVector());
-          EXPECT_EQ(serial.result.optionIndex[i],
-                    parallel.result.optionIndex[i]);
-        }
-        EXPECT_TRUE(
-            verifyTypedPartitioning(net, model, parallel.result).empty());
+    for (int threads : {2, 4, 8}) {
+      MultiTypeExhaustiveOptions parallelOptions;
+      parallelOptions.threads = threads;
+      const TypedPartitionRun parallel =
+          multiTypeExhaustive(net, model, parallelOptions);
+      ASSERT_TRUE(parallel.optimal) << "seed " << seed;
+      EXPECT_DOUBLE_EQ(serial.result.totalCost(n, model),
+                       parallel.result.totalCost(n, model))
+          << "seed " << seed << " @" << threads;
+      ASSERT_EQ(serial.result.partitions.size(),
+                parallel.result.partitions.size())
+          << "seed " << seed << " @" << threads;
+      for (std::size_t i = 0; i < serial.result.partitions.size(); ++i) {
+        EXPECT_EQ(serial.result.partitions[i].toVector(),
+                  parallel.result.partitions[i].toVector());
+        EXPECT_EQ(serial.result.optionIndex[i],
+                  parallel.result.optionIndex[i]);
       }
+      EXPECT_TRUE(
+          verifyTypedPartitioning(net, model, parallel.result).empty());
     }
   }
 }

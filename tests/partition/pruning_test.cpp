@@ -1,8 +1,8 @@
 // The admissible lower-bound layer (ExhaustiveOptions::pruningBound) is
 // a pure accelerator: with it on, the search must return results
 // *bit-identical* to the unpruned search -- on the Table-1 designs and a
-// population of random networks, at 1/2/4/8 threads, under both
-// schedulers, in both counting modes -- while never exploring more
+// population of random networks, at 1/2/4/8 threads, in both counting
+// modes -- while never exploring more
 // nodes.  The unpruned serial search is the reference; every pruned
 // configuration is compared against it.
 #include <cstdint>
@@ -21,8 +21,6 @@
 namespace eblocks::partition {
 namespace {
 
-constexpr SearchScheduler kBothSchedulers[] = {
-    SearchScheduler::kWorkStealing, SearchScheduler::kFixedSplit};
 constexpr CountingMode kBothModes[] = {CountingMode::kEdges,
                                        CountingMode::kSignals};
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
@@ -54,22 +52,18 @@ void checkAllConfigurations(const PartitionProblem& problem, int innerCount,
   ASSERT_TRUE(unpruned.optimal) << label;
   EXPECT_EQ(unpruned.pruned, 0u) << label;
 
-  for (SearchScheduler scheduler : kBothSchedulers) {
-    for (int threads : kThreadCounts) {
-      ExhaustiveOptions options = reference;
-      options.pruningBound = true;
-      options.threads = threads;
-      options.scheduler = scheduler;
-      const PartitionRun pruned = exhaustiveSearch(problem, options);
-      ASSERT_TRUE(pruned.optimal) << label;
-      expectIdentical(unpruned, pruned, innerCount,
-                      label + " @" + std::to_string(threads) + " threads, " +
-                          toString(scheduler));
-      EXPECT_TRUE(verifyPartitioning(problem, pruned.result).empty())
-          << label;
-      if (threads == 1) {
-        EXPECT_LE(pruned.explored, unpruned.explored) << label;
-      }
+  for (int threads : kThreadCounts) {
+    ExhaustiveOptions options = reference;
+    options.pruningBound = true;
+    options.threads = threads;
+    const PartitionRun pruned = exhaustiveSearch(problem, options);
+    ASSERT_TRUE(pruned.optimal) << label;
+    expectIdentical(unpruned, pruned, innerCount,
+                    label + " @" + std::to_string(threads) + " threads");
+    EXPECT_TRUE(verifyPartitioning(problem, pruned.result).empty())
+        << label;
+    if (threads == 1) {
+      EXPECT_LE(pruned.explored, unpruned.explored) << label;
     }
   }
 }
@@ -77,7 +71,7 @@ void checkAllConfigurations(const PartitionProblem& problem, int innerCount,
 TEST(PruningBound, Table1DesignsBitIdenticalBothModes) {
   for (const auto& entry : designs::designLibrary()) {
     // Cap like the parallel-equivalence suite: the matrix below runs
-    // 2 modes x 2 schedulers x 4 thread counts per design, and the
+    // 2 modes x 4 thread counts per design, and the
     // *unpruned* reference is the expensive leg on the big designs.
     if (entry.innerBlocks > 13) continue;
     for (CountingMode mode : kBothModes) {
@@ -119,17 +113,13 @@ TEST(PruningBound, UnseededSearchBitIdentical) {
     reference.threads = 1;
     reference.pruningBound = false;
     const PartitionRun unpruned = exhaustiveSearch(problem, reference);
-    for (SearchScheduler scheduler : kBothSchedulers) {
-      for (int threads : kThreadCounts) {
-        ExhaustiveOptions options;
-        options.threads = threads;
-        options.scheduler = scheduler;
-        const PartitionRun pruned = exhaustiveSearch(problem, options);
-        expectIdentical(unpruned, pruned, 10,
-                        std::string("unseeded [") + toString(mode) + "] @" +
-                            std::to_string(threads) + ", " +
-                            toString(scheduler));
-      }
+    for (int threads : kThreadCounts) {
+      ExhaustiveOptions options;
+      options.threads = threads;
+      const PartitionRun pruned = exhaustiveSearch(problem, options);
+      expectIdentical(unpruned, pruned, 10,
+                      std::string("unseeded [") + toString(mode) + "] @" +
+                          std::to_string(threads));
     }
   }
 }
@@ -181,37 +171,32 @@ TEST(PruningBound, MultiTypeBitIdenticalAcrossThreadsAndSchedulers) {
         multiTypeExhaustive(net, model, reference);
     ASSERT_TRUE(unpruned.optimal) << "seed " << seed;
     EXPECT_EQ(unpruned.pruned, 0u);
-    for (SearchScheduler scheduler : kBothSchedulers) {
-      for (int threads : kThreadCounts) {
-        MultiTypeExhaustiveOptions options;
-        options.threads = threads;
-        options.scheduler = scheduler;
-        const TypedPartitionRun pruned =
-            multiTypeExhaustive(net, model, options);
-        ASSERT_TRUE(pruned.optimal) << "seed " << seed;
-        const std::string label = "seed " + std::to_string(seed) + " @" +
-                                  std::to_string(threads) + " " +
-                                  toString(scheduler);
-        EXPECT_DOUBLE_EQ(unpruned.result.totalCost(n, model),
-                         pruned.result.totalCost(n, model))
+    for (int threads : kThreadCounts) {
+      MultiTypeExhaustiveOptions options;
+      options.threads = threads;
+      const TypedPartitionRun pruned =
+          multiTypeExhaustive(net, model, options);
+      ASSERT_TRUE(pruned.optimal) << "seed " << seed;
+      const std::string label =
+          "seed " + std::to_string(seed) + " @" + std::to_string(threads);
+      EXPECT_DOUBLE_EQ(unpruned.result.totalCost(n, model),
+                       pruned.result.totalCost(n, model))
+          << label;
+      ASSERT_EQ(unpruned.result.partitions.size(),
+                pruned.result.partitions.size())
+          << label;
+      for (std::size_t i = 0; i < unpruned.result.partitions.size(); ++i) {
+        EXPECT_EQ(unpruned.result.partitions[i].toVector(),
+                  pruned.result.partitions[i].toVector())
             << label;
-        ASSERT_EQ(unpruned.result.partitions.size(),
-                  pruned.result.partitions.size())
+        EXPECT_EQ(unpruned.result.optionIndex[i],
+                  pruned.result.optionIndex[i])
             << label;
-        for (std::size_t i = 0; i < unpruned.result.partitions.size(); ++i) {
-          EXPECT_EQ(unpruned.result.partitions[i].toVector(),
-                    pruned.result.partitions[i].toVector())
-              << label;
-          EXPECT_EQ(unpruned.result.optionIndex[i],
-                    pruned.result.optionIndex[i])
-              << label;
-        }
-        EXPECT_TRUE(
-            verifyTypedPartitioning(net, model, pruned.result).empty())
-            << label;
-        if (threads == 1) {
-          EXPECT_LE(pruned.explored, unpruned.explored) << label;
-        }
+      }
+      EXPECT_TRUE(verifyTypedPartitioning(net, model, pruned.result).empty())
+          << label;
+      if (threads == 1) {
+        EXPECT_LE(pruned.explored, unpruned.explored) << label;
       }
     }
   }

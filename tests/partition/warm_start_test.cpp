@@ -4,6 +4,10 @@
 // seeded search explores fewer (or equal) nodes -- the heuristic as a
 // pruning accelerator.  Also covers ExhaustiveOptions::nodeBudget, the
 // LNS repair oracle's leash.
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "designs/library.h"
@@ -26,6 +30,21 @@ void expectSamePartitions(const Partitioning& a, const Partitioning& b) {
   ASSERT_EQ(a.partitions.size(), b.partitions.size());
   for (std::size_t i = 0; i < a.partitions.size(); ++i)
     EXPECT_EQ(a.partitions[i].toVector(), b.partitions[i].toVector());
+}
+
+void expectSameTyped(const TypedPartitioning& a, const TypedPartitioning& b,
+                     const std::string& label) {
+  ASSERT_EQ(a.partitions.size(), b.partitions.size()) << label;
+  for (std::size_t i = 0; i < a.partitions.size(); ++i)
+    EXPECT_EQ(a.partitions[i].toVector(), b.partitions[i].toVector())
+        << label << " partition #" << i;
+  EXPECT_EQ(a.optionIndex, b.optionIndex) << label;
+}
+
+TypedPartitioning typedFmSolution(const Network& net,
+                                  const ProgCostModel& model) {
+  return multiTypeFmRefine(net, model, multiTypePareDown(net, model).result)
+      .result;
 }
 
 TEST(WarmStart, BitIdenticalOptimumAcrossThreadCounts) {
@@ -173,16 +192,68 @@ TEST(WarmStart, TypedIncumbentKeepsOptimumAndPrunes) {
   ASSERT_TRUE(baseline.optimal);
 
   EngineOptions warm = cold;
-  warm.initialTypedIncumbent =
-      multiTypeFmRefine(net, model,
-                        multiTypePareDown(net, model).result)
-          .result;
+  warm.initialTypedIncumbent = typedFmSolution(net, model);
   const TypedPartitionRun seeded =
       runTypedPartitioner("exhaustive", net, model, warm);
   EXPECT_TRUE(seeded.optimal);
   EXPECT_EQ(seeded.result.totalCost(n, model),
             baseline.result.totalCost(n, model));
+  expectSameTyped(seeded.result, baseline.result, "fm-seeded");
   EXPECT_LE(seeded.explored, baseline.explored);
+}
+
+TEST(WarmStart, TypedSeedsReturnTheColdPartitioningOnTheSweep) {
+  // The plain search's warm-start contract, held for the typed search on
+  // 37 designs: the Table-1 rows with <= 13 inner blocks under the
+  // paper's cost model, plus 25 random designs under a two-option model.
+  // Seeded from PareDown or from an fm incumbent, the serial search must
+  // return the cold search's partitions and options, bit for bit.
+  struct Design {
+    std::string label;
+    Network net;
+    ProgCostModel model;
+  };
+  std::vector<Design> sweep;
+  for (const auto& entry : designs::designLibrary())
+    if (entry.innerBlocks <= 13)
+      sweep.push_back({entry.name, entry.network,
+                       ProgCostModel::paperDefault()});
+  ProgCostModel twoOptions;
+  twoOptions.options = {ProgBlockOption{"prog_2x2", 2, 2, 1.5},
+                        ProgBlockOption{"prog_2x3", 2, 3, 2.0}};
+  for (std::uint32_t seed = 1; seed <= 25; ++seed)
+    sweep.push_back({"seed " + std::to_string(seed),
+                     randgen::randomNetwork(
+                         {.innerBlocks = 8 + static_cast<int>(seed % 3),
+                          .seed = seed}),
+                     twoOptions});
+  ASSERT_EQ(sweep.size(), 37u);
+
+  for (const Design& d : sweep) {
+    EngineOptions cold;
+    cold.threads = 1;
+    cold.seedFromPareDown = false;
+    const TypedPartitionRun baseline =
+        runTypedPartitioner("exhaustive", d.net, d.model, cold);
+    ASSERT_TRUE(baseline.optimal) << d.label;
+
+    EngineOptions pareDownSeeded = cold;
+    pareDownSeeded.seedFromPareDown = true;
+    const TypedPartitionRun fromPareDown =
+        runTypedPartitioner("exhaustive", d.net, d.model, pareDownSeeded);
+    EXPECT_TRUE(fromPareDown.optimal) << d.label;
+    expectSameTyped(fromPareDown.result, baseline.result,
+                    d.label + " (PareDown seed)");
+    EXPECT_LE(fromPareDown.explored, baseline.explored) << d.label;
+
+    EngineOptions fmSeeded = cold;
+    fmSeeded.initialTypedIncumbent = typedFmSolution(d.net, d.model);
+    const TypedPartitionRun fromFm =
+        runTypedPartitioner("exhaustive", d.net, d.model, fmSeeded);
+    EXPECT_TRUE(fromFm.optimal) << d.label;
+    expectSameTyped(fromFm.result, baseline.result, d.label + " (fm seed)");
+    EXPECT_LE(fromFm.explored, baseline.explored) << d.label;
+  }
 }
 
 TEST(NodeBudget, ClipsTheSearchDeterministically) {

@@ -82,6 +82,53 @@ TEST(Robustness, IdempotentReplayAcrossConnectionsAndIds) {
   EXPECT_EQ(server.stats().idempotentReplays, 1u);
 }
 
+TEST(Robustness, IdempotencyTableEvictsTheLeastRecentlyUsedReply) {
+  // Four requests with distinct content but equal-size replies (paredown
+  // ignores the thread count, so only the replay key differs), in a
+  // table sized for three of them.  Replaying A makes B the least
+  // recently used entry, so storing D must evict B -- not A, the oldest
+  // insertion.
+  const Network net = designs::figure5();
+  const auto request = [&](std::uint64_t id, int threads) {
+    SynthRequest r = paredownRequest(id, net);
+    r.threads = threads;
+    return r;
+  };
+  const synth::SynthResult local =
+      testutil::localSynthesize(net, request(0, 1));
+  // One table entry: the stored response plus its key pointer and byte
+  // count, and the reply's frames.
+  const std::uint64_t entry =
+      sizeof(SynthResponse) + 2 * sizeof(std::uint64_t) +
+      io::writeNetworkBinary(local.network).size() +
+      io::writePartitionRunBinary(local.run).size();
+  ServerOptions options = quickOptions(1, 4);
+  options.idempotencyBytes = 3 * entry + entry / 2;
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.connectTo("127.0.0.1", server.port(), &error)) << error;
+  const auto call = [&](std::uint64_t id, int threads) {
+    const CallResult result = client.call(request(id, threads),
+                                          kCallTimeoutMs);
+    ASSERT_TRUE(result.ok());
+  };
+
+  call(1, 1);  // A
+  call(2, 2);  // B
+  call(3, 3);  // C
+  call(4, 1);  // replay A: B is now the least recently used
+  EXPECT_EQ(server.stats().idempotentReplays, 1u);
+  call(5, 4);  // D evicts B
+  call(6, 1);  // A still replays
+  EXPECT_EQ(server.stats().idempotentReplays, 2u);
+  call(7, 2);  // B is recomputed
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.idempotentReplays, 2u);
+  EXPECT_EQ(stats.accepted, 5u);  // A, B, C, D, and B again
+}
+
 TEST(Robustness, IsomorphicDesignsNeverReplayEachOther) {
   // The replay key must be the exact request bytes, never the
   // rename-invariant structure hash: the Table-1 pair Ignition

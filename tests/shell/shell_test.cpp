@@ -134,25 +134,18 @@ TEST(Shell, SynthByRegistryNameWithThreads) {
 TEST(Shell, SynthSchedulerArgument) {
   Shell shell;
   exec(shell, "design Podium Timer 3");
-  // Both schedulers reach the identical optimum; bogus names error out.
-  const std::string steal = exec(shell, "synth exhaustive 2 2 2 steal");
-  EXPECT_NE(steal.find("8 -> 3"), std::string::npos) << steal;
-  const std::string split =
-      exec(shell, "synth exhaustive 2 2 2 fixed-split");
-  EXPECT_NE(split.find("8 -> 3"), std::string::npos) << split;
-  EXPECT_NE(exec(shell, "synth exhaustive 2 2 2 bogus").find("error"),
-            std::string::npos);
-  // The scheduler is positional but must also parse when the numeric
-  // groups are omitted -- and bad names must error, not pass silently.
-  const std::string noThreads =
-      exec(shell, "synth exhaustive 2 2 fixed-split");
-  EXPECT_NE(noThreads.find("8 -> 3"), std::string::npos) << noThreads;
-  const std::string bare = exec(shell, "synth exhaustive steal");
-  EXPECT_NE(bare.find("8 -> 3"), std::string::npos) << bare;
-  EXPECT_NE(exec(shell, "synth exhaustive 2 2 bogus").find("error"),
-            std::string::npos);
-  // A half-given ports group must error, not silently default.
-  EXPECT_NE(exec(shell, "synth exhaustive 3 steal").find("usage"),
+  // The search has exactly one scheduler, so there is nothing to select:
+  // the old scheduler names error out in every position.
+  for (const char* cmd :
+       {"synth exhaustive 2 2 2 steal", "synth exhaustive 2 2 2 fixed-split",
+        "synth exhaustive 2 2 fixed-split", "synth exhaustive steal",
+        "synth exhaustive 2 2 2 prune steal"}) {
+    EXPECT_NE(exec(shell, cmd).find("error: unknown synth option"),
+              std::string::npos)
+        << cmd;
+  }
+  // None of the failed parses may have run a synthesis.
+  EXPECT_NE(exec(shell, "report").find("error: no synthesis has run"),
             std::string::npos);
 }
 
@@ -160,17 +153,18 @@ TEST(Shell, SynthPruningFlagArgument) {
   Shell shell;
   exec(shell, "design Podium Timer 3");
   // Both settings reach the identical optimum; the flag parses with and
-  // without the numeric groups, in either order with the scheduler.
+  // without the numeric groups, in either order with limit=.
   const std::string on = exec(shell, "synth exhaustive 2 2 2 prune");
   EXPECT_NE(on.find("8 -> 3"), std::string::npos) << on;
   const std::string off = exec(shell, "synth exhaustive 2 2 2 no-prune");
   EXPECT_NE(off.find("8 -> 3"), std::string::npos) << off;
   const std::string bare = exec(shell, "synth exhaustive no-prune");
   EXPECT_NE(bare.find("8 -> 3"), std::string::npos) << bare;
-  const std::string both = exec(shell, "synth exhaustive 2 2 2 steal prune");
+  const std::string both =
+      exec(shell, "synth exhaustive 2 2 2 limit=5 prune");
   EXPECT_NE(both.find("8 -> 3"), std::string::npos) << both;
   const std::string swapped =
-      exec(shell, "synth exhaustive 2 2 2 prune steal");
+      exec(shell, "synth exhaustive 2 2 2 prune limit=5");
   EXPECT_NE(swapped.find("8 -> 3"), std::string::npos) << swapped;
 }
 
@@ -178,7 +172,7 @@ TEST(Shell, SynthHeuristicKeywordArguments) {
   Shell shell;
   exec(shell, "design Podium Timer 3");
   // The heuristic strategies parse by name and accept the trailing
-  // keywords in any order, mixed with the PR 4 scheduler/pruning words.
+  // keywords in any order, mixed with the pruning flag.
   const std::string fm = exec(shell, "synth fm");
   EXPECT_NE(fm.find("(fm)"), std::string::npos) << fm;
   const std::string greedy = exec(shell, "synth greedy 2 2");
@@ -190,7 +184,7 @@ TEST(Shell, SynthHeuristicKeywordArguments) {
       exec(shell, "synth lns rounds=6 limit=5 pocket=4");
   EXPECT_NE(swapped.find("(lns)"), std::string::npos) << swapped;
   const std::string mixed =
-      exec(shell, "synth exhaustive 2 2 2 limit=5 steal prune");
+      exec(shell, "synth exhaustive 2 2 2 limit=5 prune");
   EXPECT_NE(mixed.find("8 -> 3"), std::string::npos) << mixed;
 }
 
@@ -229,14 +223,11 @@ TEST(Shell, SynthArgumentErrorPaths) {
   EXPECT_NE(exec(shell, "synth exhaustive 2 2 -3").find(
                 "error: thread count"),
             std::string::npos);
-  // Unknown trailing keyword (neither a scheduler nor a pruning flag).
+  // Unknown trailing keywords error out.
   EXPECT_NE(exec(shell, "synth exhaustive 2 2 2 frobnicate")
                 .find("error: unknown synth option"),
             std::string::npos);
   // Duplicate keywords must error, not silently override.
-  EXPECT_NE(exec(shell, "synth exhaustive steal split")
-                .find("error: unknown synth option"),
-            std::string::npos);
   EXPECT_NE(exec(shell, "synth exhaustive prune no-prune")
                 .find("error: unknown synth option"),
             std::string::npos);
