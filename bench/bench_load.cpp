@@ -58,6 +58,10 @@ double now() {
       .count();
 }
 
+/// The phases repeat request content (the throughput designs cycle, the
+/// backpressure jobs differ only in id), so the idempotency table is off:
+/// every request is synthesized and counts as accepted and completed,
+/// instead of being answered as a replay.
 server::ServerOptions serverOptions(int executors, std::size_t queue) {
   server::ServerOptions options;
   options.host = "127.0.0.1";
@@ -65,6 +69,7 @@ server::ServerOptions serverOptions(int executors, std::size_t queue) {
   options.executors = executors;
   options.queueCapacity = queue;
   options.retryAfterSeconds = 0.05;
+  options.idempotencyBytes = 0;
   return options;
 }
 

@@ -62,18 +62,6 @@ ExprPtr makeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
   return e;
 }
 
-ExprPtr clone(const Expr& e) {
-  auto out = std::make_unique<Expr>();
-  out->kind = e.kind;
-  out->intValue = e.intValue;
-  out->name = e.name;
-  out->uop = e.uop;
-  out->bop = e.bop;
-  if (e.lhs) out->lhs = clone(*e.lhs);
-  if (e.rhs) out->rhs = clone(*e.rhs);
-  return out;
-}
-
 StmtPtr makeVarDecl(std::string name, ExprPtr init) {
   auto s = std::make_unique<Stmt>();
   s->kind = StmtKind::kVarDecl;
@@ -98,25 +86,6 @@ StmtPtr makeIf(ExprPtr cond, std::vector<StmtPtr> thenBody,
   s->thenBody = std::move(thenBody);
   s->elseBody = std::move(elseBody);
   return s;
-}
-
-StmtPtr clone(const Stmt& s) {
-  auto out = std::make_unique<Stmt>();
-  out->kind = s.kind;
-  out->name = s.name;
-  if (s.expr) out->expr = clone(*s.expr);
-  out->thenBody.reserve(s.thenBody.size());
-  for (const StmtPtr& t : s.thenBody) out->thenBody.push_back(clone(*t));
-  out->elseBody.reserve(s.elseBody.size());
-  for (const StmtPtr& t : s.elseBody) out->elseBody.push_back(clone(*t));
-  return out;
-}
-
-Program Program::cloneProgram() const {
-  Program p;
-  p.statements.reserve(statements.size());
-  for (const StmtPtr& s : statements) p.statements.push_back(clone(*s));
-  return p;
 }
 
 namespace {

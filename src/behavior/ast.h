@@ -55,8 +55,6 @@ ExprPtr makeVarRef(std::string name);
 ExprPtr makeUnary(UnaryOp op, ExprPtr operand);
 ExprPtr makeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
 
-ExprPtr clone(const Expr& e);
-
 // --- statements --------------------------------------------------------------
 
 enum class StmtKind : std::uint8_t { kVarDecl, kAssign, kIf };
@@ -77,8 +75,6 @@ StmtPtr makeAssign(std::string name, ExprPtr value);
 StmtPtr makeIf(ExprPtr cond, std::vector<StmtPtr> thenBody,
                std::vector<StmtPtr> elseBody = {});
 
-StmtPtr clone(const Stmt& s);
-
 // --- programs ----------------------------------------------------------------
 
 struct Program {
@@ -89,8 +85,6 @@ struct Program {
   Program& operator=(Program&&) = default;
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
-
-  Program cloneProgram() const;
 };
 
 /// Names of variables declared with `var` in program order.

@@ -1,5 +1,6 @@
 #include "behavior/parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "behavior/lexer.h"
@@ -14,6 +15,14 @@ ParseError::ParseError(const std::string& what, int line, int column)
 
 namespace {
 
+// Nesting bound (see kMaxNestingDepth).  Statement levels are known top
+// down and kept in stmtDepth_; an expression's levels are only known once
+// it is parsed, so every expression production reports its height, and
+// whether it is an operator, in last_.  Parentheses that directly wrap an
+// operator belong to that operator's level.  Parser recursion (statements,
+// unary operators, parentheses) is capped separately at twice the bound,
+// which only a program already deeper than the bound can reach: each
+// recursion level is a counted level or a free parenthesis around one.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -50,7 +59,60 @@ class Parser {
     return true;
   }
 
+  struct Extent {
+    int height = 0;   // levels from this expression down to its deepest leaf
+    bool op = false;  // an unparenthesized unary or binary operator
+  };
+
+  [[noreturn]] void tooDeep() const {
+    throw ParseError("nesting deeper than " +
+                         std::to_string(kMaxNestingDepth) + " levels",
+                     cur().line, cur().column);
+  }
+
+  /// Records the just-parsed expression's extent and enforces the bound.
+  void reach(int height, bool op) {
+    if (stmtDepth_ + height > kMaxNestingDepth) tooDeep();
+    last_ = Extent{height, op};
+  }
+
+  /// One level of parser recursion; see the class comment.
+  class Recursion {
+   public:
+    explicit Recursion(Parser& p) : p_(p) {
+      if (++p_.recursion_ > 2 * kMaxNestingDepth) p_.tooDeep();
+    }
+    ~Recursion() { --p_.recursion_; }
+    Recursion(const Recursion&) = delete;
+    Recursion& operator=(const Recursion&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
+  /// A statement level: the statement node and everything below it.
+  class StmtLevel {
+   public:
+    explicit StmtLevel(Parser& p) : p_(p), recursion_(p) {
+      if (++p_.stmtDepth_ + 1 > kMaxNestingDepth) p_.tooDeep();
+    }
+    ~StmtLevel() { --p_.stmtDepth_; }
+    StmtLevel(const StmtLevel&) = delete;
+    StmtLevel& operator=(const StmtLevel&) = delete;
+
+   private:
+    Parser& p_;
+    Recursion recursion_;
+  };
+
+  ExprPtr binary(BinaryOp op, ExprPtr lhs, const Extent& lhsExtent,
+                 ExprPtr rhs) {
+    reach(1 + std::max(lhsExtent.height, last_.height), true);
+    return makeBinary(op, std::move(lhs), std::move(rhs));
+  }
+
   StmtPtr parseStmt(bool allowDecl) {
+    const StmtLevel level(*this);
     if (at(TokenKind::kKwVar)) {
       if (!allowDecl)
         throw ParseError(
@@ -86,7 +148,7 @@ class Parser {
     std::vector<StmtPtr> elseBody;
     if (accept(TokenKind::kKwElse)) {
       if (at(TokenKind::kKwIf)) {
-        elseBody.push_back(parseIf());  // else-if chain
+        elseBody.push_back(parseStmt(false));  // else-if chain
       } else {
         elseBody = parseBlock();
       }
@@ -110,25 +172,30 @@ class Parser {
 
   ExprPtr parseOr() {
     ExprPtr lhs = parseAnd();
-    while (accept(TokenKind::kOrOr))
-      lhs = makeBinary(BinaryOp::kOr, std::move(lhs), parseAnd());
+    while (accept(TokenKind::kOrOr)) {
+      const Extent l = last_;
+      lhs = binary(BinaryOp::kOr, std::move(lhs), l, parseAnd());
+    }
     return lhs;
   }
 
   ExprPtr parseAnd() {
     ExprPtr lhs = parseEquality();
-    while (accept(TokenKind::kAndAnd))
-      lhs = makeBinary(BinaryOp::kAnd, std::move(lhs), parseEquality());
+    while (accept(TokenKind::kAndAnd)) {
+      const Extent l = last_;
+      lhs = binary(BinaryOp::kAnd, std::move(lhs), l, parseEquality());
+    }
     return lhs;
   }
 
   ExprPtr parseEquality() {
     ExprPtr lhs = parseRel();
     for (;;) {
+      const Extent l = last_;
       if (accept(TokenKind::kEq))
-        lhs = makeBinary(BinaryOp::kEq, std::move(lhs), parseRel());
+        lhs = binary(BinaryOp::kEq, std::move(lhs), l, parseRel());
       else if (accept(TokenKind::kNe))
-        lhs = makeBinary(BinaryOp::kNe, std::move(lhs), parseRel());
+        lhs = binary(BinaryOp::kNe, std::move(lhs), l, parseRel());
       else
         return lhs;
     }
@@ -137,14 +204,15 @@ class Parser {
   ExprPtr parseRel() {
     ExprPtr lhs = parseAdd();
     for (;;) {
+      const Extent l = last_;
       if (accept(TokenKind::kLt))
-        lhs = makeBinary(BinaryOp::kLt, std::move(lhs), parseAdd());
+        lhs = binary(BinaryOp::kLt, std::move(lhs), l, parseAdd());
       else if (accept(TokenKind::kLe))
-        lhs = makeBinary(BinaryOp::kLe, std::move(lhs), parseAdd());
+        lhs = binary(BinaryOp::kLe, std::move(lhs), l, parseAdd());
       else if (accept(TokenKind::kGt))
-        lhs = makeBinary(BinaryOp::kGt, std::move(lhs), parseAdd());
+        lhs = binary(BinaryOp::kGt, std::move(lhs), l, parseAdd());
       else if (accept(TokenKind::kGe))
-        lhs = makeBinary(BinaryOp::kGe, std::move(lhs), parseAdd());
+        lhs = binary(BinaryOp::kGe, std::move(lhs), l, parseAdd());
       else
         return lhs;
     }
@@ -153,10 +221,11 @@ class Parser {
   ExprPtr parseAdd() {
     ExprPtr lhs = parseMul();
     for (;;) {
+      const Extent l = last_;
       if (accept(TokenKind::kPlus))
-        lhs = makeBinary(BinaryOp::kAdd, std::move(lhs), parseMul());
+        lhs = binary(BinaryOp::kAdd, std::move(lhs), l, parseMul());
       else if (accept(TokenKind::kMinus))
-        lhs = makeBinary(BinaryOp::kSub, std::move(lhs), parseMul());
+        lhs = binary(BinaryOp::kSub, std::move(lhs), l, parseMul());
       else
         return lhs;
     }
@@ -165,33 +234,38 @@ class Parser {
   ExprPtr parseMul() {
     ExprPtr lhs = parseUnary();
     for (;;) {
+      const Extent l = last_;
       if (accept(TokenKind::kStar))
-        lhs = makeBinary(BinaryOp::kMul, std::move(lhs), parseUnary());
+        lhs = binary(BinaryOp::kMul, std::move(lhs), l, parseUnary());
       else if (accept(TokenKind::kSlash))
-        lhs = makeBinary(BinaryOp::kDiv, std::move(lhs), parseUnary());
+        lhs = binary(BinaryOp::kDiv, std::move(lhs), l, parseUnary());
       else if (accept(TokenKind::kPercent))
-        lhs = makeBinary(BinaryOp::kMod, std::move(lhs), parseUnary());
+        lhs = binary(BinaryOp::kMod, std::move(lhs), l, parseUnary());
       else
         return lhs;
     }
   }
 
   ExprPtr parseUnary() {
-    if (accept(TokenKind::kBang))
-      return makeUnary(UnaryOp::kNot, parseUnary());
-    if (accept(TokenKind::kMinus))
-      return makeUnary(UnaryOp::kNeg, parseUnary());
-    return parsePrimary();
+    const bool bang = at(TokenKind::kBang);
+    if (!bang && !at(TokenKind::kMinus)) return parsePrimary();
+    ++pos_;
+    const Recursion recursion(*this);
+    ExprPtr operand = parseUnary();
+    reach(last_.height + 1, true);
+    return makeUnary(bang ? UnaryOp::kNot : UnaryOp::kNeg, std::move(operand));
   }
 
   ExprPtr parsePrimary() {
-    if (at(TokenKind::kIntLit)) return makeIntLit(take().intValue);
-    if (accept(TokenKind::kKwTrue)) return makeIntLit(1);
-    if (accept(TokenKind::kKwFalse)) return makeIntLit(0);
-    if (at(TokenKind::kIdent)) return makeVarRef(take().text);
+    if (at(TokenKind::kIntLit)) return leaf(makeIntLit(take().intValue));
+    if (accept(TokenKind::kKwTrue)) return leaf(makeIntLit(1));
+    if (accept(TokenKind::kKwFalse)) return leaf(makeIntLit(0));
+    if (at(TokenKind::kIdent)) return leaf(makeVarRef(take().text));
     if (accept(TokenKind::kLParen)) {
+      const Recursion recursion(*this);
       ExprPtr e = parseExpr();
       expect(TokenKind::kRParen, "')'");
+      reach(last_.height + (last_.op ? 0 : 1), false);
       return e;
     }
     throw ParseError("expected expression, found " +
@@ -199,8 +273,16 @@ class Parser {
                      cur().line, cur().column);
   }
 
+  ExprPtr leaf(ExprPtr e) {
+    reach(1, false);
+    return e;
+  }
+
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int stmtDepth_ = 0;  // statement levels enclosing the current position
+  int recursion_ = 0;  // live Recursion guards
+  Extent last_;        // the expression production that returned last
 };
 
 }  // namespace

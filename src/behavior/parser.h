@@ -15,6 +15,15 @@
 //   mul       := unary (('*'|'/'|'%') unary)*
 //   unary     := ('!'|'-') unary | primary
 //   primary   := INT | 'true' | 'false' | IDENT | '(' expr ')'
+//
+// Nesting is bounded, so that neither the parser nor any later walk over
+// the tree (merge, printer, C emitter, interpreter, canonical hash) can
+// exhaust the stack on hostile input.  Every statement, `if` body level,
+// unary or binary operator, operand, and parenthesized group is one level;
+// `a + b + c` nests one level per operator, and an else-if one level per
+// `else`.  Parentheses directly around an operator are part of that
+// operator's level, which is exactly how the printer parenthesizes, so a
+// printed program is never deeper than the text it was parsed from.
 #ifndef EBLOCKS_BEHAVIOR_PARSER_H_
 #define EBLOCKS_BEHAVIOR_PARSER_H_
 
@@ -25,6 +34,11 @@
 #include "behavior/ast.h"
 
 namespace eblocks::behavior {
+
+/// The deepest nesting a program may have; deeper programs throw
+/// ParseError.  `out = a;` is 2 levels deep (statement, operand); the
+/// catalog's deepest behavior is 5.
+inline constexpr int kMaxNestingDepth = 256;
 
 /// Thrown on syntactically invalid programs.
 class ParseError : public std::runtime_error {

@@ -2,27 +2,25 @@
 
 namespace eblocks::behavior {
 
-void renameVars(Expr& e, const RenameMap& renames) {
-  if (e.kind == ExprKind::kVarRef) {
-    const auto it = renames.find(e.name);
-    if (it != renames.end()) e.name = it->second;
-  }
-  if (e.lhs) renameVars(*e.lhs, renames);
-  if (e.rhs) renameVars(*e.rhs, renames);
-}
-
-void renameVars(Stmt& s, const RenameMap& renames) {
-  if (s.kind == StmtKind::kVarDecl || s.kind == StmtKind::kAssign) {
-    const auto it = renames.find(s.name);
-    if (it != renames.end()) s.name = it->second;
-  }
-  if (s.expr) renameVars(*s.expr, renames);
-  for (StmtPtr& t : s.thenBody) renameVars(*t, renames);
-  for (StmtPtr& t : s.elseBody) renameVars(*t, renames);
-}
-
-void renameVars(Program& p, const RenameMap& renames) {
-  for (StmtPtr& s : p.statements) renameVars(*s, renames);
+NameTable bindNames(const Program& p, const std::vector<std::string>& inputs,
+                    const std::vector<std::string>& outputs) {
+  NameTable table;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    table[inputs[i]] = {NameBinding::Kind::kInput, static_cast<int>(i)};
+  for (std::size_t i = 0; i < outputs.size(); ++i)
+    table[outputs[i]] = {NameBinding::Kind::kOutput, static_cast<int>(i)};
+  int ordinal = 0;
+  for (const std::string& v : declaredVars(p))
+    if (const auto [it, fresh] = table.try_emplace(v); fresh)
+      it->second.stateOrdinal = ordinal++;
+  for (const std::string& n : referencedNames(p)) table.try_emplace(n);
+  for (const std::string& n : assignedNames(p)) table.try_emplace(n);
+  // The builtin is shared by every member of a merge and never renamed;
+  // a port called `tick` is a port, a `var tick` keeps its ordinal.
+  if (const auto it = table.find("tick");
+      it != table.end() && it->second.kind == NameBinding::Kind::kLocal)
+    it->second.kind = NameBinding::Kind::kTick;
+  return table;
 }
 
 }  // namespace eblocks::behavior

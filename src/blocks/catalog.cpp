@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "behavior/parser.h"  // validate behaviors at catalog build time
-
 namespace eblocks::blocks {
 
 namespace {
@@ -24,11 +22,13 @@ BlockTypePtr makeType(std::string name, BlockClass cls,
                       std::vector<std::string> ins,
                       std::vector<std::string> outs, std::string src,
                       bool sequential = false, bool programmable = false) {
-  // Parse once here so a typo in the catalog fails fast, at startup.
-  (void)behavior::parse(src);
-  return std::make_shared<const BlockType>(
+  auto type = std::make_shared<const BlockType>(
       std::move(name), cls, std::move(ins), std::move(outs), std::move(src),
       sequential, programmable);
+  // Parse now, so a typo in the catalog fails fast, at startup; every
+  // consumer then shares this one tree.
+  (void)type->program();
+  return type;
 }
 
 std::string truthTable2Source(unsigned tt) {

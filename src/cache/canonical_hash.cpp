@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "behavior/parser.h"
 #include "behavior/printer.h"
 #include "behavior/rename.h"
 
@@ -41,21 +40,27 @@ std::uint64_t hashString(std::string_view s, std::uint64_t seed = 0) {
 /// `var` declaration -> "$vK" in declaration order.  Builtin names
 /// (tick, env, display) pass through untouched.  Two types that differ
 /// only in how their signals are spelled print identically here -- the
-/// "signal renaming" half of the hash's invariance.  Built on
-/// behavior/rename, the same machinery codegen merges with.
+/// "signal renaming" half of the hash's invariance.  A renamed copy of the
+/// type's shared tree (BlockType::program), built with the same machinery
+/// codegen merges with.
 std::string canonicalBehavior(const BlockType& t) {
   if (t.behaviorSource().empty()) return "";
-  behavior::RenameMap renames;
-  for (int i = 0; i < t.inputCount(); ++i)
-    renames[t.inputName(i)] = "$i" + std::to_string(i);
-  for (int i = 0; i < t.outputCount(); ++i)
-    renames[t.outputName(i)] = "$o" + std::to_string(i);
-  behavior::Program p = behavior::parse(t.behaviorSource());
-  int k = 0;
-  for (const std::string& v : behavior::declaredVars(p))
-    if (!renames.count(v)) renames[v] = "$v" + std::to_string(k++);
-  behavior::renameVars(p, renames);
-  return behavior::toSource(p);
+  const behavior::NameTable& names = t.nameTable();
+  return behavior::toSource(
+      behavior::renamedCopy(t.program(), [&](const std::string& n) {
+        const behavior::NameBinding& nb = names.at(n);
+        switch (nb.kind) {
+          case behavior::NameBinding::Kind::kInput:
+            return "$i" + std::to_string(nb.port);
+          case behavior::NameBinding::Kind::kOutput:
+            return "$o" + std::to_string(nb.port);
+          case behavior::NameBinding::Kind::kTick:
+          case behavior::NameBinding::Kind::kLocal:
+            break;
+        }
+        return nb.stateOrdinal >= 0 ? "$v" + std::to_string(nb.stateOrdinal)
+                                    : n;
+      }));
 }
 
 /// Initial WL color: the block's type *semantics*.  Instance names are
@@ -73,8 +78,8 @@ std::uint64_t typeColor(const BlockType& t) {
 }
 
 std::vector<std::uint64_t> initialColors(const Network& net) {
-  // Distinct BlockTypePtrs are fingerprinted once (canonicalBehavior
-  // parses, which dominates otherwise).
+  // Distinct BlockTypePtrs are fingerprinted once (printing the canonical
+  // behavior dominates otherwise).
   std::unordered_map<const BlockType*, std::uint64_t> memo;
   std::vector<std::uint64_t> colors(net.blockCount());
   for (BlockId b = 0; b < net.blockCount(); ++b) {

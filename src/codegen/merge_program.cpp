@@ -3,7 +3,6 @@
 #include <map>
 
 #include "behavior/merge.h"
-#include "behavior/parser.h"
 #include "behavior/rename.h"
 #include "codegen/level_order.h"
 
@@ -117,46 +116,56 @@ MergedProgram mergePartitionProgram(const Network& net,
 
   for (BlockId b : merged.members) {
     const BlockType& t = *net.block(b).type;
-    behavior::Program prog;
+    const behavior::Program* program = nullptr;
+    const behavior::NameTable* names = nullptr;
     try {
-      prog = behavior::parse(t.behaviorSource());
+      program = &t.program();
+      names = &t.nameTable();
     } catch (const std::exception& e) {
       throw CodegenError("mergePartitionProgram: behavior of '" +
                          net.block(b).name + "': " + e.what());
     }
-    behavior::RenameMap renames;
-    // Input ports -> wire of internal driver, or programmable input port.
+    // Input ports -> wire snapshot of an internal driver, or programmable
+    // input port; output ports -> wires.
+    std::vector<std::string> inputNames, outputNames;
+    inputNames.reserve(static_cast<std::size_t>(t.inputCount()));
     for (int p = 0; p < t.inputCount(); ++p) {
       const Connection driver = *net.driverOf(b, p);
-      if (partition.test(driver.from.block)) {
-        renames[t.inputName(p)] = snapName(driver.from);
-      } else {
-        renames[t.inputName(p)] =
-            "in" + std::to_string(inPortOfConnection.at(driver));
-      }
+      inputNames.push_back(
+          partition.test(driver.from.block)
+              ? snapName(driver.from)
+              : "in" + std::to_string(inPortOfConnection.at(driver)));
     }
-    // Output ports -> wires.
+    outputNames.reserve(static_cast<std::size_t>(t.outputCount()));
     for (int p = 0; p < t.outputCount(); ++p)
-      renames[t.outputName(p)] =
-          wireName(Endpoint{b, static_cast<std::uint16_t>(p)});
+      outputNames.push_back(
+          wireName(Endpoint{b, static_cast<std::uint16_t>(p)}));
     // Everything else (state variables) gets a per-member prefix; `tick`
     // is shared by design (all sequential members tick together).
-    auto prefixName = [&](const std::string& n) {
-      if (n == "tick" || renames.contains(n)) return;
-      renames[n] = "b" + std::to_string(b) + "_" + n;
-    };
-    for (const std::string& n : behavior::declaredVars(prog)) prefixName(n);
-    for (const std::string& n : behavior::referencedNames(prog))
-      prefixName(n);
-    for (const std::string& n : behavior::assignedNames(prog)) prefixName(n);
-    behavior::renameVars(prog, renames);
+    const std::string prefix = "b" + std::to_string(b) + "_";
+    behavior::Program prog =
+        behavior::renamedCopy(*program, [&](const std::string& n) {
+          const behavior::NameBinding& nb = names->at(n);
+          switch (nb.kind) {
+            case behavior::NameBinding::Kind::kInput:
+              return inputNames[static_cast<std::size_t>(nb.port)];
+            case behavior::NameBinding::Kind::kOutput:
+              return outputNames[static_cast<std::size_t>(nb.port)];
+            case behavior::NameBinding::Kind::kTick:
+              return n;
+            case behavior::NameBinding::Kind::kLocal:
+              break;
+          }
+          return prefix + n;
+        });
     // Refresh this member's wire snapshots on non-tick passes, inline so
     // downstream members still cascade within a single packet activation.
     for (int p = 0; p < t.outputCount(); ++p) {
       const Endpoint e{b, static_cast<std::uint16_t>(p)};
       std::vector<behavior::StmtPtr> refresh;
       refresh.push_back(behavior::makeAssign(
-          snapName(e), behavior::makeVarRef(wireName(e))));
+          snapName(e),
+          behavior::makeVarRef(outputNames[static_cast<std::size_t>(p)])));
       prog.statements.push_back(behavior::makeIf(
           behavior::makeBinary(behavior::BinaryOp::kEq,
                                behavior::makeVarRef("tick"),

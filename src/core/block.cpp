@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "behavior/parser.h"
+
 namespace eblocks {
 
 const char* toString(BlockClass c) {
@@ -35,6 +37,31 @@ BlockType::BlockType(std::string name, BlockClass cls,
   if (programmable_ && class_ != BlockClass::kCompute)
     throw std::invalid_argument("programmable block must be a compute block: " +
                                 name_);
+}
+
+void BlockType::parseOnce() const {
+  // Nothing may escape the once-callable: an exception thrown out of
+  // std::call_once is not portable across standard libraries.  The error
+  // is kept and rethrown out here instead, to every caller.
+  std::call_once(parsed_, [this] {
+    try {
+      program_ = behavior::parse(behavior_);
+      names_ = behavior::bindNames(program_, inputs_, outputs_);
+    } catch (...) {
+      parseError_ = std::current_exception();
+    }
+  });
+  if (parseError_) std::rethrow_exception(parseError_);
+}
+
+const behavior::Program& BlockType::program() const {
+  parseOnce();
+  return program_;
+}
+
+const behavior::NameTable& BlockType::nameTable() const {
+  parseOnce();
+  return names_;
 }
 
 }  // namespace eblocks

@@ -13,10 +13,15 @@
 #define EBLOCKS_CORE_BLOCK_H_
 
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "behavior/ast.h"
+#include "behavior/rename.h"
 
 namespace eblocks {
 
@@ -44,7 +49,8 @@ const char* toString(BlockClass c);
 
 /// Immutable descriptor of a block type: port lists, class, and the behavior
 /// program (in the behavior DSL; see src/behavior) that the simulator
-/// interprets and the code generator merges.
+/// interprets and the code generator merges.  Not copyable: a type's
+/// parsed program is shared through BlockTypePtr, never duplicated.
 class BlockType {
  public:
   /// `behaviorSource` is a program in the behavior DSL.  For sensors it
@@ -65,8 +71,20 @@ class BlockType {
   const std::vector<std::string>& inputNames() const { return inputs_; }
   const std::vector<std::string>& outputNames() const { return outputs_; }
 
-  /// Program text in the behavior DSL (see behavior/parser.h).
+  /// Program text in the behavior DSL (see behavior/parser.h).  The text
+  /// is the stored form, which the file and wire formats and the type
+  /// equality checks read.
   const std::string& behaviorSource() const { return behavior_; }
+
+  /// The parsed behavior, shared by every consumer (merge, simulators,
+  /// canonical hash).  Parsed on the first call and kept for the type's
+  /// lifetime, so a malformed type stays constructible; thread-safe.
+  /// Throws the text's LexError / ParseError, on every call.
+  const behavior::Program& program() const;
+
+  /// What each name of program() denotes for this type's ports, resolved
+  /// with the parse and shared likewise.  Same exceptions as program().
+  const behavior::NameTable& nameTable() const;
 
   /// True for blocks with internal state (toggle, trip, delay, pulse...).
   bool sequential() const { return sequential_; }
@@ -75,6 +93,8 @@ class BlockType {
   bool programmable() const { return programmable_; }
 
  private:
+  void parseOnce() const;
+
   std::string name_;
   BlockClass class_;
   std::vector<std::string> inputs_;
@@ -82,6 +102,10 @@ class BlockType {
   std::string behavior_;
   bool sequential_;
   bool programmable_;
+  mutable std::once_flag parsed_;
+  mutable behavior::Program program_;
+  mutable behavior::NameTable names_;
+  mutable std::exception_ptr parseError_;
 };
 
 using BlockTypePtr = std::shared_ptr<const BlockType>;

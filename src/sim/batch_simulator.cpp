@@ -11,7 +11,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "behavior/parser.h"
 #include "sim/simulator.h"  // SimError
 
 namespace eblocks::sim {
@@ -274,17 +273,17 @@ struct BatchSimulator::Impl {
     outPortBase_.resize(n + 1, 0);
     for (BlockId b = 0; b < n; ++b) {
       const BlockType& t = *net.block(b).type;
-      behavior::Program parsed;
+      const behavior::Program* program = nullptr;
       try {
-        parsed = behavior::parse(t.behaviorSource());
+        program = &t.program();
       } catch (const std::exception& e) {
         throw SimError("block '" + net.block(b).name + "' (" + t.name() +
                        "): " + e.what());
       }
       Compiler compiler(net.block(b).name);
-      programs_.push_back(compiler.compile(t, parsed));
+      programs_.push_back(compiler.compile(t, *program));
       programs_.back().ttValid =
-          detectTruthTable(t, parsed, &programs_.back().ttMinterms);
+          detectTruthTable(t, *program, &programs_.back().ttMinterms);
       envs_[b].resize(
           static_cast<std::size_t>(programs_.back().prog.slotCount));
       outPortBase_[b + 1] =

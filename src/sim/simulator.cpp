@@ -2,8 +2,6 @@
 
 #include <tuple>
 
-#include "behavior/parser.h"
-
 namespace eblocks::sim {
 
 Simulator::Simulator(const Network& net, SimOptions opts)
@@ -15,7 +13,7 @@ Simulator::Simulator(const Network& net, SimOptions opts)
   for (BlockId b = 0; b < n; ++b) {
     const BlockType& t = *net.block(b).type;
     try {
-      programs_.push_back(behavior::parse(t.behaviorSource()));
+      programs_.push_back(&t.program());
     } catch (const std::exception& e) {
       throw SimError("block '" + net.block(b).name + "' (" + t.name() +
                      "): " + e.what());
@@ -44,7 +42,7 @@ void Simulator::reset() {
     for (int p = 0; p < t.outputCount(); ++p) env.set(t.outputName(p), 0);
     env.set("tick", 0);
     if (t.blockClass() == BlockClass::kSensor) env.set("env", 0);
-    behavior::initializeState(programs_[b], env);
+    behavior::initializeState(*programs_[b], env);
     envs_[b] = std::move(env);
   }
   // Power-up evaluation wave: evaluate every block once so constant
@@ -111,7 +109,7 @@ void Simulator::activate(BlockId b, bool isTick) {
   const std::int64_t displayBefore =
       traceBlock && env.has("display") ? env.get("display") : 0;
   try {
-    behavior::execute(programs_[b], env);
+    behavior::execute(*programs_[b], env);
   } catch (const behavior::EvalError& e) {
     throw SimError("block '" + net_->block(b).name + "': " + e.what());
   }

@@ -56,7 +56,8 @@ class SimError : public std::runtime_error {
 
 class Simulator {
  public:
-  /// Parses every block's behavior up front; throws on invalid behavior
+  /// Resolves every block's shared behavior program (BlockType::program)
+  /// up front; throws SimError naming the block on invalid behavior
   /// source.  The network must outlive the simulator.
   explicit Simulator(const Network& net, SimOptions opts = {});
 
@@ -120,10 +121,10 @@ class Simulator {
 
   const Network* net_;
   SimOptions opts_;
-  std::vector<behavior::Program> programs_;      // per block
-  std::vector<behavior::Environment> envs_;      // per block
-  std::vector<std::int64_t> lastEmitted_;        // per (block, port), flat
-  std::vector<std::size_t> outPortBase_;         // block -> index into flat
+  std::vector<const behavior::Program*> programs_;  // per block, shared
+  std::vector<behavior::Environment> envs_;         // per block
+  std::vector<std::int64_t> lastEmitted_;           // per (block, port), flat
+  std::vector<std::size_t> outPortBase_;            // block -> index into flat
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::uint64_t now_ = 0;
   std::uint64_t seq_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "behavior/printer.h"
 
 namespace eblocks::behavior {
@@ -132,6 +135,98 @@ TEST(Parser, RoundTripThroughPrinter) {
   const std::string printed = toSource(p1);
   const Program p2 = parse(printed);
   EXPECT_EQ(printed, toSource(p2));  // printer is a fixed point
+}
+
+// --- nesting bound ----------------------------------------------------------
+
+std::string repeat(std::string_view s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// Each shape nests `n` levels on top of `out = a;` (2 levels: statement
+// and operand), so n = kMaxNestingDepth - 2 is the deepest accepted.
+struct Shape {
+  const char* name;
+  std::string (*text)(int n);
+};
+
+const Shape kShapes[] = {
+    {"parentheses",
+     [](int n) {
+       return "out = " + repeat("(", n) + "a" + repeat(")", n) + ";";
+     }},
+    {"unary chain", [](int n) { return "out = " + repeat("!", n) + "a;"; }},
+    {"left-associative chain",
+     [](int n) { return "out = a" + repeat(" - a", n) + ";"; }},
+    {"nested ifs",
+     [](int n) {
+       return repeat("if (a) {\n", n) + "out = a;" + repeat("}", n);
+     }},
+    {"else-if chain",
+     [](int n) {
+       return "if (a) { out = a; }" +
+              repeat(" else if (a) { out = a; }", n - 1);
+     }},
+};
+
+TEST(ParserDepth, TheBoundParsesAndOneMoreThrows) {
+  for (const Shape& shape : kShapes) {
+    SCOPED_TRACE(shape.name);
+    EXPECT_NO_THROW(parse(shape.text(kMaxNestingDepth - 2)));
+    try {
+      parse(shape.text(kMaxNestingDepth - 1));
+      ADD_FAILURE() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+                std::string::npos)
+          << e.what();
+      EXPECT_GE(e.line(), 1);
+      EXPECT_GT(e.column(), 0);
+    }
+  }
+}
+
+TEST(ParserDepth, ErrorPointsAtTheFirstTooDeepToken) {
+  // 255 nested ifs, one per line: the statement inside the last one is
+  // level 256, and its operand one too many.
+  try {
+    parse(kShapes[3].text(kMaxNestingDepth - 1));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), kMaxNestingDepth);
+    EXPECT_EQ(e.column(), 1);
+  }
+}
+
+TEST(ParserDepth, ParenthesesAroundAnOperatorShareItsLevel) {
+  // Redundant parentheses around an operator add no level, so what the
+  // printer emits is never deeper than what it was given.
+  const int n = kMaxNestingDepth - 2;
+  std::string chain = "a";
+  for (int i = 0; i < n; ++i) chain = "(" + chain + " - a)";
+  EXPECT_NO_THROW(parse("out = " + chain + ";"));
+  EXPECT_THROW(parse("out = (" + chain + ");"), ParseError);  // a group
+}
+
+TEST(ParserDepth, ProgramsAtTheBoundRoundTripThroughThePrinter) {
+  for (const Shape& shape : kShapes) {
+    SCOPED_TRACE(shape.name);
+    const std::string printed =
+        toSource(parse(shape.text(kMaxNestingDepth - 2)));
+    EXPECT_EQ(toSource(parse(printed)), printed);
+  }
+}
+
+TEST(ParserDepth, HostileNestingIsAnErrorNotACrash) {
+  // The shapes of two 20 KB / 400 KB network frames that used to overflow
+  // the stack: parentheses 10,000 deep and a 100,000-term sum.
+  EXPECT_THROW(parse(kShapes[0].text(10'000)), ParseError);
+  EXPECT_THROW(parse("out = a" + repeat(" + a", 100'000) + ";"), ParseError);
+  EXPECT_THROW(parse(kShapes[1].text(100'000)), ParseError);
+  EXPECT_THROW(parse(repeat("if (a) {", 10'000)), ParseError);
+  EXPECT_THROW(parseExpression(repeat("(", 100'000)), ParseError);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "behavior/interpreter.h"
 #include "behavior/merge.h"
 #include "behavior/parser.h"
@@ -9,9 +11,18 @@
 namespace eblocks::behavior {
 namespace {
 
+/// renamedCopy driven by an explicit old -> new map.
+Program renamed(const Program& p,
+                const std::map<std::string, std::string>& renames) {
+  return renamedCopy(p, [&](const std::string& n) {
+    const auto it = renames.find(n);
+    return it == renames.end() ? n : it->second;
+  });
+}
+
 TEST(Rename, RenamesRefsAssignsAndDecls) {
-  Program p = parse("var q = 0;\nq = q + in;\nout = q;");
-  renameVars(p, {{"q", "b3_q"}, {"in", "w1_0"}, {"out", "w2_0"}});
+  const Program p = renamed(parse("var q = 0;\nq = q + in;\nout = q;"),
+                            {{"q", "b3_q"}, {"in", "w1_0"}, {"out", "w2_0"}});
   const std::string src = toSource(p);
   EXPECT_EQ(src,
             "var b3_q = 0;\n"
@@ -20,21 +31,19 @@ TEST(Rename, RenamesRefsAssignsAndDecls) {
 }
 
 TEST(Rename, UntouchedNamesSurvive) {
-  Program p = parse("out = a && tick;");
-  renameVars(p, {{"a", "x"}});
+  const Program p = renamed(parse("out = a && tick;"), {{"a", "x"}});
   EXPECT_EQ(toSource(p), "out = x && tick;\n");
 }
 
 TEST(Rename, RenameInsideNestedIf) {
-  Program p = parse("if (a) { if (b) { c = a; } }");
-  renameVars(p, {{"a", "A"}, {"c", "C"}});
+  const Program p =
+      renamed(parse("if (a) { if (b) { c = a; } }"), {{"a", "A"}, {"c", "C"}});
   EXPECT_EQ(toSource(p), "if (A) {\n  if (b) {\n    C = A;\n  }\n}\n");
 }
 
 TEST(Rename, NoChainedRenaming) {
   // a->b and b->c applied simultaneously must not turn a into c.
-  Program p = parse("x = a + b;");
-  renameVars(p, {{"a", "b"}, {"b", "c"}});
+  const Program p = renamed(parse("x = a + b;"), {{"a", "b"}, {"b", "c"}});
   EXPECT_EQ(toSource(p), "x = b + c;\n");
 }
 
@@ -60,16 +69,14 @@ TEST(Merge, DuplicateDeclThrows) {
 TEST(Merge, MergedProgramExecutesLikeSequence) {
   // Two toggle blocks chained: t1 feeds t2 through wire w.  After renaming
   // and merging, driving `a` must update both in one activation.
-  Program t1 = parse(
+  const Program toggle = parse(
       "var q = 0;\nvar prev = 0;\n"
       "if (a == 1 && prev == 0) { q = !q; }\nprev = a;\nout = q;\n");
-  Program t2 = t1.cloneProgram();
-  renameVars(t1, {{"q", "t1_q"}, {"prev", "t1_prev"}, {"out", "w"}});
-  renameVars(t2, {{"q", "t2_q"}, {"prev", "t2_prev"}, {"a", "w"},
-                  {"out", "out"}});
   std::vector<Program> parts;
-  parts.push_back(std::move(t1));
-  parts.push_back(std::move(t2));
+  parts.push_back(
+      renamed(toggle, {{"q", "t1_q"}, {"prev", "t1_prev"}, {"out", "w"}}));
+  parts.push_back(renamed(toggle, {{"q", "t2_q"}, {"prev", "t2_prev"},
+                                   {"a", "w"}, {"out", "out"}}));
   const Program merged = mergePrograms(std::move(parts));
 
   Environment env;
@@ -93,9 +100,8 @@ TEST(Merge, MergedProgramExecutesLikeSequence) {
 }
 
 TEST(Clone, DeepCopyIsIndependent) {
-  Program p = parse("var q = 1;\nout = q;");
-  Program copy = p.cloneProgram();
-  renameVars(copy, {{"q", "z"}});
+  const Program p = parse("var q = 1;\nout = q;");
+  const Program copy = renamed(p, {{"q", "z"}});
   EXPECT_EQ(toSource(p), "var q = 1;\nout = q;\n");
   EXPECT_EQ(toSource(copy), "var z = 1;\nout = z;\n");
 }

@@ -161,6 +161,35 @@ TEST(MergeProgram, UndrivenMemberInputThrows) {
       CodegenError);
 }
 
+TEST(MergeProgram, UnparsableMemberBehaviorNamesTheBlock) {
+  // s -> inv -> broken -> led with {inv, broken} merged: the member's
+  // shared program fails to parse, and the error says which block.
+  const auto& cat = defaultCatalog();
+  Network net;
+  const BlockId s = net.addBlock("s", cat.button());
+  const BlockId inv = net.addBlock("inv", cat.inverter());
+  const BlockId broken = net.addBlock(
+      "broken", std::make_shared<const BlockType>(
+                    "broken_type", BlockClass::kCompute,
+                    std::vector<std::string>{"a"},
+                    std::vector<std::string>{"out"}, "out = a +;\n"));
+  const BlockId led = net.addBlock("led", cat.led());
+  net.connect(s, 0, inv, 0);
+  net.connect(inv, 0, broken, 0);
+  net.connect(broken, 0, led, 0);
+  BitSet p = net.emptySet();
+  p.set(inv);
+  p.set(broken);
+  try {
+    mergePartitionProgram(net, p, computeLevels(net), CountingMode::kEdges);
+    FAIL() << "expected CodegenError";
+  } catch (const CodegenError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("behavior of 'broken'"), std::string::npos) << what;
+    EXPECT_NE(what.find("parse error at 1:10"), std::string::npos) << what;
+  }
+}
+
 TEST(MergeProgram, TickIsSharedNotRenamed) {
   const auto& cat = defaultCatalog();
   Network net;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -133,6 +135,73 @@ TEST_F(MalformedInput, DripFedFrameStillAssembles) {
     testutil::expectBitIdentical(net, request, msg->response);
     break;
   }
+}
+
+/// `net` with `block`'s type swapped for an embedded compute type that has
+/// the same ports and `behavior` as its program text.
+Network withBehavior(const Network& net, const std::string& block,
+                     const std::string& behavior) {
+  Network out(net.name());
+  const BlockId target = *net.findBlock(block);
+  for (BlockId b = 0; b < net.blockCount(); ++b) {
+    BlockTypePtr type = net.block(b).type;
+    if (b == target)
+      type = std::make_shared<const BlockType>(
+          "deep_" + type->name(), type->blockClass(), type->inputNames(),
+          type->outputNames(), behavior);
+    out.addBlock(net.block(b).name, std::move(type));
+  }
+  for (const Connection& c : net.connections()) out.connect(c.from, c.to);
+  return out;
+}
+
+TEST(MalformedBehavior, TooDeepNestingGetsSynthFailedNotACrash) {
+  // Two frames that used to overflow the stack in the first parse of the
+  // embedded type (structureHash with the cache on, the behavior merge
+  // with it off): parentheses 10,000 deep (~20 KB), and a left-deep
+  // 100,000-term sum (~400 KB).
+  std::string sum = "out = !a";
+  for (int i = 0; i < 100'000; ++i) sum += " + a";
+  sum += ";\n";
+  const std::string behaviors[] = {
+      "out = " + std::string(10'000, '(') + "!a" + std::string(10'000, ')') +
+          ";\n",
+      sum,
+  };
+  ServerOptions options = quickOptions(1, 4);
+  options.cacheEnabled = true;  // in-memory store; useCache picks the path
+  Server server(options);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  std::uint64_t id = 1;
+  for (const std::string& behavior : behaviors)
+    for (const bool useCache : {false, true}) {
+      SCOPED_TRACE(useCache ? "cache on" : "cache off");
+      const Network net =
+          withBehavior(designs::garageOpenAtNight(), "is_dark", behavior);
+      SynthRequest request = paredownRequest(id++, net);
+      request.useCache = useCache;
+      Client client;
+      ASSERT_TRUE(client.connectTo("127.0.0.1", server.port(), &error))
+          << error;
+      ASSERT_TRUE(client.sendFrame(encodeRequest(request), &error)) << error;
+      std::optional<ServerMessage> msg;
+      do {
+        msg = client.nextMessage(30000, &error);
+        ASSERT_TRUE(msg) << error;
+      } while (msg->kind == ServerMessage::Kind::kProgress);
+      ASSERT_EQ(msg->kind, ServerMessage::Kind::kError);
+      EXPECT_EQ(msg->error.id, request.id);
+      EXPECT_EQ(msg->error.code, ErrorCode::kSynthFailed);
+      EXPECT_NE(msg->error.message.find("nesting deeper than"),
+                std::string::npos)
+          << msg->error.message;
+      // Exactly one reply: nothing else arrives for this request.
+      EXPECT_FALSE(client.nextMessage(200, &error));
+    }
+  EXPECT_EQ(server.stats().synthFailed, 4u);
+  testutil::expectServerStillServes(server, designs::figure5());
 }
 
 TEST_F(MalformedInput, GarbageFloodNeverWedgesTheServer) {
