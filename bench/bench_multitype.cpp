@@ -20,9 +20,9 @@ double averageCost(int inner, int designs, const ProgCostModel& model) {
     const Network net = randgen::randomNetwork(
         {.innerBlocks = inner,
          .seed = static_cast<std::uint32_t>(41 * inner + d)});
-    const TypedPartitionRun run = multiTypePareDown(net, model);
-    total += run.result.totalCost(static_cast<int>(net.innerBlocks().size()),
-                                  model);
+    const int n = static_cast<int>(net.innerBlocks().size());
+    const PartitionRun run = multiTypePareDown(net, model);
+    total += toMilliCosts(model, n).totalCost(run.result, n) / 1000.0;
   }
   return total / designs;
 }

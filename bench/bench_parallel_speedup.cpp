@@ -56,24 +56,14 @@ double imbalance(const std::vector<std::uint64_t>& perWorker) {
   return mean > 0 ? static_cast<double>(mx) / mean : 1.0;
 }
 
+/// Same partitions, in the same order, under the same options.
 bool identicalRuns(const partition::PartitionRun& a,
-                   const partition::PartitionRun& b, int inner) {
-  if (a.result.totalAfter(inner) != b.result.totalAfter(inner) ||
+                   const partition::PartitionRun& b) {
+  if (a.result.optionIndex != b.result.optionIndex ||
       a.result.partitions.size() != b.result.partitions.size())
     return false;
   for (std::size_t i = 0; i < a.result.partitions.size(); ++i)
     if (a.result.partitions[i].toVector() != b.result.partitions[i].toVector())
-      return false;
-  return true;
-}
-
-bool identicalTyped(const partition::TypedPartitioning& a,
-                    const partition::TypedPartitioning& b) {
-  if (a.optionIndex != b.optionIndex ||
-      a.partitions.size() != b.partitions.size())
-    return false;
-  for (std::size_t i = 0; i < a.partitions.size(); ++i)
-    if (a.partitions[i].toVector() != b.partitions[i].toVector())
       return false;
   return true;
 }
@@ -176,7 +166,7 @@ bool unbalancedTree(int threads, double limit,
                 "serial completed\n");
     return false;
   }
-  if (!identicalRuns(serial, steal, n)) {
+  if (!identicalRuns(serial, steal)) {
     std::printf("  ERROR: work-stealing diverged from serial\n");
     return false;
   }
@@ -242,7 +232,7 @@ int main(int argc, char** argv) {
       cost = parallel.result.totalAfter(n);
       costSum += cost;
       completed = completed && !serial.timedOut && !parallel.timedOut;
-      identical = identical && identicalRuns(serial, parallel, n);
+      identical = identical && identicalRuns(serial, parallel);
     }
     allIdentical = allIdentical && identical;
     std::printf("%5d | %12.4f %12.4f %7.2fx | %14.0f %14.0f | %6d %4s\n", n,
@@ -281,23 +271,26 @@ int main(int argc, char** argv) {
     const auto net = randgen::randomNetwork({.innerBlocks = 12,
                                              .seed = 20260726});
     const int n = static_cast<int>(net.innerBlocks().size());
-    partition::MultiTypeExhaustiveOptions serialOptions;
+    partition::ExhaustiveOptions serialOptions;
     serialOptions.threads = 1;
     serialOptions.timeLimitSeconds = limit;
     const auto serial =
         partition::multiTypeExhaustive(net, model, serialOptions);
-    partition::MultiTypeExhaustiveOptions parallelOptions = serialOptions;
+    partition::ExhaustiveOptions parallelOptions = serialOptions;
     parallelOptions.threads = threads;
     const auto parallel =
         partition::multiTypeExhaustive(net, model, parallelOptions);
-    const bool same = identicalTyped(serial.result, parallel.result);
+    const bool same = identicalRuns(serial, parallel);
     allIdentical = allIdentical && same;
     std::printf("\nmulti-type @12 inner: serial %.4fs, parallel %.4fs "
                 "(%.2fx), cost %.1f, identical: %s\n",
                 serial.seconds, parallel.seconds,
                 parallel.seconds > 0 ? serial.seconds / parallel.seconds
                                      : 0.0,
-                parallel.result.totalCost(n, model), same ? "yes" : "NO");
+                partition::toMilliCosts(model, n).totalCost(parallel.result,
+                                                            n) /
+                    1000.0,
+                same ? "yes" : "NO");
   }
 
   allIdentical = unbalancedTree(threads, limit, json) && allIdentical;

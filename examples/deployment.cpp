@@ -39,17 +39,14 @@ int main() {
   options.pinned[*r.network.findBlock("daylight")] = porch;
   options.pinned[*r.network.findBlock("bedroom_led")] = bedroom;
 
-  const auto mapping = mapNetwork(r.network, house, options);
-  if (!mapping) {
-    std::printf("no feasible deployment\n");
-    return 1;
-  }
-  std::printf("deployment (%llu search nodes):\n",
-              static_cast<unsigned long long>(mapping->explored));
+  const MapResult result = mapNetwork(r.network, house, options);
+  std::printf("deployment %s (%llu search nodes)\n", toString(result.status),
+              static_cast<unsigned long long>(result.explored));
+  if (result.status != MapStatus::kMapped) return 1;
   for (BlockId b = 0; b < r.network.blockCount(); ++b)
     std::printf("  %-14s -> %s\n", r.network.block(b).name.c_str(),
-                house.node(mapping->placement[b]).name.c_str());
-  const auto problems = verifyMapping(r.network, house, *mapping);
+                house.node(result.mapping.placement[b]).name.c_str());
+  const auto problems = verifyMapping(r.network, house, result.mapping);
   std::printf("verification: %s\n",
               problems.empty() ? "ok" : problems.front().c_str());
   return problems.empty() ? 0 : 1;

@@ -1,6 +1,9 @@
 #include "blocks/catalog.h"
 
+#include <charconv>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace eblocks::blocks {
 
@@ -81,6 +84,19 @@ if (tick == 1 && a == 0 && count > 0) { count = count - 1; }
 if (a == 1 || count > 0) { out = 1; } else { out = 0; }
 )";
 
+/// The number `text` spells in canonical decimal -- digits only, no
+/// leading zero, within int range -- or nullopt.
+std::optional<int> parseCount(std::string_view text) {
+  if (text.empty() || text.front() < '0' || text.front() > '9' ||
+      (text.front() == '0' && text.size() > 1))
+    return std::nullopt;
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 Catalog::Catalog() {
@@ -152,36 +168,58 @@ void Catalog::add(BlockTypePtr t) {
     throw std::invalid_argument("catalog: duplicate type " + name);
 }
 
-BlockTypePtr Catalog::get(const std::string& name) const {
+template <typename Make>
+BlockTypePtr Catalog::findOrMake(const std::string& name, Make&& make) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = types_.find(name);
   if (it != types_.end()) return it->second;
+  BlockTypePtr t = make();
+  if (t) types_.emplace(name, t);
+  return t;
+}
+
+BlockTypePtr Catalog::resolve(const std::string& name) const {
+  if (BlockTypePtr t = findOrMake(name, [] { return BlockTypePtr(); }))
+    return t;
   // Parameterized families, materialized on demand.
-  const auto parseSuffix = [&](const std::string& prefix) -> int {
-    if (name.rfind(prefix, 0) != 0) return -1;
-    const std::string num = name.substr(prefix.size());
-    if (num.empty() ||
-        num.find_first_not_of("0123456789") != std::string::npos)
-      return -1;
-    return std::stoi(num);
+  const auto suffix = [&](std::string_view prefix) -> std::optional<int> {
+    if (!name.starts_with(prefix)) return std::nullopt;
+    return parseCount(std::string_view(name).substr(prefix.size()));
   };
-  if (const int n = parseSuffix("delay_"); n >= 0) return delay(n);
-  if (const int n = parseSuffix("pulse_"); n >= 0) return pulseGen(n);
-  if (const int n = parseSuffix("prolong_"); n >= 0) return prolonger(n);
-  if (const int n = parseSuffix("logic2_"); n >= 0)
-    return logic2(static_cast<unsigned>(n));
-  if (const int n = parseSuffix("logic3_"); n >= 0)
-    return logic3(static_cast<unsigned>(n));
-  if (const int n = parseSuffix("splitter"); n >= 0) return splitter(n);
-  if (name.rfind("prog_", 0) == 0) {
-    const std::size_t x = name.find('x', 5);
-    if (x != std::string::npos)
-      return programmable(std::stoi(name.substr(5, x - 5)),
-                          std::stoi(name.substr(x + 1)));
+  if (const auto n = suffix("delay_")) return delay(*n);
+  if (const auto n = suffix("pulse_")) return pulseGen(*n);
+  if (const auto n = suffix("prolong_")) return prolonger(*n);
+  if (const auto n = suffix("logic2_"))
+    return logic2(static_cast<unsigned>(*n));
+  if (const auto n = suffix("logic3_"))
+    return logic3(static_cast<unsigned>(*n));
+  if (const auto n = suffix("splitter")) return splitter(*n);
+  if (name.starts_with("prog_")) {
+    const std::string_view shape = std::string_view(name).substr(5);
+    const std::size_t x = shape.find('x');
+    if (x == std::string_view::npos) return nullptr;
+    const auto inputs = parseCount(shape.substr(0, x));
+    const auto outputs = parseCount(shape.substr(x + 1));
+    if (inputs && outputs) return programmable(*inputs, *outputs);
   }
+  return nullptr;
+}
+
+BlockTypePtr Catalog::get(const std::string& name) const {
+  if (BlockTypePtr t = resolve(name)) return t;
   throw std::out_of_range("catalog: unknown block type '" + name + "'");
 }
 
+BlockTypePtr Catalog::find(const std::string& name) const {
+  try {
+    return resolve(name);
+  } catch (const std::invalid_argument&) {
+    return nullptr;  // a family name whose parameters are out of range
+  }
+}
+
 std::vector<std::string> Catalog::names() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
   out.reserve(types_.size());
   for (const auto& [name, type] : types_) out.push_back(name);
@@ -191,93 +229,84 @@ std::vector<std::string> Catalog::names() const {
 BlockTypePtr Catalog::logic2(unsigned tt) const {
   if (tt > 0xf) throw std::invalid_argument("logic2: truth table > 4 bits");
   const std::string name = "logic2_" + std::to_string(tt);
-  const auto it = types_.find(name);
-  if (it != types_.end()) return it->second;
-  auto t = makeType(name, BlockClass::kCompute, {"a", "b"}, {"out"},
+  return findOrMake(name, [&] {
+    return makeType(name, BlockClass::kCompute, {"a", "b"}, {"out"},
                     truthTable2Source(tt));
-  types_.emplace(name, t);
-  return t;
+  });
 }
 
 BlockTypePtr Catalog::logic3(unsigned tt) const {
   if (tt > 0xff) throw std::invalid_argument("logic3: truth table > 8 bits");
   const std::string name = "logic3_" + std::to_string(tt);
-  const auto it = types_.find(name);
-  if (it != types_.end()) return it->second;
-  auto t = makeType(name, BlockClass::kCompute, {"a", "b", "c"}, {"out"},
+  return findOrMake(name, [&] {
+    return makeType(name, BlockClass::kCompute, {"a", "b", "c"}, {"out"},
                     truthTable3Source(tt));
-  types_.emplace(name, t);
-  return t;
+  });
 }
 
 BlockTypePtr Catalog::splitter(int ways) const {
   if (ways < 2 || ways > 3)
     throw std::invalid_argument("splitter: 2 or 3 ways supported");
   const std::string name = "splitter" + std::to_string(ways);
-  const auto it = types_.find(name);
-  if (it != types_.end()) return it->second;
-  std::vector<std::string> outs;
-  std::string src;
-  for (int i = 0; i < ways; ++i) {
-    outs.push_back("out" + std::to_string(i));
-    src += outs.back() + " = a;\n";
-  }
-  auto t = makeType(name, BlockClass::kCompute, {"a"}, std::move(outs), src);
-  types_.emplace(name, t);
-  return t;
+  return findOrMake(name, [&] {
+    std::vector<std::string> outs;
+    std::string src;
+    for (int i = 0; i < ways; ++i) {
+      outs.push_back("out" + std::to_string(i));
+      src += outs.back() + " = a;\n";
+    }
+    return makeType(name, BlockClass::kCompute, {"a"}, std::move(outs), src);
+  });
 }
 
 BlockTypePtr Catalog::pulseGen(int ticks) const {
   if (ticks <= 0) throw std::invalid_argument("pulseGen: ticks must be > 0");
   const std::string name = "pulse_" + std::to_string(ticks);
-  const auto it = types_.find(name);
-  if (it != types_.end()) return it->second;
-  auto t = makeType(name, BlockClass::kCompute, {"a"}, {"out"},
+  return findOrMake(name, [&] {
+    return makeType(name, BlockClass::kCompute, {"a"}, {"out"},
                     substitute(kPulseGenSource, "N", std::to_string(ticks)),
                     /*sequential=*/true);
-  types_.emplace(name, t);
-  return t;
+  });
 }
 
 BlockTypePtr Catalog::delay(int ticks) const {
   if (ticks < 0) throw std::invalid_argument("delay: ticks must be >= 0");
   const std::string name = "delay_" + std::to_string(ticks);
-  const auto it = types_.find(name);
-  if (it != types_.end()) return it->second;
-  auto t = makeType(name, BlockClass::kCompute, {"a"}, {"out"},
+  return findOrMake(name, [&] {
+    return makeType(name, BlockClass::kCompute, {"a"}, {"out"},
                     substitute(kDelaySource, "N", std::to_string(ticks)),
                     /*sequential=*/true);
-  types_.emplace(name, t);
-  return t;
+  });
 }
 
 BlockTypePtr Catalog::prolonger(int ticks) const {
   if (ticks <= 0) throw std::invalid_argument("prolonger: ticks must be > 0");
   const std::string name = "prolong_" + std::to_string(ticks);
-  const auto it = types_.find(name);
-  if (it != types_.end()) return it->second;
-  auto t = makeType(name, BlockClass::kCompute, {"a"}, {"out"},
+  return findOrMake(name, [&] {
+    return makeType(name, BlockClass::kCompute, {"a"}, {"out"},
                     substitute(kProlongerSource, "N", std::to_string(ticks)),
                     /*sequential=*/true);
-  types_.emplace(name, t);
-  return t;
+  });
 }
 
 BlockTypePtr Catalog::programmable(int inputs, int outputs) const {
   if (inputs < 1 || outputs < 1)
     throw std::invalid_argument("programmable: need at least 1x1 ports");
+  if (inputs > kMaxProgrammablePorts || outputs > kMaxProgrammablePorts)
+    throw std::invalid_argument(
+        "programmable: at most " + std::to_string(kMaxProgrammablePorts) +
+        " ports per side");
   const std::string name =
       "prog_" + std::to_string(inputs) + "x" + std::to_string(outputs);
-  const auto it = types_.find(name);
-  if (it != types_.end()) return it->second;
-  std::vector<std::string> ins, outs;
-  for (int i = 0; i < inputs; ++i) ins.push_back("in" + std::to_string(i));
-  for (int i = 0; i < outputs; ++i) outs.push_back("out" + std::to_string(i));
-  auto t = std::make_shared<const BlockType>(
-      name, BlockClass::kCompute, std::move(ins), std::move(outs),
-      /*behaviorSource=*/"", /*sequential=*/true, /*programmable=*/true);
-  types_.emplace(name, t);
-  return t;
+  return findOrMake(name, [&] {
+    std::vector<std::string> ins, outs;
+    for (int i = 0; i < inputs; ++i) ins.push_back("in" + std::to_string(i));
+    for (int i = 0; i < outputs; ++i)
+      outs.push_back("out" + std::to_string(i));
+    return std::make_shared<const BlockType>(
+        name, BlockClass::kCompute, std::move(ins), std::move(outs),
+        /*behaviorSource=*/"", /*sequential=*/true, /*programmable=*/true);
+  });
 }
 
 const Catalog& defaultCatalog() {

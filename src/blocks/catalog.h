@@ -18,6 +18,7 @@
 #define EBLOCKS_BLOCKS_CATALOG_H_
 
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,10 +34,18 @@ class Catalog {
 
   /// Looks a type up by name ("and2", "toggle", "delay_5", ...).  Throws
   /// std::out_of_range for unknown names.  Parameterized names such as
-  /// "delay_7" or "logic2_9" are materialized on demand.
+  /// "delay_7" or "logic2_9" are materialized on demand; a family name
+  /// resolves only in its canonical form (decimal parameters without
+  /// leading zeros and nothing after them), and one whose parameters are
+  /// out of range throws the family's std::invalid_argument.
+  /// Thread-safe: concurrent first lookups of a name all get one type.
   BlockTypePtr get(const std::string& name) const;
 
-  /// Names of all pre-built types (excluding on-demand parameterized ones).
+  /// Like get(), but returns nullptr where get() would throw.
+  BlockTypePtr find(const std::string& name) const;
+
+  /// Names of all types built so far, sorted: the pre-built ones plus
+  /// any parameterized ones materialized on demand.
   std::vector<std::string> names() const;
 
   // --- sensors (0 inputs, 1 output) -------------------------------------
@@ -91,11 +100,24 @@ class Catalog {
 
   // --- programmable -----------------------------------------------------
   /// The programmable block: `inputs` x `outputs` ports, no behavior until
-  /// programmed.  The paper's experiments use programmable(2, 2).
+  /// programmed.  The paper's experiments use programmable(2, 2).  Each
+  /// side takes 1 to kMaxProgrammablePorts ports.
   BlockTypePtr programmable(int inputs, int outputs) const;
+  static constexpr int kMaxProgrammablePorts = 64;
 
  private:
   void add(BlockTypePtr t);
+  /// The type `name` names -- pre-built, already materialized, or a
+  /// family member materialized now -- or nullptr.  Throws the family's
+  /// std::invalid_argument for out-of-range parameters.
+  BlockTypePtr resolve(const std::string& name) const;
+  /// Returns the type named `name`, first building it with make() when
+  /// it is missing (a null result is not stored).  Holds mutex_
+  /// throughout, so one name always maps to one type.
+  template <typename Make>
+  BlockTypePtr findOrMake(const std::string& name, Make&& make) const;
+
+  mutable std::mutex mutex_;  // guards types_
   mutable std::map<std::string, BlockTypePtr> types_;
 };
 

@@ -180,7 +180,7 @@ std::uint64_t optionsFingerprint(std::string_view algorithm,
   h = combine(h, static_cast<std::uint64_t>(spec.mode));
   h = combine(h, engine.requireConvex ? 1 : 0);
   // Only `lns` consults its knobs and rng seed; for every other
-  // registered strategy they are inert, and folding them in would
+  // strategy they are inert, and folding them in would
   // fragment the key space for no behavioral difference.
   if (algorithm == "lns") {
     h = combine(h, static_cast<std::uint64_t>(engine.lnsPocket));

@@ -32,7 +32,7 @@ constexpr const char* kTmpMarker = ".eblk.tmp";
 /// qualify.  lns is deterministic exactly when its round count is fixed
 /// (rounds == 0 runs until the wall clock, which no two machines agree
 /// on); exhaustive results are only reproducible when the search proved
-/// them optimal.  Unknown (runtime-registered) strategies never qualify.
+/// them optimal.  Any other name never qualifies.
 bool cacheable(std::string_view algorithm,
                const partition::EngineOptions& engine,
                const partition::PartitionRun& run) {

@@ -31,11 +31,11 @@
 // string selects a purely in-memory store -- same semantics, nothing
 // persisted -- which is what `cache on` in the shell gives you.
 //
-// What is cacheable: completed runs of the built-in deterministic
-// strategies (paredown, aggregation, exhaustive when optimal, greedy,
-// fm, and lns with a fixed round count).  Timed-out runs, lns driven by
-// the wall clock, and unknown custom strategies are never stored -- a
-// cache must only ever return what a fresh run would have.
+// What is cacheable: completed runs of the deterministic strategies
+// (paredown, aggregation, exhaustive when optimal, greedy, fm, and lns
+// with a fixed round count).  Timed-out runs, lns driven by the wall
+// clock, and ladder runs are never stored -- a cache must only ever
+// return what a fresh run would have.
 #ifndef EBLOCKS_CACHE_SOLUTION_STORE_H_
 #define EBLOCKS_CACHE_SOLUTION_STORE_H_
 

@@ -92,13 +92,10 @@ const std::string& tableAt(const std::vector<std::string>& table,
 /// True when the catalog resolves `name` to a type interchangeable with
 /// `t`, so the frame can reference it by name instead of embedding it.
 bool catalogResolvable(const BlockType& t) {
-  BlockTypePtr c;
-  try {
-    c = blocks::defaultCatalog().get(t.name());
-  } catch (const std::exception&) {
-    return false;
-  }
-  return c->blockClass() == t.blockClass() &&
+  // find(), not get(): synthesized types (prog_IxO_pK) are no catalog
+  // name, and the miss must not cost an exception per type.
+  const BlockTypePtr c = blocks::defaultCatalog().find(t.name());
+  return c && c->blockClass() == t.blockClass() &&
          c->inputNames() == t.inputNames() &&
          c->outputNames() == t.outputNames() &&
          c->behaviorSource() == t.behaviorSource() &&

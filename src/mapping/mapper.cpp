@@ -22,9 +22,24 @@ class Backtracker {
                                     options.timeLimitSeconds))
                       : std::chrono::steady_clock::time_point::max()) {}
 
-  std::optional<Mapping> run() {
+  MapResult run() {
+    MapResult result;  // kInfeasible unless the search says otherwise
+    if (search()) {
+      result.status = MapStatus::kMapped;
+      result.mapping = {std::move(placement_), std::move(cableOf_)};
+    } else if (timedOut_) {
+      result.status = MapStatus::kTimedOut;
+    }
+    result.explored = explored_;
+    return result;
+  }
+
+ private:
+  /// Places every block and routes every connection; false when that is
+  /// impossible or the time limit expired (timedOut_ tells which).
+  bool search() {
     const std::size_t n = net_.blockCount();
-    if (n > topo_.nodeCount()) return std::nullopt;
+    if (n > topo_.nodeCount()) return false;
     placement_.assign(n, kNoPhys);
     nodeUsed_.assign(topo_.nodeCount(), 0);
     linkUsed_.assign(topo_.links().size(), 0);
@@ -32,8 +47,8 @@ class Backtracker {
 
     // Apply pins.
     for (const auto& [block, phys] : options_.pinned) {
-      if (block >= n || phys >= topo_.nodeCount()) return std::nullopt;
-      if (nodeUsed_[phys]) return std::nullopt;  // two blocks, one spot
+      if (block >= n || phys >= topo_.nodeCount()) return false;
+      if (nodeUsed_[phys]) return false;  // two blocks, one spot
       placement_[block] = phys;
       nodeUsed_[phys] = 1;
     }
@@ -47,17 +62,9 @@ class Backtracker {
              net_.indegree(b) + net_.outdegree(b);
     });
 
-    if (!assign(0)) return std::nullopt;
-    if (!routeConnections()) return std::nullopt;  // defensive; must hold
-
-    Mapping m;
-    m.placement = std::move(placement_);
-    m.cableOf = std::move(cableOf_);
-    m.explored = explored_;
-    return m;
+    return assign(0) && routeConnections();  // routing must hold; defensive
   }
 
- private:
   bool timeExpired() {
     if (timedOut_) return true;
     if ((explored_ & 0x3ff) == 0 &&
@@ -167,9 +174,17 @@ class Backtracker {
 
 }  // namespace
 
-std::optional<Mapping> mapNetwork(const Network& logical,
-                                  const Topology& topo,
-                                  const MappingOptions& options) {
+const char* toString(MapStatus status) {
+  switch (status) {
+    case MapStatus::kMapped: return "mapped";
+    case MapStatus::kInfeasible: return "infeasible";
+    case MapStatus::kTimedOut: return "timed out";
+  }
+  return "?";
+}
+
+MapResult mapNetwork(const Network& logical, const Topology& topo,
+                     const MappingOptions& options) {
   Backtracker search(logical, topo, options);
   return search.run();
 }

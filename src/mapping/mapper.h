@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,16 +33,28 @@ struct Mapping {
   std::vector<PhysId> placement;
   /// cableOf[logical connection index] = index into Topology::links().
   std::vector<std::size_t> cableOf;
-  std::uint64_t explored = 0;
-  bool timedOut = false;
 };
 
-/// Finds a feasible placement, or nullopt when none exists (or the time
-/// limit expired; check Mapping::timedOut is unavailable then -- a timeout
-/// simply reports infeasible-within-budget via nullopt).
-std::optional<Mapping> mapNetwork(const Network& logical,
-                                  const Topology& topo,
-                                  const MappingOptions& options = {});
+/// How a mapping search ended.
+enum class MapStatus {
+  kMapped,      ///< a feasible placement was found
+  kInfeasible,  ///< the search proved that no placement exists
+  kTimedOut,    ///< the time limit expired first; feasibility is unknown
+};
+
+const char* toString(MapStatus status);
+
+struct MapResult {
+  MapStatus status = MapStatus::kInfeasible;
+  /// The placement; empty unless status is kMapped.
+  Mapping mapping;
+  /// Search nodes explored, whatever the outcome.
+  std::uint64_t explored = 0;
+};
+
+/// Searches for a feasible placement within options.timeLimitSeconds.
+MapResult mapNetwork(const Network& logical, const Topology& topo,
+                     const MappingOptions& options = {});
 
 /// Independent constraint check; empty result means valid.
 std::vector<std::string> verifyMapping(const Network& logical,

@@ -1,4 +1,4 @@
-// The partition engine: one registration point for every partitioning
+// The partition engine: one constant table of every partitioning
 // strategy.
 //
 // The four partitioners grew up behind two incompatible call conventions
@@ -6,29 +6,28 @@
 // functions over Network+ProgCostModel for the multi-type one), so adding
 // an algorithm meant touching the synthesizer's enum, the shell's parser,
 // and every bench by hand.  The engine replaces that with a name-keyed
-// registry of strategy objects: `synthesize()` and the shell select by
-// name, new algorithms register once and are immediately reachable
-// everywhere, and engine-level options (time limit, threads, seeding)
-// apply uniformly.
+// table: `synthesize()`, the shell, and the daemon select by name, and
+// engine-level options (time limit, threads, seeding) apply uniformly.
+// Both problems share one result type (Partitioning, whose optionIndex
+// the multi-type strategies fill in) and one run record (PartitionRun).
 //
-// Registered built-ins -- plain: paredown, aggregation, exhaustive,
-// greedy, fm, lns, ladder; multi-type: paredown, exhaustive, fm.  The
-// heuristic chain greedy -> fm -> lns is anytime (each stage refines the
-// last, never worse); `initialIncumbent` feeds any of their solutions
-// back into the exact searches as a warm start; `ladder` climbs the
-// whole chain into the exact B&B under one deadline, tagging how far it
-// got (ladder.h).
+// Strategies -- plain: aggregation, exhaustive, fm, greedy, ladder, lns,
+// paredown; multi-type: exhaustive, fm, paredown.  The heuristic chain
+// greedy -> fm -> lns is anytime (each stage refines the last, never
+// worse); `initialIncumbent` feeds any of their solutions back into the
+// exact searches as a warm start; `ladder` climbs the whole chain into
+// the exact B&B under one deadline, tagging how far it got (ladder.h).
 #ifndef EBLOCKS_PARTITION_ENGINE_H_
 #define EBLOCKS_PARTITION_ENGINE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
+#include <span>
 #include <string_view>
-#include <vector>
 
+#include "partition/exhaustive.h"
+#include "partition/lns.h"
 #include "partition/multitype.h"
 #include "partition/problem.h"
 #include "partition/result.h"
@@ -46,6 +45,7 @@ struct EngineOptions {
   /// every thread count; only timed-out runs are scheduling-dependent.
   int threads = 0;
   /// Require convex partitions (classical DAG covering; see validity.h).
+  /// A plain-problem rule: the multi-type strategies ignore it.
   bool requireConvex = false;
   /// Exhaustive strategies seed their branch-and-bound with the PareDown
   /// solution by default -- a pure accelerator that never changes the
@@ -61,10 +61,9 @@ struct EngineOptions {
   /// pruning accelerator like seedFromPareDown -- the optimum returned
   /// is bit-identical -- but a tighter incumbent cuts more subtrees; the
   /// exhaustive strategies seed with whichever of PareDown's solution
-  /// and this one is cheaper.  Heuristic strategies ignore it.
+  /// and this one is cheaper.  The multi-type exhaustive strategy takes
+  /// one with its optionIndex filled in.  Heuristic strategies ignore it.
   std::optional<Partitioning> initialIncumbent;
-  /// Multi-type counterpart of initialIncumbent.
-  std::optional<TypedPartitioning> initialTypedIncumbent;
   /// `lns` strategy: blocks per destroyed pocket (0 = auto; see lns.h).
   int lnsPocket = 0;
   /// `lns` strategy: destroy/repair rounds (0 = until the time limit).
@@ -88,70 +87,54 @@ struct EngineOptions {
   std::atomic<std::uint64_t>* progressNodes = nullptr;
 };
 
-/// A partitioning strategy for the plain (single block type) problem.
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-  /// Registry key; lowercase, stable across releases.
-  virtual std::string name() const = 0;
+/// The exact searches' options under `options`: time limit, convexity,
+/// threads, pruning, cancellation, and telemetry.  The seed is left
+/// unset.
+ExhaustiveOptions toExhaustiveOptions(const EngineOptions& options);
+
+/// LNS options under `options`: time limit, the lns* knobs, the RNG
+/// seed, cancellation, and telemetry.
+LnsOptions toLnsOptions(const EngineOptions& options);
+
+/// Makes `candidate` the exact search's seed when there is none yet or
+/// `cost` ranks it strictly cheaper, so an earlier source wins ties.
+template <typename Cost>
+void keepCheaperSeed(std::optional<Partitioning>& seed,
+                     const Partitioning& candidate, Cost&& cost) {
+  if (!seed || cost(candidate) < cost(*seed)) seed = candidate;
+}
+
+/// One partitioning strategy.  `runTyped` solves the multi-type,
+/// cost-aware problem and is null for plain-only strategies.
+struct Strategy {
+  /// Lookup key; lowercase, stable across releases.
+  std::string_view name;
   /// One-line human description (the shell's `algorithms` listing).
-  virtual std::string description() const = 0;
-  virtual PartitionRun run(const PartitionProblem& problem,
-                           const EngineOptions& options) const = 0;
+  std::string_view description;
+  PartitionRun (*run)(const PartitionProblem& problem,
+                      const EngineOptions& options);
+  PartitionRun (*runTyped)(const Network& net, const ProgCostModel& model,
+                           const EngineOptions& options);
 };
 
-/// A partitioning strategy for the multi-type, cost-aware problem.
-class TypedPartitioner {
- public:
-  virtual ~TypedPartitioner() = default;
-  virtual std::string name() const = 0;
-  virtual std::string description() const = 0;
-  virtual TypedPartitionRun run(const Network& net,
-                                const ProgCostModel& model,
-                                const EngineOptions& options) const = 0;
-};
+/// Every strategy, sorted by name.
+std::span<const Strategy> strategies();
 
-/// Name-keyed registry of strategies.  The process-wide instance() comes
-/// pre-loaded with the built-ins (paredown, exhaustive, aggregation, and
-/// the multi-type pair); add() registers custom strategies at runtime.
-/// Thread-safe.
-class PartitionerRegistry {
- public:
-  static PartitionerRegistry& instance();
+/// Lookup by name; nullptr when unknown.
+const Strategy* findStrategy(std::string_view name);
 
-  /// Registers a strategy; replaces any previous holder of the name.
-  void add(std::unique_ptr<Partitioner> partitioner);
-  void add(std::unique_ptr<TypedPartitioner> partitioner);
-
-  /// Lookup by name; nullptr when unknown.
-  const Partitioner* find(std::string_view name) const;
-  const TypedPartitioner* findTyped(std::string_view name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-  std::vector<std::string> typedNames() const;
-
-  /// Description of a registered strategy ("" when unknown).
-  std::string describe(std::string_view name) const;
-
- private:
-  PartitionerRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Runs the named strategy from the process registry.  Throws
-/// std::invalid_argument (listing the registered names) when unknown.
+/// Runs the named strategy on the plain problem.  Throws
+/// std::invalid_argument (listing the known names) when unknown.
 PartitionRun runPartitioner(std::string_view name,
                             const PartitionProblem& problem,
                             const EngineOptions& options = {});
 
-/// Multi-type counterpart of runPartitioner().
-TypedPartitionRun runTypedPartitioner(std::string_view name,
-                                      const Network& net,
-                                      const ProgCostModel& model,
-                                      const EngineOptions& options = {});
+/// Runs the named strategy on the multi-type problem.  Throws
+/// std::invalid_argument (listing the multi-type names) when the name
+/// is unknown or the strategy is plain-only.
+PartitionRun runPartitioner(std::string_view name, const Network& net,
+                            const ProgCostModel& model,
+                            const EngineOptions& options = {});
 
 }  // namespace eblocks::partition
 

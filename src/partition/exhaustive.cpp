@@ -378,7 +378,7 @@ class Worker {
   std::uint64_t explored() const { return explored_; }
   std::uint64_t pruned() const { return pruned_; }
   std::uint64_t bestKey() const { return bestKey_; }
-  TypedPartitioning takeBest() { return std::move(best_); }
+  Partitioning takeBest() { return std::move(best_); }
 
  private:
   static constexpr std::size_t kNoOwnBin = static_cast<std::size_t>(-1);
@@ -609,7 +609,7 @@ class Worker {
   std::vector<int> chosen_;   // leafCost scratch: the option per bin
   int localBest_ = 0;
   std::uint64_t bestKey_;
-  TypedPartitioning best_;
+  Partitioning best_;
   std::uint64_t explored_ = 0;
   std::uint64_t pruned_ = 0;
   bool aborted_ = false;
@@ -626,12 +626,11 @@ class Worker {
 /// DFS order) optimum whenever the seed merely ties it: the result stays
 /// bit-identical to the unseeded search's.
 template <typename Policy>
-TypedPartitionRun branchAndBound(SearchContext<Policy>& ctx, int baseline,
-                                 const TypedPartitioning* seed,
-                                 int seedCost) {
+PartitionRun branchAndBound(SearchContext<Policy>& ctx, int baseline,
+                            const Partitioning* seed, int seedCost) {
   int bestCost = baseline;
   std::uint32_t bestOrdinal = 0;
-  TypedPartitioning best;
+  Partitioning best;
   ctx.initialBound = baseline;
   if (seed && seedCost < baseline) {
     bestCost = seedCost;
@@ -669,7 +668,7 @@ TypedPartitionRun branchAndBound(SearchContext<Policy>& ctx, int baseline,
   // as a packed (cost, DFS-ordinal) key; the smallest key over all
   // workers -- against the initial incumbent -- reproduces the serial
   // result bit for bit.
-  TypedPartitionRun out;
+  PartitionRun out;
   std::uint64_t bestKey = packKey(bestCost, bestOrdinal);
   for (const auto& worker : workers) {
     out.explored += worker->explored();
@@ -706,59 +705,45 @@ PartitionRun exhaustiveSearch(const PartitionProblem& problem,
 
   // Trust but verify: only use a seed that is actually feasible -- every
   // partition valid on its own AND all pairwise disjoint (overlap would
-  // understate totalAfter and over-tighten the bound).
-  std::optional<TypedPartitioning> seed;
-  if (options.seed) {
-    bool feasible = true;
+  // understate totalAfter and over-tighten the bound) -- and carries no
+  // option choices, which the plain problem does not have.
+  bool seeded = options.seed && options.seed->optionIndex.empty();
+  if (seeded) {
     BitSet seen = problem.network().emptySet();
     for (const BitSet& p : options.seed->partitions) {
       if (!isValidPartition(problem, p, options.requireConvex))
-        feasible = false;
+        seeded = false;
       p.forEach([&](std::size_t b) {
-        if (seen.test(b)) feasible = false;
+        if (seen.test(b)) seeded = false;
         seen.set(b);
       });
     }
-    if (feasible) seed = TypedPartitioning{options.seed->partitions, {}};
   }
   const int n = problem.innerCount();
-  TypedPartitionRun run =
-      branchAndBound(ctx, n, seed ? &*seed : nullptr,
-                     seed ? options.seed->totalAfter(n) : 0);
-
-  PartitionRun out;
+  PartitionRun out =
+      branchAndBound(ctx, n, seeded ? &*options.seed : nullptr,
+                     seeded ? options.seed->totalAfter(n) : 0);
   out.algorithm = "exhaustive";
-  out.result.partitions = std::move(run.result.partitions);
-  out.optimal = run.optimal;
-  out.timedOut = run.timedOut;
-  out.explored = run.explored;
-  out.pruned = run.pruned;
-  out.workerExplored = std::move(run.workerExplored);
-  out.workerPruned = std::move(run.workerPruned);
   out.seconds = secondsSince(start);
   return out;
 }
 
-TypedPartitionRun multiTypeExhaustive(
-    const Network& net, const ProgCostModel& model,
-    const MultiTypeExhaustiveOptions& options) {
+PartitionRun multiTypeExhaustive(const Network& net,
+                                 const ProgCostModel& model,
+                                 const ExhaustiveOptions& options) {
   const auto start = Clock::now();
   // The multi-type entry takes a raw Network, so it owns the CSR view
   // every bin counter of this search walks.
   const CompactGraph graph(net);
   const int n = static_cast<int>(graph.innerCount());
   const MilliCostModel milli = toMilliCosts(model, n);
-  ExhaustiveOptions limits;
-  limits.timeLimitSeconds = options.timeLimitSeconds;
-  limits.threads = options.threads;
-  limits.pruningBound = options.pruningBound;
   SearchContext<TypedCost> ctx(TypedCost(model, milli), net, graph,
-                               model.mode, limits);
+                               model.mode, options);
 
   const bool seeded =
       options.seed &&
-      verifyTypedPartitioning(net, model, *options.seed).empty();
-  TypedPartitionRun out = branchAndBound(
+      verifyPartitioning(net, model, *options.seed).empty();
+  PartitionRun out = branchAndBound(
       ctx, milli.preDefinedBlockCost * n,
       seeded ? &*options.seed : nullptr,
       seeded ? milli.totalCost(*options.seed, n) : 0);

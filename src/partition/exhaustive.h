@@ -57,14 +57,19 @@ struct ExhaustiveOptions {
   /// Require every partition to be convex (the classical DAG-covering
   /// constraint).  Off by default: the packet protocol keeps non-convex
   /// replacements behaviorally equivalent (see validity.h), and PareDown
-  /// itself can produce non-convex partitions in later rounds.
+  /// itself can produce non-convex partitions in later rounds.  A
+  /// plain-problem rule: multiTypeExhaustive ignores it.
   bool requireConvex = false;
   /// Additionally require the replaced network to stay acyclic at the
   /// block level.  The packet protocol tolerates benign block-level
-  /// cycles, so this defaults off; see the ablation bench.
+  /// cycles, so this defaults off; see the ablation bench.  A
+  /// plain-problem rule: multiTypeExhaustive ignores it.
   bool requireAcyclicQuotient = false;
   /// Seed the branch-and-bound with a known solution (commonly PareDown's).
-  /// Purely an accelerator: never changes the optimum found.
+  /// Purely an accelerator: never changes the optimum found.  A seed that
+  /// fails verification is ignored: the plain search wants valid,
+  /// disjoint partitions and no optionIndex, the multi-type search one
+  /// its verifyPartitioning overload (multitype.h) accepts.
   std::optional<Partitioning> seed;
   /// Abort after (approximately) this many explored nodes, returning the
   /// best solution so far with run.timedOut = true -- the LNS repair

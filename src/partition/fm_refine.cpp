@@ -49,8 +49,7 @@ class PlainCost final : public CostAdapter {
 };
 
 /// Multi-type problem: the cost model itself, in the exact milli-units of
-/// toMilliCosts(), so the integer total is TypedPartitioning::totalCost
-/// scaled by 1000.
+/// toMilliCosts(), so the integer total is MilliCostModel::totalCost.
 class TypedCost final : public CostAdapter {
  public:
   TypedCost(const ProgCostModel& model, MilliCostModel milli)
@@ -121,15 +120,10 @@ class Refiner {
   long long totalCost() const { return total_; }
   std::uint64_t probes() const { return probes_; }
 
-  /// Runs passes until one fails to improve (or maxPasses).  Returns the
-  /// number of passes run.
-  int refine(int maxPasses) {
-    int passes = 0;
-    while (maxPasses == 0 || passes < maxPasses) {
-      ++passes;
-      if (!pass()) break;
+  /// Runs passes until one fails to improve.
+  void refine() {
+    while (pass()) {
     }
-    return passes;
   }
 
   /// The current bins of >= 2 members, sorted by lowest member id.
@@ -353,24 +347,17 @@ class Refiner {
   std::vector<int> targets_;
 };
 
-}  // namespace
-
-PartitionRun fmRefine(const PartitionProblem& problem,
-                      const Partitioning& initial, const FmOptions& options) {
+/// Loads `initial` into a refiner over `cost`, refines it, and returns
+/// the refined bins of >= 2 members.
+PartitionRun refineUnder(const CompactGraph& graph, CountingMode mode,
+                         const CostAdapter& cost, const Partitioning& initial,
+                         const char* algorithm) {
   const auto start = std::chrono::steady_clock::now();
-  const ProgBlockSpec& spec = problem.spec();
-  // W > any possible whole-solution port-sum, so #bins dominates.
-  const long long w =
-      static_cast<long long>(problem.innerCount() + 1) *
-          (spec.inputs + spec.outputs) +
-      1;
-  const PlainCost cost(spec, w);
-  Refiner refiner(problem.graph(), spec.mode, cost);
+  Refiner refiner(graph, mode, cost);
   refiner.load(initial.partitions);
-  refiner.refine(options.maxPasses);
-
+  refiner.refine();
   PartitionRun run;
-  run.algorithm = "fm";
+  run.algorithm = algorithm;
   run.result.partitions = refiner.partitions();
   run.explored = refiner.probes();
   run.seconds = std::chrono::duration<double>(
@@ -379,28 +366,30 @@ PartitionRun fmRefine(const PartitionProblem& problem,
   return run;
 }
 
-TypedPartitionRun multiTypeFmRefine(const Network& net,
-                                    const ProgCostModel& model,
-                                    const TypedPartitioning& initial,
-                                    const FmOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
+}  // namespace
+
+PartitionRun fmRefine(const PartitionProblem& problem,
+                      const Partitioning& initial) {
+  const ProgBlockSpec& spec = problem.spec();
+  // W > any possible whole-solution port-sum, so #bins dominates.
+  const long long w =
+      static_cast<long long>(problem.innerCount() + 1) *
+          (spec.inputs + spec.outputs) +
+      1;
+  return refineUnder(problem.graph(), spec.mode, PlainCost(spec, w), initial,
+                     "fm");
+}
+
+PartitionRun multiTypeFmRefine(const Network& net, const ProgCostModel& model,
+                               const Partitioning& initial) {
   const CompactGraph graph(net);
   const TypedCost cost(
       model, toMilliCosts(model, static_cast<int>(graph.innerCount())));
-  Refiner refiner(graph, model.mode, cost);
-  refiner.load(initial.partitions);
-  refiner.refine(options.maxPasses);
-
-  TypedPartitionRun run;
-  run.algorithm = "multitype-fm";
-  run.result.partitions = refiner.partitions();
+  PartitionRun run =
+      refineUnder(graph, model.mode, cost, initial, "multitype-fm");
   for (const BitSet& members : run.result.partitions)
     run.result.optionIndex.push_back(
         *cheapestFittingOption(net, members, model));
-  run.explored = refiner.probes();
-  run.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
   return run;
 }
 

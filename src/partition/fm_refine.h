@@ -50,26 +50,20 @@
 
 namespace eblocks::partition {
 
-struct FmOptions {
-  /// Maximum refinement passes; 0 = until a pass fails to improve.
-  int maxPasses = 0;
-};
-
 /// Refines `initial` (which must be verifyPartitioning-clean) for the
 /// plain problem.  `run.explored` counts move probes; the result is
 /// never worse than `initial` under (#bins, port-sum) lexicographic
 /// order.
 PartitionRun fmRefine(const PartitionProblem& problem,
-                      const Partitioning& initial,
-                      const FmOptions& options = {});
+                      const Partitioning& initial);
 
 /// Multi-type counterpart: refines under the cost model's objective
 /// (cheapest-fitting-option cost per bin, preDefinedBlockCost per
-/// uncovered block).  `initial` must be verifyTypedPartitioning-clean.
-TypedPartitionRun multiTypeFmRefine(const Network& net,
-                                    const ProgCostModel& model,
-                                    const TypedPartitioning& initial,
-                                    const FmOptions& options = {});
+/// uncovered block).  `initial` must pass the multi-type
+/// verifyPartitioning; the result names each partition's cheapest
+/// fitting option.
+PartitionRun multiTypeFmRefine(const Network& net, const ProgCostModel& model,
+                               const Partitioning& initial);
 
 }  // namespace eblocks::partition
 

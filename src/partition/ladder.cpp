@@ -4,10 +4,8 @@
 #include <limits>
 #include <utility>
 
-#include "partition/exhaustive.h"
 #include "partition/fm_refine.h"
 #include "partition/greedy_seed.h"
-#include "partition/lns.h"
 #include "partition/paredown.h"
 
 namespace eblocks::partition {
@@ -25,10 +23,6 @@ bool cancelled(const EngineOptions& options) {
          options.cancel->load(std::memory_order_relaxed);
 }
 
-int costOf(const Partitioning& p, int innerCount) {
-  return p.totalAfter(innerCount);
-}
-
 }  // namespace
 
 PartitionRun degradationLadder(const PartitionProblem& problem,
@@ -41,6 +35,9 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
                      : limit - elapsedSince(start);
   };
   const int inner = problem.innerCount();
+  const auto costOf = [inner](const Partitioning& p) {
+    return p.totalAfter(inner);
+  };
 
   // Rung 1: greedy.  Unconditional -- the feasibility floor.
   PartitionRun best = greedySeed(problem);
@@ -62,14 +59,8 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
   // exact rung below; irrelevant when unlimited -- lns then runs to its
   // own stall/round limits, which is still finite).
   if (!cancelled(options) && remaining() > 0.0) {
-    LnsOptions lns;
+    LnsOptions lns = toLnsOptions(options);
     lns.timeLimitSeconds = unlimited ? 0.0 : remaining() * 0.5;
-    lns.pocketSize = options.lnsPocket;
-    lns.maxRounds = options.lnsRounds;
-    lns.repairNodeBudget = options.lnsRepairNodes;
-    lns.rngSeed = options.rngSeed;
-    lns.cancel = options.cancel;
-    lns.progressNodes = options.progressNodes;
     PartitionRun searched = lnsSearch(problem, best.result, lns);
     explored += searched.explored;
     pruned += searched.pruned;
@@ -83,22 +74,13 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
   // known incumbent, on every remaining second.
   bool optimal = false;
   if (!cancelled(options) && remaining() > 0.0) {
-    ExhaustiveOptions ex;
+    ExhaustiveOptions ex = toExhaustiveOptions(options);
     ex.timeLimitSeconds = unlimited ? 0.0 : remaining();
-    ex.requireConvex = options.requireConvex;
-    ex.threads = options.threads;
-    ex.pruningBound = options.pruningBound;
-    ex.cancel = options.cancel;
-    ex.progressNodes = options.progressNodes;
     ex.seed = best.result;
-    if (options.seedFromPareDown) {
-      const PartitionRun pd = pareDown(problem);
-      if (costOf(pd.result, inner) < costOf(*ex.seed, inner))
-        ex.seed = pd.result;
-    }
-    if (options.initialIncumbent &&
-        costOf(*options.initialIncumbent, inner) < costOf(*ex.seed, inner))
-      ex.seed = options.initialIncumbent;
+    if (options.seedFromPareDown)
+      keepCheaperSeed(ex.seed, pareDown(problem).result, costOf);
+    if (options.initialIncumbent)
+      keepCheaperSeed(ex.seed, *options.initialIncumbent, costOf);
     PartitionRun exact = exhaustiveSearch(problem, ex);
     explored += exact.explored;
     pruned += exact.pruned;
@@ -108,7 +90,7 @@ PartitionRun degradationLadder(const PartitionProblem& problem,
     if (exact.optimal) {
       optimal = true;
       tier.clear();
-    } else if (costOf(exact.result, inner) < costOf(best.result, inner)) {
+    } else if (costOf(exact.result) < costOf(best.result)) {
       tier = "exact-anytime";
     }
     best.workerExplored = std::move(exact.workerExplored);

@@ -29,7 +29,7 @@
 // (they are cheap and make the exact search faster via the warm start),
 // and rung 4 runs unbounded to completion.
 //
-// Registered as `ladder` in the PartitionerRegistry.  Never cached: how
+// The `ladder` entry of the engine's strategy table.  Never cached: how
 // deep the ladder descends depends on the wall clock (see
 // cache/solution_store.cpp's cacheable()); the server's idempotency
 // table is what makes retried ladder requests stable.

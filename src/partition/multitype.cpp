@@ -1,46 +1,17 @@
 #include "partition/multitype.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "core/levels.h"
-#include "partition/port_counter.h"
 #include "partition/validity.h"
 
 namespace eblocks::partition {
 
 namespace {
-
-/// Shared removal choice (same tiebreaks as classic PareDown).
-BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
-                      const std::vector<BlockId>& border,
-                      const std::vector<int>& ranks) {
-  BlockId best = border.front();
-  int bestRank = ranks.front();
-  for (std::size_t i = 1; i < border.size(); ++i) {
-    const BlockId b = border[i];
-    const int r = ranks[i];
-    if (r != bestRank) {
-      if (r < bestRank) { best = b; bestRank = r; }
-      continue;
-    }
-    if (net.indegree(b) != net.indegree(best)) {
-      if (net.indegree(b) > net.indegree(best)) best = b;
-      continue;
-    }
-    if (net.outdegree(b) != net.outdegree(best)) {
-      if (net.outdegree(b) > net.outdegree(best)) best = b;
-      continue;
-    }
-    if (levels[b] > levels[best]) best = b;
-  }
-  return best;
-}
 
 constexpr std::int64_t kMaxMilliCost = std::numeric_limits<std::int32_t>::max();
 
@@ -68,21 +39,6 @@ ProgCostModel ProgCostModel::paperDefault() {
   return m;
 }
 
-int TypedPartitioning::coveredBlocks() const {
-  int covered = 0;
-  for (const BitSet& p : partitions) covered += static_cast<int>(p.count());
-  return covered;
-}
-
-double TypedPartitioning::totalCost(int originalInnerCount,
-                                    const ProgCostModel& model) const {
-  double cost = model.preDefinedBlockCost *
-                (originalInnerCount - coveredBlocks());
-  for (int idx : optionIndex)
-    cost += model.options.at(static_cast<std::size_t>(idx)).cost;
-  return cost;
-}
-
 MilliCostModel toMilliCosts(const ProgCostModel& model, int innerCount) {
   MilliCostModel milli;
   milli.preDefinedBlockCost =
@@ -101,7 +57,7 @@ MilliCostModel toMilliCosts(const ProgCostModel& model, int innerCount) {
   return milli;
 }
 
-int MilliCostModel::totalCost(const TypedPartitioning& typed,
+int MilliCostModel::totalCost(const Partitioning& typed,
                               int originalInnerCount) const {
   int cost = preDefinedBlockCost * (originalInnerCount - typed.coveredBlocks());
   for (int idx : typed.optionIndex)
@@ -128,70 +84,9 @@ std::optional<int> cheapestFittingOption(const Network& net,
   return cheapestFittingOption(countIo(net, members, model.mode), model);
 }
 
-TypedPartitionRun multiTypePareDown(const Network& net,
-                                    const ProgCostModel& model) {
-  const auto start = std::chrono::steady_clock::now();
-  TypedPartitionRun run;
-  run.algorithm = "multitype-paredown";
-  const std::vector<int> levels = computeLevels(net);
-
-  BitSet blocks = net.innerSet();
-  // Port usage, border set, and removal ranks of the paring candidate are
-  // maintained incrementally (one O(degree) update per removal) on the
-  // shared validity kernel, walking a CSR view built once per run.
-  const CompactGraph graph(net);
-  const MilliCostModel milli =
-      toMilliCosts(model, static_cast<int>(graph.innerCount()));
-  PortCounter candidate(graph, model.mode, BorderTracking::kOn);
-  std::vector<BlockId> border;  // reused across rounds
-  std::vector<int> ranks;
-  while (blocks.any()) {
-    candidate.assign(blocks);
-    bool accepted = false;
-    BlockId lastRemoved = kNoBlock;
-    while (candidate.memberCount() > 0) {
-      ++run.explored;
-      const auto option = cheapestFittingOption(candidate.io(), model);
-      if (option) {
-        // Replace only when the option costs less than the pre-defined
-        // blocks it would replace.
-        if (milli.optionCost[static_cast<std::size_t>(*option)] <
-            milli.preDefinedBlockCost * candidate.memberCount()) {
-          run.result.partitions.push_back(candidate.members());
-          run.result.optionIndex.push_back(*option);
-        }
-        // Not beneficial (e.g. a lone block): retire the candidate either
-        // way; paring further can only shrink the benefit.
-        blocks.andNot(candidate.members());
-        accepted = true;
-        break;
-      }
-      border.clear();
-      ranks.clear();
-      candidate.border().forEach([&](std::size_t b) {
-        border.push_back(static_cast<BlockId>(b));
-        ranks.push_back(candidate.rank(static_cast<BlockId>(b)));
-      });
-      if (border.empty()) {  // pathological; retire candidate
-        blocks.andNot(candidate.members());
-        accepted = true;
-        break;
-      }
-      lastRemoved = chooseRemoval(net, levels, border, ranks);
-      candidate.remove(lastRemoved);
-    }
-    if (!accepted && candidate.memberCount() == 0) blocks.reset(lastRemoved);
-  }
-
-  run.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  return run;
-}
-
-std::vector<std::string> verifyTypedPartitioning(
-    const Network& net, const ProgCostModel& model,
-    const TypedPartitioning& typed) {
+std::vector<std::string> verifyPartitioning(const Network& net,
+                                            const ProgCostModel& model,
+                                            const Partitioning& typed) {
   const MilliCostModel milli =
       toMilliCosts(model, static_cast<int>(net.innerBlocks().size()));
   std::vector<std::string> problems;

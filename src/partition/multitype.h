@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "partition/exhaustive.h"
 #include "partition/problem.h"
 #include "partition/result.h"
 
@@ -54,42 +55,15 @@ struct ProgCostModel {
   static ProgCostModel paperDefault();
 };
 
-/// A partitioning with a chosen block option per partition.
-struct TypedPartitioning {
-  std::vector<BitSet> partitions;
-  std::vector<int> optionIndex;  ///< into ProgCostModel::options, per partition
-
-  int coveredBlocks() const;
-  /// Total network cost after replacement.
-  double totalCost(int originalInnerCount, const ProgCostModel& model) const;
-};
-
-struct TypedPartitionRun {
-  std::string algorithm;
-  TypedPartitioning result;
-  double seconds = 0.0;
-  bool optimal = false;
-  bool timedOut = false;
-  std::uint64_t explored = 0;
-  /// Subtrees cut by the admissible lower-bound layer beyond the
-  /// baseline cost bound; see PartitionRun::pruned.
-  std::uint64_t pruned = 0;
-  /// Per-worker explored counts (parallel searches only); see
-  /// PartitionRun::workerExplored.
-  std::vector<std::uint64_t> workerExplored;
-  /// Per-worker counterpart of `pruned` (parallel to workerExplored).
-  std::vector<std::uint64_t> workerPruned;
-};
-
 /// A ProgCostModel in exact integer milli-units (1 = 0.001 cost units),
 /// so equal costs compare equal without floating-point slack.
 struct MilliCostModel {
   int preDefinedBlockCost = 0;
   std::vector<int> optionCost;  ///< parallel to ProgCostModel::options
 
-  /// TypedPartitioning::totalCost in milli-units (every optionIndex must
-  /// be in range).
-  int totalCost(const TypedPartitioning& typed, int originalInnerCount) const;
+  /// Total network cost after replacing `typed`'s partitions by their
+  /// options (every optionIndex must be in range).
+  int totalCost(const Partitioning& typed, int originalInnerCount) const;
 };
 
 /// Converts `model` for a network of `innerCount` inner blocks.  Throws
@@ -97,8 +71,9 @@ struct MilliCostModel {
 /// than 1e-6 off a multiple of 0.001, or a model whose worst-case total
 /// -- innerCount x its largest cost -- does not fit the 32-bit cost half
 /// of the exact search's packed incumbent key.  multiTypePareDown,
-/// multiTypeExhaustive, multiTypeFmRefine, and verifyTypedPartitioning
-/// convert their model this way, so each rejects such models.
+/// multiTypeExhaustive, multiTypeFmRefine, and the multi-type
+/// verifyPartitioning convert their model this way, so each rejects
+/// such models.
 MilliCostModel toMilliCosts(const ProgCostModel& model, int innerCount);
 
 /// Index of the cheapest option that fits the subgraph, or nullopt.
@@ -111,40 +86,37 @@ std::optional<int> cheapestFittingOption(const Network& net,
 std::optional<int> cheapestFittingOption(const IoCount& io,
                                          const ProgCostModel& model);
 
-/// PareDown generalized to the cost model.  Pares while *no* option fits;
-/// accepts a candidate when its cheapest fitting option is cheaper than
-/// the pre-defined blocks it replaces, otherwise keeps paring.
-TypedPartitionRun multiTypePareDown(const Network& net,
-                                    const ProgCostModel& model);
+/// PareDown generalized to the cost model: pares while *no* option fits
+/// the candidate.  Once one does, the candidate retires: it becomes a
+/// partition, under its cheapest fitting option, when that option costs
+/// less than the pre-defined blocks it replaces, and is dropped whole
+/// otherwise (its blocks stay uncovered).  Implemented in paredown.cpp,
+/// on the plain heuristic's paring loop.
+PartitionRun multiTypePareDown(const Network& net,
+                               const ProgCostModel& model);
 
-struct MultiTypeExhaustiveOptions {
-  double timeLimitSeconds = 0.0;
-  std::optional<TypedPartitioning> seed;
-  /// Worker threads for the branch-and-bound.  0 = one per hardware
-  /// thread, 1 = the original serial search.  Every thread count returns
-  /// the identical result (deterministic DFS-order tie-break) unless the
-  /// time limit cuts the search short (see exhaustive.h).
-  int threads = 0;
-  /// Admissible lower-bound pruning, generalized to the cost model: each
-  /// bin's future option cost is floored by the cheapest option fitting
-  /// its *irreducible* crossing I/O (a bin fitting no option kills the
-  /// subtree), and remaining blocks no option can ever host each add
-  /// preDefinedBlockCost.  Bit-identical results on or off; see
-  /// exhaustive.h and docs/partitioning.md.
-  bool pruningBound = true;
-};
+/// Exhaustive branch-and-bound over assignments and option choices, on
+/// the plain search's kernel (exhaustive.cpp) and options.  The plain
+/// problem's rules -- requireConvex and requireAcyclicQuotient -- do not
+/// apply and are ignored.  pruningBound generalizes to the cost model:
+/// each bin's future option cost is floored by the cheapest option
+/// fitting its *irreducible* crossing I/O (a bin fitting no option kills
+/// the subtree), and remaining blocks no option can ever host each add
+/// preDefinedBlockCost.  A verified seed is purely an accelerator: the
+/// result is bit-identical to the unseeded search's, at every thread
+/// count, with the bound on or off.
+PartitionRun multiTypeExhaustive(const Network& net,
+                                 const ProgCostModel& model,
+                                 const ExhaustiveOptions& options = {});
 
-/// Exhaustive branch-and-bound over assignments and option choices.  A
-/// verified seed is purely an accelerator, as in ExhaustiveOptions::seed:
-/// the result is bit-identical to the unseeded search's.
-TypedPartitionRun multiTypeExhaustive(
-    const Network& net, const ProgCostModel& model,
-    const MultiTypeExhaustiveOptions& options = {});
-
-/// Constraint check; empty result means valid.
-std::vector<std::string> verifyTypedPartitioning(
-    const Network& net, const ProgCostModel& model,
-    const TypedPartitioning& typed);
+/// The multi-type overload of verifyPartitioning() (verify.h): returns
+/// constraint violations, empty when `typed` is valid.  Checks one
+/// in-range option per partition, which the partition fits; members are
+/// inner blocks; partitions are non-empty and pairwise disjoint; and no
+/// option costs more than the blocks it replaces.
+std::vector<std::string> verifyPartitioning(const Network& net,
+                                            const ProgCostModel& model,
+                                            const Partitioning& typed);
 
 }  // namespace eblocks::partition
 

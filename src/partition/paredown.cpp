@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "partition/multitype.h"
 #include "partition/port_counter.h"
 #include "partition/validity.h"
 
@@ -41,25 +42,23 @@ BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
   return best;
 }
 
-}  // namespace
-
-PartitionRun pareDown(const PartitionProblem& problem,
-                      const PareDownOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  const Network& net = problem.network();
-  const ProgBlockSpec& spec = problem.spec();
-
+/// The paring loop (Figure 4) shared by both problems.  Candidates are
+/// drawn from `blocks`; `accept(candidate, out)` decides at every
+/// decision point whether the candidate fits.  A fitting candidate
+/// retires, and `accept` appends it to `out` when it is worth keeping; a
+/// candidate that does not fit loses its chosen border block.
+template <typename Accept>
+PartitionRun pare(const Network& net, const CompactGraph& graph,
+                  const std::vector<int>& levels, CountingMode mode,
+                  BitSet blocks, const PareDownOptions& options,
+                  Accept&& accept) {
   PartitionRun run;
-  run.algorithm = "paredown";
-
-  BitSet blocks =
-      options.restrictTo ? *options.restrictTo : problem.innerSet();
   // The candidate's port usage, border set, and removal ranks are all
   // maintained incrementally: each paring round removes one block, so the
   // counter update is O(degree) instead of a full countIo() /
   // borderBlocks() / removalRank() rescan of the member set per decision.
-  // The counter walks the problem's shared CSR view (compact_graph.h).
-  PortCounter candidate(problem.graph(), spec.mode, BorderTracking::kOn);
+  // The counter walks a shared CSR view (compact_graph.h).
+  PortCounter candidate(graph, mode, BorderTracking::kOn);
   PareDownStep step;  // reused across rounds; the buffers keep capacity
   while (blocks.any()) {
     candidate.assign(blocks);
@@ -71,13 +70,9 @@ PartitionRun pareDown(const PartitionProblem& problem,
       step.ranks.clear();
       step.removed = kNoBlock;  // step.candidate/io/fits are set below
       step.io = candidate.io();
-      step.fits = fits(step.io, spec);
+      step.fits = accept(candidate, run.result);
       if (options.trace) step.candidate = candidate.members();
       if (step.fits) {
-        if (candidate.memberCount() > 1)
-          run.result.partitions.push_back(candidate.members());
-        // A single fitting block is dropped: replacing one pre-defined
-        // block with one programmable block brings no reduction.
         blocks.andNot(candidate.members());
         accepted = true;
         if (options.trace) options.trace(step);
@@ -94,8 +89,7 @@ PartitionRun pareDown(const PartitionProblem& problem,
         if (options.trace) options.trace(step);
         break;
       }
-      step.removed =
-          chooseRemoval(net, problem.levels(), step.border, step.ranks);
+      step.removed = chooseRemoval(net, levels, step.border, step.ranks);
       lastRemoved = step.removed;
       candidate.remove(step.removed);
       if (options.trace) options.trace(step);
@@ -109,10 +103,60 @@ PartitionRun pareDown(const PartitionProblem& problem,
       blocks.reset(lastRemoved);
     }
   }
+  return run;
+}
 
-  run.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+double secondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+}  // namespace
+
+PartitionRun pareDown(const PartitionProblem& problem,
+                      const PareDownOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
+  const ProgBlockSpec& spec = problem.spec();
+  PartitionRun run = pare(
+      problem.network(), problem.graph(), problem.levels(), spec.mode,
+      options.restrictTo ? *options.restrictTo : problem.innerSet(), options,
+      [&](const PortCounter& candidate, Partitioning& out) {
+        if (!fits(candidate.io(), spec)) return false;
+        // A single fitting block is dropped: replacing one pre-defined
+        // block with one programmable block brings no reduction.
+        if (candidate.memberCount() > 1)
+          out.partitions.push_back(candidate.members());
+        return true;
+      });
+  run.algorithm = "paredown";
+  run.seconds = secondsSince(start);
+  return run;
+}
+
+PartitionRun multiTypePareDown(const Network& net,
+                               const ProgCostModel& model) {
+  const auto start = std::chrono::steady_clock::now();
+  const CompactGraph graph(net);
+  const MilliCostModel milli =
+      toMilliCosts(model, static_cast<int>(graph.innerCount()));
+  PartitionRun run = pare(
+      net, graph, computeLevels(net), model.mode, net.innerSet(), {},
+      [&](const PortCounter& candidate, Partitioning& out) {
+        const auto option = cheapestFittingOption(candidate.io(), model);
+        if (!option) return false;
+        // Replace only when the option costs less than the pre-defined
+        // blocks it would replace.  Not beneficial (e.g. a lone block):
+        // the candidate retires either way (see multitype.h).
+        if (milli.optionCost[static_cast<std::size_t>(*option)] <
+            milli.preDefinedBlockCost * candidate.memberCount()) {
+          out.partitions.push_back(candidate.members());
+          out.optionIndex.push_back(*option);
+        }
+        return true;
+      });
+  run.algorithm = "multitype-paredown";
+  run.seconds = secondsSince(start);
   return run;
 }
 

@@ -9,6 +9,9 @@
 // partition (unless it is a single block, which brings no reduction), and
 // the algorithm repeats on the remaining blocks.  Total work is
 // n*(n+1)/2 fit checks in the worst case: O(n^2).
+//
+// paredown.cpp also implements multiTypePareDown() (multitype.h): both
+// heuristics run one paring loop, each under its own accept rule.
 #ifndef EBLOCKS_PARTITION_PAREDOWN_H_
 #define EBLOCKS_PARTITION_PAREDOWN_H_
 

@@ -14,6 +14,10 @@ namespace eblocks::partition {
 /// for one programmable block.
 struct Partitioning {
   std::vector<BitSet> partitions;
+  /// The multi-type problem's chosen block option per partition, an
+  /// index into ProgCostModel::options (multitype.h), parallel to
+  /// `partitions`.  Empty for the plain problem.
+  std::vector<int> optionIndex;
 
   /// Number of inner blocks covered by some partition.
   int coveredBlocks() const;

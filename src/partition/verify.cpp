@@ -23,6 +23,8 @@ std::vector<std::string> verifyPartitioning(const PartitionProblem& problem,
                                             const Partitioning& partitioning,
                                             const VerifyOptions& options) {
   std::vector<std::string> problems;
+  if (!partitioning.optionIndex.empty())
+    problems.push_back("option indices set on a plain partitioning");
   const Network& net = problem.network();
   BitSet seen = net.emptySet();
   for (std::size_t i = 0; i < partitioning.partitions.size(); ++i) {

@@ -20,7 +20,9 @@ struct VerifyOptions {
 /// Returns human-readable constraint violations; empty means valid.
 /// Checks: members are inner blocks; partitions are pairwise disjoint;
 /// every partition has >= 2 members and fits the programmable block; and
-/// (optionally) every partition is convex.
+/// (optionally) every partition is convex; and no option index is set
+/// (those belong to the multi-type problem, whose overload of this
+/// function is in multitype.h).
 std::vector<std::string> verifyPartitioning(const PartitionProblem& problem,
                                             const Partitioning& partitioning,
                                             const VerifyOptions& options = {});

@@ -68,7 +68,7 @@ const char* toString(ErrorCode code);
 /// bit-identical to a one-shot synthesize() with these options.
 struct SynthRequest {
   std::uint64_t id = 0;  ///< client-chosen, unique per connection
-  std::string algorithm = "paredown";  ///< partitioner registry name
+  std::string algorithm = "paredown";  ///< partition::strategies() name
   int inputs = 2;      ///< programmable-block port budget
   int outputs = 2;
   int threads = 1;     ///< search workers (0 = hardware concurrency)

@@ -211,7 +211,7 @@ void Server::handleRequest(std::uint64_t conn, std::string_view frame) {
                   " is already in flight on this connection");
     return;
   }
-  if (!partition::PartitionerRegistry::instance().find(request.algorithm)) {
+  if (!partition::findStrategy(request.algorithm)) {
     badRequest("unknown partitioning algorithm '" + request.algorithm + "'");
     return;
   }

@@ -164,9 +164,8 @@ bool Shell::execute(const std::string& line, std::ostream& out) {
     } else if (cmd == "serve") {
       cmdServe(in, out);
     } else if (cmd == "algorithms") {
-      const auto& registry = partition::PartitionerRegistry::instance();
-      for (const std::string& name : registry.names())
-        out << "  " << name << "  - " << registry.describe(name) << "\n";
+      for (const partition::Strategy& s : partition::strategies())
+        out << "  " << s.name << "  - " << s.description << "\n";
     } else if (cmd == "report") {
       if (synthResult_) {
         out << synthResult_->report();
@@ -305,7 +304,7 @@ void Shell::cmdSynth(std::istream& args, std::ostream& out) {
   synth::SynthOptions options;
   std::string algorithm;
   if (args >> algorithm) {
-    if (!partition::PartitionerRegistry::instance().find(algorithm)) {
+    if (!partition::findStrategy(algorithm)) {
       out << "error: unknown algorithm '" << algorithm
           << "' (try 'algorithms')\n";
       return;

@@ -29,10 +29,10 @@ const char* toString(CacheOutcome o);
 
 struct SynthOptions {
   partition::ProgBlockSpec spec;  ///< target programmable block
-  /// Registry name of the partitioning algorithm that drives synthesis
-  /// ("paredown", "exhaustive", "aggregation", "ladder", or any strategy
-  /// added to partition::PartitionerRegistry).  synthesize() throws
-  /// std::invalid_argument for unknown names.  With "ladder" the
+  /// Name of the partitioning algorithm that drives synthesis: any entry
+  /// of partition::strategies() ("paredown", "exhaustive", "aggregation",
+  /// "ladder", ...).  synthesize() throws std::invalid_argument for
+  /// unknown names.  With "ladder" the
   /// result's run.degradedTier reports how far the deadline let the
   /// degradation ladder climb (partition/ladder.h); ladder runs are
   /// deliberately never stored in the cache.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "behavior/parser.h"
 
 namespace eblocks::blocks {
@@ -86,6 +91,62 @@ TEST(Catalog, ParameterValidation) {
   EXPECT_THROW(defaultCatalog().prolonger(0), std::invalid_argument);
   EXPECT_THROW(defaultCatalog().splitter(4), std::invalid_argument);
   EXPECT_THROW(defaultCatalog().programmable(0, 1), std::invalid_argument);
+}
+
+TEST(Catalog, ConcurrentFirstLookupsShareOneType) {
+  // Eight threads race the first get() of every name on a fresh catalog:
+  // each name must materialize once, so every thread sees one pointer.
+  const Catalog cat;
+  std::vector<std::string> names;
+  for (int tt = 0; tt < 256; ++tt)
+    names.push_back("logic3_" + std::to_string(tt));
+  for (int n = 1; n <= 16; ++n) {
+    names.push_back("delay_" + std::to_string(n));
+    names.push_back("pulse_" + std::to_string(n));
+    names.push_back("prolong_" + std::to_string(n));
+  }
+  for (int i = 1; i <= 4; ++i)
+    for (int o = 1; o <= 4; ++o)
+      names.push_back("prog_" + std::to_string(i) + "x" + std::to_string(o));
+  constexpr int kThreads = 8;
+  std::vector<std::vector<const BlockType*>> seen(
+      kThreads, std::vector<const BlockType*>(names.size()));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t i = 0; i < names.size(); ++i)
+        seen[t][i] = cat.get(names[i]).get();
+    });
+  for (std::thread& t : threads) t.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]) << t;
+  for (std::size_t i = 0; i < names.size(); ++i)
+    EXPECT_EQ(seen[0][i]->name(), names[i]);
+}
+
+TEST(Catalog, MalformedFamilyNamesMaterializeNothing) {
+  // A family name resolves only in its canonical form, and a hostile
+  // shape is rejected before any type is built.
+  const Catalog cat;
+  const std::vector<std::string> before = cat.names();
+  EXPECT_THROW(cat.get("prog_2x2_p0"), std::out_of_range);
+  EXPECT_THROW(cat.get("prog_100000000x1"), std::invalid_argument);
+  EXPECT_THROW(cat.get("prog_2x"), std::out_of_range);
+  EXPECT_THROW(cat.get("delay_05"), std::out_of_range);
+  EXPECT_THROW(cat.get("delay_-1"), std::out_of_range);
+  EXPECT_THROW(cat.get("delay_99999999999"), std::out_of_range);
+  EXPECT_THROW(cat.get("logic3_7x"), std::out_of_range);
+  EXPECT_EQ(cat.find("prog_2x2_p0"), nullptr);
+  EXPECT_EQ(cat.find("prog_100000000x1"), nullptr);
+  EXPECT_EQ(cat.find("logic2_16"), nullptr);
+  EXPECT_EQ(cat.find("warp_core"), nullptr);
+  EXPECT_EQ(cat.names(), before);
+  EXPECT_THROW(cat.programmable(Catalog::kMaxProgrammablePorts + 1, 1),
+               std::invalid_argument);
+  EXPECT_EQ(cat.find("prog_64x64"),
+            cat.programmable(Catalog::kMaxProgrammablePorts,
+                             Catalog::kMaxProgrammablePorts));
 }
 
 TEST(Catalog, ProgrammableBlockShape) {

@@ -209,7 +209,7 @@ TEST(SolutionStore, RefusesTimedOutAndNondeterministicRuns) {
   store.insert(net, "lns", {}, {}, run);
   EXPECT_EQ(store.recordCount(), 0u);
 
-  // Unknown custom strategies never qualify.
+  // Names outside the cacheable set never qualify.
   store.insert(net, "my_custom_strategy", {}, {}, run);
   EXPECT_EQ(store.recordCount(), 0u);
 

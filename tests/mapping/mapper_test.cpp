@@ -27,14 +27,14 @@ TEST(Mapper, ChainOntoLine) {
   const Network net = chain3();
   const Topology topo = Topology::line(3);
   const auto m = mapNetwork(net, topo);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(verifyMapping(net, topo, *m).empty());
+  ASSERT_EQ(m.status, MapStatus::kMapped);
+  EXPECT_TRUE(verifyMapping(net, topo, m.mapping).empty());
 }
 
 TEST(Mapper, ImpossibleWhenTooFewNodes) {
   const Network net = chain3();
   const Topology topo = Topology::line(2);
-  EXPECT_FALSE(mapNetwork(net, topo).has_value());
+  EXPECT_EQ(mapNetwork(net, topo).status, MapStatus::kInfeasible);
 }
 
 TEST(Mapper, ImpossibleWithoutCables) {
@@ -43,7 +43,7 @@ TEST(Mapper, ImpossibleWithoutCables) {
   topo.addNode("x", 2, 2);
   topo.addNode("y", 2, 2);
   topo.addNode("z", 2, 2);
-  EXPECT_FALSE(mapNetwork(net, topo).has_value());
+  EXPECT_EQ(mapNetwork(net, topo).status, MapStatus::kInfeasible);
 }
 
 TEST(Mapper, PortBudgetsRespected) {
@@ -68,12 +68,12 @@ TEST(Mapper, PortBudgetsRespected) {
     }
     const auto m = mapNetwork(net, topo);
     if (hubInputs == 2) {
-      ASSERT_TRUE(m.has_value());
-      EXPECT_TRUE(verifyMapping(net, topo, *m).empty());
+      ASSERT_EQ(m.status, MapStatus::kMapped);
+      EXPECT_TRUE(verifyMapping(net, topo, m.mapping).empty());
       // The gate must sit on the hub (only node with degree 3).
-      EXPECT_EQ(m->placement[g], hub);
+      EXPECT_EQ(m.mapping.placement[g], hub);
     } else {
-      EXPECT_FALSE(m.has_value());
+      EXPECT_EQ(m.status, MapStatus::kInfeasible);
     }
   }
 }
@@ -84,9 +84,9 @@ TEST(Mapper, PinnedDevicesStayPut) {
   MappingOptions options;
   options.pinned[*net.findBlock("s")] = *topo.findNode("n2");
   const auto m = mapNetwork(net, topo, options);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->placement[*net.findBlock("s")], *topo.findNode("n2"));
-  EXPECT_TRUE(verifyMapping(net, topo, *m).empty());
+  ASSERT_EQ(m.status, MapStatus::kMapped);
+  EXPECT_EQ(m.mapping.placement[*net.findBlock("s")], *topo.findNode("n2"));
+  EXPECT_TRUE(verifyMapping(net, topo, m.mapping).empty());
 }
 
 TEST(Mapper, ConflictingPinsFail) {
@@ -95,7 +95,7 @@ TEST(Mapper, ConflictingPinsFail) {
   MappingOptions options;
   options.pinned[*net.findBlock("s")] = 0;
   options.pinned[*net.findBlock("a")] = 0;  // same spot
-  EXPECT_FALSE(mapNetwork(net, topo, options).has_value());
+  EXPECT_EQ(mapNetwork(net, topo, options).status, MapStatus::kInfeasible);
 }
 
 TEST(Mapper, InfeasiblePinPlacementFails) {
@@ -106,7 +106,7 @@ TEST(Mapper, InfeasiblePinPlacementFails) {
   MappingOptions options;
   options.pinned[*net.findBlock("s")] = 0;
   options.pinned[*net.findBlock("a")] = 3;  // s->a needs a cable 0->3
-  EXPECT_FALSE(mapNetwork(net, topo, options).has_value());
+  EXPECT_EQ(mapNetwork(net, topo, options).status, MapStatus::kInfeasible);
 }
 
 TEST(Mapper, CableCapacityIsOneSignal) {
@@ -131,8 +131,8 @@ TEST(Mapper, CableCapacityIsOneSignal) {
   options.pinned[s1] = west0;
   options.pinned[s2] = west1;
   const auto m = mapNetwork(net, topo, options);
-  ASSERT_TRUE(m.has_value());  // routable: o1 east0, o2 east1
-  EXPECT_TRUE(verifyMapping(net, topo, *m).empty());
+  ASSERT_EQ(m.status, MapStatus::kMapped);  // routable: o1 east0, o2 east1
+  EXPECT_TRUE(verifyMapping(net, topo, m.mapping).empty());
   // Remove one cable: now only one signal can cross.
   Topology thin("thin");
   const PhysId w0 = thin.addNode("west0", 2, 2);
@@ -143,7 +143,7 @@ TEST(Mapper, CableCapacityIsOneSignal) {
   MappingOptions pins;
   pins.pinned[s1] = w0;
   pins.pinned[s2] = w1;
-  EXPECT_FALSE(mapNetwork(net, thin, pins).has_value());
+  EXPECT_EQ(mapNetwork(net, thin, pins).status, MapStatus::kInfeasible);
 }
 
 TEST(Mapper, SynthesizedFigure5OntoGrid) {
@@ -155,7 +155,7 @@ TEST(Mapper, SynthesizedFigure5OntoGrid) {
   const synth::SynthResult r = synth::synthesize(designs::figure5());
   ASSERT_EQ(r.network.blockCount(), 7u);
   const Topology plain = Topology::grid(3, 3);
-  EXPECT_FALSE(mapNetwork(r.network, plain).has_value());
+  EXPECT_EQ(mapNetwork(r.network, plain).status, MapStatus::kInfeasible);
   // (Also geometrically infeasible even with parallel cables: prog1 needs
   // four distinct neighbors -- the grid center -- while prog0 and the trip
   // block would additionally have to be adjacent to each other.)
@@ -170,8 +170,8 @@ TEST(Mapper, SynthesizedFigure5OntoGrid) {
         mesh.addLink(a, b);
       }
   const auto m = mapNetwork(r.network, mesh);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_TRUE(verifyMapping(r.network, mesh, *m).empty());
+  ASSERT_EQ(m.status, MapStatus::kMapped);
+  EXPECT_TRUE(verifyMapping(r.network, mesh, m.mapping).empty());
 }
 
 TEST(Mapper, RandomNetworksOntoRichTopology) {
@@ -188,33 +188,51 @@ TEST(Mapper, RandomNetworksOntoRichTopology) {
     for (const Connection& c : net.connections())
       topo.addLink(c.from.block, c.to.block);
     const auto m = mapNetwork(net, topo);
-    ASSERT_TRUE(m.has_value()) << "seed " << seed;
-    EXPECT_TRUE(verifyMapping(net, topo, *m).empty()) << "seed " << seed;
+    ASSERT_EQ(m.status, MapStatus::kMapped) << "seed " << seed;
+    EXPECT_TRUE(verifyMapping(net, topo, m.mapping).empty()) << "seed " << seed;
   }
 }
 
-TEST(Mapper, TimeLimitGivesUpGracefully) {
-  const Network net = randgen::randomNetwork({.innerBlocks = 18, .seed = 2});
-  // Dense-ish topology with few cables: long search, probably infeasible.
+/// One 3x3-port node per block, cabled only in disjoint duplex pairs:
+/// far too few cables for a random network, so the search backtracks
+/// through a large space before it can give up.
+Topology sparsePairs(const Network& net) {
   Topology topo("sparse");
   for (std::size_t i = 0; i < net.blockCount(); ++i)
     topo.addNode("p" + std::to_string(i), 3, 3);
   for (PhysId i = 0; i + 1 < topo.nodeCount(); i += 2)
     topo.addDuplexLink(i, i + 1);
+  return topo;
+}
+
+TEST(Mapper, TimeLimitGivesUpGracefully) {
+  // This instance keeps searching for seconds, far past the limit: the
+  // result must say "timed out", not "infeasible".
+  const Network net = randgen::randomNetwork({.innerBlocks = 24, .seed = 2});
   MappingOptions options;
   options.timeLimitSeconds = 0.05;
-  EXPECT_FALSE(mapNetwork(net, topo, options).has_value());
+  const MapResult m = mapNetwork(net, sparsePairs(net), options);
+  EXPECT_EQ(m.status, MapStatus::kTimedOut);
+  EXPECT_GT(m.explored, 0u);
+  EXPECT_TRUE(m.mapping.placement.empty());
+}
+
+TEST(Mapper, SparseInstanceIsProvenInfeasible) {
+  // A smaller instance on the same topology shape: with no limit the
+  // search runs to the end and proves it infeasible.
+  const Network net = randgen::randomNetwork({.innerBlocks = 18, .seed = 2});
+  EXPECT_EQ(mapNetwork(net, sparsePairs(net)).status, MapStatus::kInfeasible);
 }
 
 TEST(Mapper, VerifierCatchesCorruption) {
   const Network net = chain3();
   const Topology topo = Topology::line(3);
   auto m = mapNetwork(net, topo);
-  ASSERT_TRUE(m.has_value());
-  Mapping bad = *m;
+  ASSERT_EQ(m.status, MapStatus::kMapped);
+  Mapping bad = m.mapping;
   bad.placement[0] = bad.placement[1];  // two blocks on one node
   EXPECT_FALSE(verifyMapping(net, topo, bad).empty());
-  Mapping badCable = *m;
+  Mapping badCable = m.mapping;
   badCable.cableOf[0] = 9999;
   EXPECT_FALSE(verifyMapping(net, topo, badCable).empty());
 }

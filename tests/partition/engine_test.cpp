@@ -1,5 +1,5 @@
-// The strategy registry: every partitioner reachable by name, engine
-// options forwarded, custom strategies pluggable at runtime.
+// The strategy table: every partitioner reachable by name, engine
+// options forwarded.
 #include "partition/engine.h"
 
 #include <gtest/gtest.h>
@@ -8,24 +8,26 @@
 #include "partition/exhaustive.h"
 #include "partition/paredown.h"
 #include "partition/verify.h"
-#include "synth/synthesizer.h"
 
 namespace eblocks::partition {
 namespace {
 
 TEST(Engine, BuiltInsAreRegistered) {
-  const auto& registry = PartitionerRegistry::instance();
-  EXPECT_EQ(registry.names(),
+  std::vector<std::string> names, typedNames;
+  for (const Strategy& s : strategies()) {
+    names.emplace_back(s.name);
+    if (s.runTyped) typedNames.emplace_back(s.name);
+    EXPECT_EQ(findStrategy(s.name), &s) << s.name;
+    EXPECT_NE(s.run, nullptr) << s.name;
+    EXPECT_FALSE(s.description.empty()) << s.name;
+  }
+  EXPECT_EQ(names,
             (std::vector<std::string>{"aggregation", "exhaustive", "fm",
                                       "greedy", "ladder", "lns", "paredown"}));
-  EXPECT_EQ(registry.typedNames(),
+  EXPECT_EQ(typedNames,
             (std::vector<std::string>{"exhaustive", "fm", "paredown"}));
-  for (const std::string& name : registry.names()) {
-    EXPECT_NE(registry.find(name), nullptr) << name;
-    EXPECT_FALSE(registry.describe(name).empty()) << name;
-  }
-  EXPECT_EQ(registry.find("no-such-strategy"), nullptr);
-  EXPECT_EQ(registry.findTyped("aggregation"), nullptr);
+  EXPECT_EQ(findStrategy("no-such-strategy"), nullptr);
+  EXPECT_EQ(findStrategy("aggregation")->runTyped, nullptr);
 }
 
 TEST(Engine, RunPartitionerMatchesDirectCalls) {
@@ -53,6 +55,15 @@ TEST(Engine, UnknownNameThrowsListingRegistered) {
     EXPECT_NE(what.find("paredown"), std::string::npos);
     EXPECT_NE(what.find("exhaustive"), std::string::npos);
     EXPECT_NE(what.find("aggregation"), std::string::npos);
+  }
+  // A plain-only strategy is unknown to the multi-type problem.
+  try {
+    runPartitioner("greedy", net, ProgCostModel::paperDefault());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown multi-type partitioning algorithm 'greedy' "
+              "(registered: exhaustive, fm, paredown)");
   }
 }
 
@@ -101,48 +112,19 @@ TEST(Engine, ExhaustiveStrategySeedsFromPareDownByDefault) {
 TEST(Engine, TypedStrategiesRunTheCostModel) {
   const Network net = designs::figure5();
   const ProgCostModel model = ProgCostModel::paperDefault();
-  const TypedPartitionRun heuristic =
-      runTypedPartitioner("paredown", net, model);
+  const PartitionRun heuristic = runPartitioner("paredown", net, model);
   EXPECT_EQ(heuristic.algorithm, "multitype-paredown");
-  EXPECT_TRUE(verifyTypedPartitioning(net, model, heuristic.result).empty());
+  EXPECT_TRUE(verifyPartitioning(net, model, heuristic.result).empty());
 
   EngineOptions engineOptions;
   engineOptions.threads = 1;
-  const TypedPartitionRun exact =
-      runTypedPartitioner("exhaustive", net, model, engineOptions);
+  const PartitionRun exact =
+      runPartitioner("exhaustive", net, model, engineOptions);
   EXPECT_EQ(exact.algorithm, "multitype-exhaustive");
   EXPECT_TRUE(exact.optimal);
-  EXPECT_LE(exact.result.totalCost(8, model),
-            heuristic.result.totalCost(8, model));
-}
-
-// A minimal custom strategy: never partitions anything.  Registering it
-// makes it reachable through synthesize() with zero further wiring.
-class NullPartitioner final : public Partitioner {
- public:
-  std::string name() const override { return "null"; }
-  std::string description() const override {
-    return "leaves every block unpartitioned (registry demo)";
-  }
-  PartitionRun run(const PartitionProblem&,
-                   const EngineOptions&) const override {
-    PartitionRun run;
-    run.algorithm = "null";
-    return run;
-  }
-};
-
-TEST(Engine, CustomStrategyReachableThroughSynthesize) {
-  PartitionerRegistry::instance().add(std::make_unique<NullPartitioner>());
-  ASSERT_NE(PartitionerRegistry::instance().find("null"), nullptr);
-
-  synth::SynthOptions options;
-  options.algorithm = "null";
-  const synth::SynthResult r =
-      synth::synthesize(designs::figure5(), options);
-  EXPECT_EQ(r.run.algorithm, "null");
-  EXPECT_EQ(r.programmableBlocks, 0);
-  EXPECT_EQ(r.innerAfter, 8);
+  const MilliCostModel milli = toMilliCosts(model, 8);
+  EXPECT_LE(milli.totalCost(exact.result, 8),
+            milli.totalCost(heuristic.result, 8));
 }
 
 }  // namespace

@@ -181,15 +181,16 @@ TEST(Heuristics, LargeNetworkIsTractable) {
 TEST(Heuristics, TypedFmRefinesUnderTheCostModel) {
   const ProgCostModel model = ProgCostModel::paperDefault();
   for (const auto& entry : designs::designLibrary()) {
-    const TypedPartitionRun seed =
+    const PartitionRun seed =
         multiTypePareDown(entry.network, model);
-    const TypedPartitionRun fm =
+    const PartitionRun fm =
         multiTypeFmRefine(entry.network, model, seed.result);
-    EXPECT_TRUE(verifyTypedPartitioning(entry.network, model, fm.result)
+    EXPECT_TRUE(verifyPartitioning(entry.network, model, fm.result)
                     .empty())
         << entry.name;
     const int n = static_cast<int>(entry.network.innerBlocks().size());
-    EXPECT_LE(fm.result.totalCost(n, model), seed.result.totalCost(n, model))
+    const MilliCostModel milli = toMilliCosts(model, n);
+    EXPECT_LE(milli.totalCost(fm.result, n), milli.totalCost(seed.result, n))
         << entry.name;
   }
 }
@@ -204,14 +205,15 @@ TEST(Heuristics, TypedFmSurvivesRoutineInfeasibleProbes) {
   for (const std::uint32_t seed : {21u, 22u, 23u}) {
     const Network net = randgen::randomNetwork(
         randgen::GeneratorOptions::largeNetwork(40, seed));
-    const TypedPartitionRun seeded = multiTypePareDown(net, model);
-    const TypedPartitionRun fm =
+    const PartitionRun seeded = multiTypePareDown(net, model);
+    const PartitionRun fm =
         multiTypeFmRefine(net, model, seeded.result);
-    EXPECT_TRUE(verifyTypedPartitioning(net, model, fm.result).empty())
+    EXPECT_TRUE(verifyPartitioning(net, model, fm.result).empty())
         << "seed=" << seed;
     const int n = static_cast<int>(net.innerBlocks().size());
-    EXPECT_LE(fm.result.totalCost(n, model),
-              seeded.result.totalCost(n, model))
+    const MilliCostModel milli = toMilliCosts(model, n);
+    EXPECT_LE(milli.totalCost(fm.result, n),
+              milli.totalCost(seeded.result, n))
         << "seed=" << seed;
   }
 }
@@ -243,20 +245,20 @@ TEST(Heuristics, TypedFmWithinGapOfTypedExhaustive) {
   const ProgCostModel model = ProgCostModel::paperDefault();
   for (const auto& entry : designs::designLibrary()) {
     if (entry.innerBlocks > 12) continue;
-    MultiTypeExhaustiveOptions exact;
+    ExhaustiveOptions exact;
     exact.threads = 1;
-    const TypedPartitionRun optimum =
+    const PartitionRun optimum =
         multiTypeExhaustive(entry.network, model, exact);
     ASSERT_TRUE(optimum.optimal) << entry.name;
-    const TypedPartitionRun fm = runTypedPartitioner("fm", entry.network,
-                                                     model);
+    const PartitionRun fm = runPartitioner("fm", entry.network, model);
     const int n = static_cast<int>(entry.network.innerBlocks().size());
+    const MilliCostModel milli = toMilliCosts(model, n);
     // Gap pinned at one programmable-block upgrade's worth of cost.
-    EXPECT_LE(fm.result.totalCost(n, model),
-              optimum.result.totalCost(n, model) + model.preDefinedBlockCost)
+    EXPECT_LE(milli.totalCost(fm.result, n),
+              milli.totalCost(optimum.result, n) + milli.preDefinedBlockCost)
         << entry.name;
-    EXPECT_GE(fm.result.totalCost(n, model),
-              optimum.result.totalCost(n, model) - 1e-9)
+    EXPECT_GE(milli.totalCost(fm.result, n),
+              milli.totalCost(optimum.result, n))
         << entry.name;
   }
 }

@@ -29,7 +29,7 @@ TEST(MultiType, PaperDefaultMatchesClassicPareDown) {
   for (std::uint32_t seed = 1; seed <= 8; ++seed) {
     const Network net = randgen::randomNetwork({.innerBlocks = 12,
                                                 .seed = seed});
-    const TypedPartitionRun typed =
+    const PartitionRun typed =
         multiTypePareDown(net, ProgCostModel::paperDefault());
     const PartitionProblem problem(net, ProgBlockSpec{});
     const PartitionRun classic = pareDown(problem);
@@ -66,13 +66,13 @@ TEST(MultiType, WiderOptionSwallowsFigure5Whole) {
   const Network net = designs::figure5();
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
                               {"prog_2x3", 2, 3, 2.0}});
-  const TypedPartitionRun run = multiTypePareDown(net, model);
+  const PartitionRun run = multiTypePareDown(net, model);
   ASSERT_EQ(run.result.partitions.size(), 1u);
   EXPECT_EQ(run.result.partitions[0].count(), 8u);
   EXPECT_EQ(model.options[static_cast<std::size_t>(run.result.optionIndex[0])]
                 .name,
             "prog_2x3");
-  EXPECT_DOUBLE_EQ(run.result.totalCost(8, model), 2.0);
+  EXPECT_EQ(toMilliCosts(model, 8).totalCost(run.result, 8), 2000);
 }
 
 TEST(MultiType, ExpensiveProgrammableRaisesTheBar) {
@@ -101,8 +101,8 @@ TEST(MultiType, HeuristicResultsAlwaysVerify) {
   for (std::uint32_t seed = 1; seed <= 10; ++seed) {
     const Network net = randgen::randomNetwork({.innerBlocks = 20,
                                                 .seed = seed});
-    const TypedPartitionRun run = multiTypePareDown(net, model);
-    const auto violations = verifyTypedPartitioning(net, model, run.result);
+    const PartitionRun run = multiTypePareDown(net, model);
+    const auto violations = verifyPartitioning(net, model, run.result);
     EXPECT_TRUE(violations.empty())
         << "seed " << seed << ": " << violations.front();
   }
@@ -115,13 +115,14 @@ TEST(MultiType, ExhaustiveNeverCostsMoreThanHeuristic) {
     const Network net = randgen::randomNetwork({.innerBlocks = 8,
                                                 .seed = seed});
     const int n = static_cast<int>(net.innerBlocks().size());
-    const TypedPartitionRun heuristic = multiTypePareDown(net, model);
-    const TypedPartitionRun exact = multiTypeExhaustive(net, model);
+    const MilliCostModel milli = toMilliCosts(model, n);
+    const PartitionRun heuristic = multiTypePareDown(net, model);
+    const PartitionRun exact = multiTypeExhaustive(net, model);
     ASSERT_TRUE(exact.optimal);
-    EXPECT_LE(exact.result.totalCost(n, model) - 1e-9,
-              heuristic.result.totalCost(n, model))
+    EXPECT_LE(milli.totalCost(exact.result, n),
+              milli.totalCost(heuristic.result, n))
         << "seed " << seed;
-    EXPECT_TRUE(verifyTypedPartitioning(net, model, exact.result).empty());
+    EXPECT_TRUE(verifyPartitioning(net, model, exact.result).empty());
   }
 }
 
@@ -131,42 +132,42 @@ TEST(MultiType, ExhaustivePicksMixOfBlockSizes) {
   const Network net = designs::figure5();
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
                               {"prog_2x3", 2, 3, 2.0}});
-  const TypedPartitionRun run = multiTypeExhaustive(net, model);
+  const PartitionRun run = multiTypeExhaustive(net, model);
   ASSERT_TRUE(run.optimal);
-  EXPECT_DOUBLE_EQ(run.result.totalCost(8, model), 2.0);
+  EXPECT_EQ(toMilliCosts(model, 8).totalCost(run.result, 8), 2000);
 }
 
 TEST(MultiType, TimeLimitStillVerifies) {
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
                               {"prog_4x4", 4, 4, 2.5}});
   const Network net = randgen::randomNetwork({.innerBlocks = 24, .seed = 5});
-  MultiTypeExhaustiveOptions options;
+  ExhaustiveOptions options;
   options.timeLimitSeconds = 0.02;
   options.seed = multiTypePareDown(net, model).result;
-  const TypedPartitionRun run = multiTypeExhaustive(net, model, options);
+  const PartitionRun run = multiTypeExhaustive(net, model, options);
   EXPECT_TRUE(run.timedOut);
-  EXPECT_TRUE(verifyTypedPartitioning(net, model, run.result).empty());
+  EXPECT_TRUE(verifyPartitioning(net, model, run.result).empty());
 }
 
 TEST(MultiType, VerifierCatchesViolations) {
   const Network net = designs::figure5();
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5}});
-  TypedPartitioning bad;
+  Partitioning bad;
   bad.partitions.push_back(net.innerSet());  // needs 3 outputs: no fit
   bad.optionIndex.push_back(0);
-  EXPECT_FALSE(verifyTypedPartitioning(net, model, bad).empty());
+  EXPECT_FALSE(verifyPartitioning(net, model, bad).empty());
 
-  TypedPartitioning mismatched;
+  Partitioning mismatched;
   mismatched.partitions.push_back(net.innerSet());
-  EXPECT_FALSE(verifyTypedPartitioning(net, model, mismatched).empty());
+  EXPECT_FALSE(verifyPartitioning(net, model, mismatched).empty());
 
-  TypedPartitioning badIndex;
+  Partitioning badIndex;
   BitSet pair = net.emptySet();
   pair.set(5);
   pair.set(8);
   badIndex.partitions.push_back(pair);
   badIndex.optionIndex.push_back(7);  // out of range
-  EXPECT_FALSE(verifyTypedPartitioning(net, model, badIndex).empty());
+  EXPECT_FALSE(verifyPartitioning(net, model, badIndex).empty());
 }
 
 TEST(MultiType, CostConversionIsExactOnTheMilliGrid) {
@@ -198,11 +199,12 @@ TEST(MultiType, CostConversionRejectsUnrepresentableModels) {
 TEST(MultiType, CostAccounting) {
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5}});
   const Network net = designs::figure5();
-  const TypedPartitionRun run = multiTypePareDown(net, model);
+  const PartitionRun run = multiTypePareDown(net, model);
   // Classic result: partitions {2,3,4,5} and {6,8,9}, node 7 left.
   ASSERT_EQ(run.result.partitions.size(), 2u);
   EXPECT_EQ(run.result.coveredBlocks(), 7);
-  EXPECT_DOUBLE_EQ(run.result.totalCost(8, model), 1.0 + 1.5 + 1.5);
+  EXPECT_EQ(toMilliCosts(model, 8).totalCost(run.result, 8),
+            1000 + 1500 + 1500);
 }
 
 }  // namespace

@@ -169,19 +169,20 @@ TEST(ParallelMultiType, MatchesSerialAcrossThreadCounts) {
     const Network net =
         randgen::randomNetwork({.innerBlocks = 8, .seed = seed});
     const int n = static_cast<int>(net.innerBlocks().size());
-    MultiTypeExhaustiveOptions serialOptions;
+    const MilliCostModel milli = toMilliCosts(model, n);
+    ExhaustiveOptions serialOptions;
     serialOptions.threads = 1;
-    const TypedPartitionRun serial =
+    const PartitionRun serial =
         multiTypeExhaustive(net, model, serialOptions);
     ASSERT_TRUE(serial.optimal) << "seed " << seed;
     for (int threads : {2, 4, 8}) {
-      MultiTypeExhaustiveOptions parallelOptions;
+      ExhaustiveOptions parallelOptions;
       parallelOptions.threads = threads;
-      const TypedPartitionRun parallel =
+      const PartitionRun parallel =
           multiTypeExhaustive(net, model, parallelOptions);
       ASSERT_TRUE(parallel.optimal) << "seed " << seed;
-      EXPECT_DOUBLE_EQ(serial.result.totalCost(n, model),
-                       parallel.result.totalCost(n, model))
+      EXPECT_EQ(milli.totalCost(serial.result, n),
+                milli.totalCost(parallel.result, n))
           << "seed " << seed << " @" << threads;
       ASSERT_EQ(serial.result.partitions.size(),
                 parallel.result.partitions.size())
@@ -193,7 +194,7 @@ TEST(ParallelMultiType, MatchesSerialAcrossThreadCounts) {
                   parallel.result.optionIndex[i]);
       }
       EXPECT_TRUE(
-          verifyTypedPartitioning(net, model, parallel.result).empty());
+          verifyPartitioning(net, model, parallel.result).empty());
     }
   }
 }

@@ -390,7 +390,7 @@ TEST(PortCounter, MultiTypePareDownMakesNoFullScanBorderOrRankQueries) {
     const Network net =
         randgen::randomNetwork({.innerBlocks = 20, .seed = seed});
     const SubgraphScanCounts before = subgraphScanCounts();
-    const TypedPartitionRun run = multiTypePareDown(net, model);
+    const PartitionRun run = multiTypePareDown(net, model);
     EXPECT_GT(run.explored, 0u);
     const SubgraphScanCounts after = subgraphScanCounts();
     EXPECT_EQ(after.borderScans, before.borderScans) << "seed " << seed;

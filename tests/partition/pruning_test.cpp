@@ -164,23 +164,24 @@ TEST(PruningBound, MultiTypeBitIdenticalAcrossThreadsAndSchedulers) {
     const Network net =
         randgen::randomNetwork({.innerBlocks = 9, .seed = seed});
     const int n = static_cast<int>(net.innerBlocks().size());
-    MultiTypeExhaustiveOptions reference;
+    const MilliCostModel milli = toMilliCosts(model, n);
+    ExhaustiveOptions reference;
     reference.threads = 1;
     reference.pruningBound = false;
-    const TypedPartitionRun unpruned =
+    const PartitionRun unpruned =
         multiTypeExhaustive(net, model, reference);
     ASSERT_TRUE(unpruned.optimal) << "seed " << seed;
     EXPECT_EQ(unpruned.pruned, 0u);
     for (int threads : kThreadCounts) {
-      MultiTypeExhaustiveOptions options;
+      ExhaustiveOptions options;
       options.threads = threads;
-      const TypedPartitionRun pruned =
+      const PartitionRun pruned =
           multiTypeExhaustive(net, model, options);
       ASSERT_TRUE(pruned.optimal) << "seed " << seed;
       const std::string label =
           "seed " + std::to_string(seed) + " @" + std::to_string(threads);
-      EXPECT_DOUBLE_EQ(unpruned.result.totalCost(n, model),
-                       pruned.result.totalCost(n, model))
+      EXPECT_EQ(milli.totalCost(unpruned.result, n),
+                milli.totalCost(pruned.result, n))
           << label;
       ASSERT_EQ(unpruned.result.partitions.size(),
                 pruned.result.partitions.size())
@@ -193,7 +194,7 @@ TEST(PruningBound, MultiTypeBitIdenticalAcrossThreadsAndSchedulers) {
                   pruned.result.optionIndex[i])
             << label;
       }
-      EXPECT_TRUE(verifyTypedPartitioning(net, model, pruned.result).empty())
+      EXPECT_TRUE(verifyPartitioning(net, model, pruned.result).empty())
           << label;
       if (threads == 1) {
         EXPECT_LE(pruned.explored, unpruned.explored) << label;
@@ -209,16 +210,17 @@ TEST(PruningBound, MultiTypeSignalsModeBitIdentical) {
   model.options = {ProgBlockOption{"prog_2x2", 2, 2, 1.5}};
   const Network net = randgen::randomNetwork({.innerBlocks = 10, .seed = 9});
   const int n = static_cast<int>(net.innerBlocks().size());
-  MultiTypeExhaustiveOptions reference;
+  const MilliCostModel milli = toMilliCosts(model, n);
+  ExhaustiveOptions reference;
   reference.threads = 1;
   reference.pruningBound = false;
-  const TypedPartitionRun unpruned =
+  const PartitionRun unpruned =
       multiTypeExhaustive(net, model, reference);
-  MultiTypeExhaustiveOptions options;
+  ExhaustiveOptions options;
   options.threads = 4;
-  const TypedPartitionRun pruned = multiTypeExhaustive(net, model, options);
-  EXPECT_DOUBLE_EQ(unpruned.result.totalCost(n, model),
-                   pruned.result.totalCost(n, model));
+  const PartitionRun pruned = multiTypeExhaustive(net, model, options);
+  EXPECT_EQ(milli.totalCost(unpruned.result, n),
+            milli.totalCost(pruned.result, n));
   ASSERT_EQ(unpruned.result.partitions.size(),
             pruned.result.partitions.size());
   for (std::size_t i = 0; i < unpruned.result.partitions.size(); ++i)

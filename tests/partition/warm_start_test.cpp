@@ -2,8 +2,9 @@
 // shared atomic incumbent.  Contract: the returned optimum is
 // bit-identical to the unseeded search's at every thread count, and the
 // seeded search explores fewer (or equal) nodes -- the heuristic as a
-// pruning accelerator.  Also covers ExhaustiveOptions::nodeBudget, the
-// LNS repair oracle's leash.
+// pruning accelerator.  Also pins every typed result on the typed sweep
+// by digest, and covers ExhaustiveOptions::nodeBudget, the LNS repair
+// oracle's leash.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,7 +33,7 @@ void expectSamePartitions(const Partitioning& a, const Partitioning& b) {
     EXPECT_EQ(a.partitions[i].toVector(), b.partitions[i].toVector());
 }
 
-void expectSameTyped(const TypedPartitioning& a, const TypedPartitioning& b,
+void expectSameTyped(const Partitioning& a, const Partitioning& b,
                      const std::string& label) {
   ASSERT_EQ(a.partitions.size(), b.partitions.size()) << label;
   for (std::size_t i = 0; i < a.partitions.size(); ++i)
@@ -41,8 +42,7 @@ void expectSameTyped(const TypedPartitioning& a, const TypedPartitioning& b,
   EXPECT_EQ(a.optionIndex, b.optionIndex) << label;
 }
 
-TypedPartitioning typedFmSolution(const Network& net,
-                                  const ProgCostModel& model) {
+Partitioning typedFmSolution(const Network& net, const ProgCostModel& model) {
   return multiTypeFmRefine(net, model, multiTypePareDown(net, model).result)
       .result;
 }
@@ -183,37 +183,37 @@ TEST(WarmStart, TypedIncumbentKeepsOptimumAndPrunes) {
   const ProgCostModel model = ProgCostModel::paperDefault();
   const Network net = designs::byName("Noise At Night Detector");
   const int n = static_cast<int>(net.innerBlocks().size());
+  const MilliCostModel milli = toMilliCosts(model, n);
 
   EngineOptions cold;
   cold.threads = 1;
   cold.seedFromPareDown = false;
-  const TypedPartitionRun baseline =
-      runTypedPartitioner("exhaustive", net, model, cold);
+  const PartitionRun baseline =
+      runPartitioner("exhaustive", net, model, cold);
   ASSERT_TRUE(baseline.optimal);
 
   EngineOptions warm = cold;
-  warm.initialTypedIncumbent = typedFmSolution(net, model);
-  const TypedPartitionRun seeded =
-      runTypedPartitioner("exhaustive", net, model, warm);
+  warm.initialIncumbent = typedFmSolution(net, model);
+  const PartitionRun seeded =
+      runPartitioner("exhaustive", net, model, warm);
   EXPECT_TRUE(seeded.optimal);
-  EXPECT_EQ(seeded.result.totalCost(n, model),
-            baseline.result.totalCost(n, model));
+  EXPECT_EQ(milli.totalCost(seeded.result, n),
+            milli.totalCost(baseline.result, n));
   expectSameTyped(seeded.result, baseline.result, "fm-seeded");
   EXPECT_LE(seeded.explored, baseline.explored);
 }
 
-TEST(WarmStart, TypedSeedsReturnTheColdPartitioningOnTheSweep) {
-  // The plain search's warm-start contract, held for the typed search on
-  // 37 designs: the Table-1 rows with <= 13 inner blocks under the
-  // paper's cost model, plus 25 random designs under a two-option model.
-  // Seeded from PareDown or from an fm incumbent, the serial search must
-  // return the cold search's partitions and options, bit for bit.
-  struct Design {
-    std::string label;
-    Network net;
-    ProgCostModel model;
-  };
-  std::vector<Design> sweep;
+/// The typed sweep: the Table-1 rows with <= 13 inner blocks under the
+/// paper's cost model, plus 25 random designs under a two-option model
+/// and the same 25 under a three-option kSignals model.
+struct TypedDesign {
+  std::string label;
+  Network net;
+  ProgCostModel model;
+};
+
+std::vector<TypedDesign> typedSweep() {
+  std::vector<TypedDesign> sweep;
   for (const auto& entry : designs::designLibrary())
     if (entry.innerBlocks <= 13)
       sweep.push_back({entry.name, entry.network,
@@ -221,39 +221,100 @@ TEST(WarmStart, TypedSeedsReturnTheColdPartitioningOnTheSweep) {
   ProgCostModel twoOptions;
   twoOptions.options = {ProgBlockOption{"prog_2x2", 2, 2, 1.5},
                         ProgBlockOption{"prog_2x3", 2, 3, 2.0}};
-  for (std::uint32_t seed = 1; seed <= 25; ++seed)
-    sweep.push_back({"seed " + std::to_string(seed),
-                     randgen::randomNetwork(
-                         {.innerBlocks = 8 + static_cast<int>(seed % 3),
-                          .seed = seed}),
-                     twoOptions});
-  ASSERT_EQ(sweep.size(), 37u);
+  ProgCostModel threeSignals;
+  threeSignals.options = {ProgBlockOption{"prog_2x2", 2, 2, 1.5},
+                          ProgBlockOption{"prog_3x2", 3, 2, 1.8},
+                          ProgBlockOption{"prog_4x4", 4, 4, 2.6}};
+  threeSignals.mode = CountingMode::kSignals;
+  for (const ProgCostModel* model : {&twoOptions, &threeSignals})
+    for (std::uint32_t seed = 1; seed <= 25; ++seed)
+      sweep.push_back({"seed " + std::to_string(seed) +
+                           (model == &threeSignals ? " (3, signals)" : ""),
+                       randgen::randomNetwork(
+                           {.innerBlocks = 8 + static_cast<int>(seed % 3),
+                            .seed = seed}),
+                       *model});
+  return sweep;
+}
 
-  for (const Design& d : sweep) {
+TEST(WarmStart, TypedSeedsReturnTheColdPartitioningOnTheSweep) {
+  // The plain search's warm-start contract, held for the typed search on
+  // the whole sweep.  Seeded from PareDown or from an fm incumbent, the
+  // serial search must return the cold search's partitions and options,
+  // bit for bit.
+  const std::vector<TypedDesign> sweep = typedSweep();
+  ASSERT_EQ(sweep.size(), 62u);
+
+  for (const TypedDesign& d : sweep) {
     EngineOptions cold;
     cold.threads = 1;
     cold.seedFromPareDown = false;
-    const TypedPartitionRun baseline =
-        runTypedPartitioner("exhaustive", d.net, d.model, cold);
+    const PartitionRun baseline =
+        runPartitioner("exhaustive", d.net, d.model, cold);
     ASSERT_TRUE(baseline.optimal) << d.label;
 
     EngineOptions pareDownSeeded = cold;
     pareDownSeeded.seedFromPareDown = true;
-    const TypedPartitionRun fromPareDown =
-        runTypedPartitioner("exhaustive", d.net, d.model, pareDownSeeded);
+    const PartitionRun fromPareDown =
+        runPartitioner("exhaustive", d.net, d.model, pareDownSeeded);
     EXPECT_TRUE(fromPareDown.optimal) << d.label;
     expectSameTyped(fromPareDown.result, baseline.result,
                     d.label + " (PareDown seed)");
     EXPECT_LE(fromPareDown.explored, baseline.explored) << d.label;
 
     EngineOptions fmSeeded = cold;
-    fmSeeded.initialTypedIncumbent = typedFmSolution(d.net, d.model);
-    const TypedPartitionRun fromFm =
-        runTypedPartitioner("exhaustive", d.net, d.model, fmSeeded);
+    fmSeeded.initialIncumbent = typedFmSolution(d.net, d.model);
+    const PartitionRun fromFm =
+        runPartitioner("exhaustive", d.net, d.model, fmSeeded);
     EXPECT_TRUE(fromFm.optimal) << d.label;
     expectSameTyped(fromFm.result, baseline.result, d.label + " (fm seed)");
     EXPECT_LE(fromFm.explored, baseline.explored) << d.label;
   }
+}
+
+/// FNV-1a-64 over a run's partitions, options, and effort counters.
+struct Fnv1a64 {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  void add(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  void add(const PartitionRun& run) {
+    add(run.explored);
+    add(run.pruned);
+    add(run.result.partitions.size());
+    for (const BitSet& p : run.result.partitions) {
+      const auto members = p.toVector();
+      add(members.size());
+      for (const auto b : members) add(static_cast<std::uint64_t>(b));
+    }
+    add(run.result.optionIndex.size());
+    for (const int option : run.result.optionIndex)
+      add(static_cast<std::uint64_t>(option));
+  }
+};
+
+TEST(WarmStart, TypedResultsMatchTheRecordedDigests) {
+  // Pins every typed result on the sweep -- partitions, options, explored
+  // and pruned -- for PareDown, fm, and the serial cold exact search.
+  // Any change to these digests is a change in typed behavior.
+  Fnv1a64 pareDown, fm, exact;
+  for (const TypedDesign& d : typedSweep()) {
+    pareDown.add(runPartitioner("paredown", d.net, d.model));
+    fm.add(runPartitioner("fm", d.net, d.model));
+    EngineOptions cold;
+    cold.threads = 1;
+    cold.seedFromPareDown = false;
+    exact.add(runPartitioner("exhaustive", d.net, d.model, cold));
+  }
+  EXPECT_EQ(pareDown.hash, 0x9e731863f3e403e2ull)
+      << std::hex << pareDown.hash;
+  EXPECT_EQ(fm.hash, 0x058b207ad74b03afull)
+      << std::hex << fm.hash;
+  EXPECT_EQ(exact.hash, 0x2de8e5f00d4b22e0ull)
+      << std::hex << exact.hash;
 }
 
 TEST(NodeBudget, ClipsTheSearchDeterministically) {

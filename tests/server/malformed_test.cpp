@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "blocks/catalog.h"
 #include "designs/library.h"
 #include "io/binary.h"
 #include "server/client.h"
@@ -202,6 +203,62 @@ TEST(MalformedBehavior, TooDeepNestingGetsSynthFailedNotACrash) {
     }
   EXPECT_EQ(server.stats().synthFailed, 4u);
   testutil::expectServerStillServes(server, designs::figure5());
+}
+
+TEST_F(MalformedInput, HugePortBudgetLeavesTheCatalogAlone) {
+  // The largest input budget the protocol admits (2^20) names the
+  // synthesized types prog_1048576x1_pK.  Encoding the reply must embed
+  // them, not materialize a million-port catalog type on the executor.
+  const Network net = designs::figure5();
+  const std::size_t typesBefore = blocks::defaultCatalog().names().size();
+  SynthRequest request = paredownRequest(1, net);
+  request.inputs = 1 << 20;
+  request.outputs = 1;
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connectTo("127.0.0.1", server_->port(), &error))
+      << error;
+  const CallResult result = client.call(request, /*timeoutMs=*/30000);
+  ASSERT_TRUE(result.ok()) << (result.error ? result.error->message
+                                            : "timeout");
+  testutil::expectBitIdentical(net, request, *result.response);
+  EXPECT_EQ(blocks::defaultCatalog().names().size(), typesBefore);
+}
+
+TEST_F(MalformedInput, HugeCatalogTypeInTheNetworkGetsOneBadRequest) {
+  // A well-framed request whose network names the catalog type
+  // prog_20000000x1: decoding it must fail cleanly on the loop thread,
+  // before any type is built.  The frame is a real one with a same-length
+  // catalog name swapped in and its checksum recomputed.
+  Network net = designs::figure5();
+  net.addBlock("hostile", blocks::defaultCatalog().delay(123456789));
+  const std::string frame = io::writeNetworkBinary(net);
+  std::string payload = frame.substr(16, frame.size() - 24);
+  const std::size_t at = payload.find("delay_123456789");
+  ASSERT_NE(at, std::string::npos);
+  payload.replace(at, 15, "prog_20000000x1");
+  io::BinaryWriter hostile;
+  hostile.bytes(payload);
+  SynthRequest request = paredownRequest(7, net);
+  request.networkFrame = hostile.finish(io::SectionTag::kNetwork);
+
+  const std::size_t typesBefore = blocks::defaultCatalog().names().size();
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connectTo("127.0.0.1", server_->port(), &error))
+      << error;
+  ASSERT_TRUE(client.sendFrame(encodeRequest(request), &error)) << error;
+  const auto msg = client.nextMessage(30000, &error);
+  ASSERT_TRUE(msg) << error;
+  ASSERT_EQ(msg->kind, ServerMessage::Kind::kError);
+  EXPECT_EQ(msg->error.id, request.id);
+  EXPECT_EQ(msg->error.code, ErrorCode::kBadRequest);
+  EXPECT_NE(msg->error.message.find("prog_20000000x1"), std::string::npos)
+      << msg->error.message;
+  // Exactly one reply: nothing else arrives for this request.
+  EXPECT_FALSE(client.nextMessage(200, &error));
+  EXPECT_EQ(blocks::defaultCatalog().names().size(), typesBefore);
+  testutil::expectServerStillServes(*server_, designs::figure5());
 }
 
 TEST_F(MalformedInput, GarbageFloodNeverWedgesTheServer) {
