@@ -27,7 +27,8 @@
 //   serve/load/p50_ms           informational; cost = median latency
 //   serve/load/p99_ms           informational; cost = tail latency
 //   serve/backpressure/served   deterministic; nodes = jobs landed after
-//                               retry, cost = 1 when >=1 reject was seen
+//                               retry, cost = 1 when the daemon shed >= 1
+//                               request with kOverloaded
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -298,10 +299,13 @@ bool backpressure(bench::BenchJson& json) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(result.error->retryAfterMs));
     }
-    // Pipeline two extra copies immediately: the first occupies the
-    // executor, the second the one-deep queue, so job 2's admission is
-    // rejected no matter how quickly the executor pops -- the client
-    // drops their out-of-band replies by id.
+    // Pipeline two extra copies immediately.  Copy 100 holds the
+    // executor for its whole 0.1 s limit, so copy 101 and job 2 cannot
+    // both fit the one-deep queue: if 101 lands before the executor pops
+    // 100, 101 is shed and job 2 is admitted once 100 is popped;
+    // otherwise 101 takes the queue and job 2 is shed.  The client drops
+    // the copies' out-of-band replies by id, so only the daemon's count
+    // sees a shed copy.
     if (id == 1) {
       for (std::uint64_t crowdId : {100ull, 101ull}) {
         server::SynthRequest crowd = request;
@@ -312,11 +316,12 @@ bool backpressure(bench::BenchJson& json) {
   }
   const server::ServerStats stats = daemon.stats();
   std::printf("\nBackpressure: %llu served, %llu shed with retry-after "
-              "(accepted=%llu completed=%llu)\n",
+              "(accepted=%llu completed=%llu rejectedOverload=%llu)\n",
               static_cast<unsigned long long>(served),
               static_cast<unsigned long long>(rejected),
               static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.completed));
+              static_cast<unsigned long long>(stats.completed),
+              static_cast<unsigned long long>(stats.rejectedOverload));
   if (served != kJobs) {
     std::fprintf(stderr, "bench_load: retry loop lost a job\n");
     return false;
@@ -326,7 +331,7 @@ bool backpressure(bench::BenchJson& json) {
   record.workload = "serve/backpressure/served";
   record.deterministic = true;
   record.nodes = served;
-  record.cost = rejected > 0 ? 1.0 : 0.0;
+  record.cost = stats.rejectedOverload > 0 ? 1.0 : 0.0;
   json.add(record);
   return true;
 }

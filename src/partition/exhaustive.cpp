@@ -68,16 +68,14 @@ struct Bin {
 
 /// The paper's objective: every bin and every uncovered block costs one
 /// unit, and a bin is a valid partition when it has >= 2 members and fits
-/// the port budget (plus the optional convexity and acyclic-quotient
-/// requirements).
+/// the port budget (plus the optional convexity requirement).
 class PlainCost {
  public:
   PlainCost(const PartitionProblem& problem, const ExhaustiveOptions& options)
       : net_(&problem.network()),
         spec_(problem.spec()),
         edgesMode_(spec_.mode == CountingMode::kEdges),
-        requireConvex_(options.requireConvex),
-        requireAcyclicQuotient_(options.requireAcyclicQuotient) {}
+        requireConvex_(options.requireConvex) {}
 
   int cost(std::size_t bins, int uncovered) const {
     return static_cast<int>(bins) + uncovered;
@@ -121,51 +119,14 @@ class PlainCost {
       if (requireConvex_ && !isConvex(*net_, bin.members()))
         return std::nullopt;
     }
-    if (requireAcyclicQuotient_ && !quotientAcyclic(bins, binCount))
-      return std::nullopt;
     return total;
   }
 
  private:
-  /// Checks that contracting every bin leaves the block graph acyclic.
-  bool quotientAcyclic(const Bin* bins, std::size_t binCount) const {
-    // Map each block to its group: bins get ids [n, n+k), others self.
-    const std::size_t n = net_->blockCount();
-    std::vector<std::uint32_t> group(n);
-    for (std::size_t i = 0; i < n; ++i)
-      group[i] = static_cast<std::uint32_t>(i);
-    for (std::size_t k = 0; k < binCount; ++k)
-      bins[k].counter.members().forEach([&](std::size_t b) {
-        group[b] = static_cast<std::uint32_t>(n + k);
-      });
-    const std::size_t total = n + binCount;
-    std::vector<std::vector<std::uint32_t>> adj(total);
-    std::vector<int> indeg(total, 0);
-    for (const Connection& c : net_->connections()) {
-      const std::uint32_t u = group[c.from.block], v = group[c.to.block];
-      if (u == v) continue;
-      adj[u].push_back(v);
-      ++indeg[v];
-    }
-    std::vector<std::uint32_t> stack;
-    for (std::size_t v = 0; v < total; ++v)
-      if (indeg[v] == 0) stack.push_back(static_cast<std::uint32_t>(v));
-    std::size_t seen = 0;
-    while (!stack.empty()) {
-      const std::uint32_t u = stack.back();
-      stack.pop_back();
-      ++seen;
-      for (std::uint32_t v : adj[u])
-        if (--indeg[v] == 0) stack.push_back(v);
-    }
-    return seen == total;
-  }
-
   const Network* net_;
   ProgBlockSpec spec_;
   bool edgesMode_;
   bool requireConvex_;
-  bool requireAcyclicQuotient_;
 };
 
 /// Section 6's cost model in exact milli-units (toMilliCosts): a bin
@@ -338,6 +299,7 @@ class Worker {
         workerId_(workerId),
         pruning_(ctx.options.pruningBound),
         frozen_(ctx.baseFrozen),
+        owner_(ctx.graph.blockCount(), kUncovered),
         bestKey_(packKey(ctx.initialBound, 0)) {
     bins_.reserve(ctx.inner.size() + 1);
     choice_.reserve(ctx.inner.size());
@@ -350,15 +312,13 @@ class Worker {
     int uncovered = 0;
     for (std::size_t i = 0; i < task.choice.size(); ++i) {
       const std::int16_t c = task.choice[i];
-      const BlockId b = ctx_.inner[i];
       if (c == kUncovered) {
         ++uncovered;
-        if (pruning_) freezeAssigned(b, kNoOwnBin);
-        continue;
+      } else {
+        if (static_cast<std::size_t>(c) == binCount_) openBin();
+        addToBin(static_cast<std::size_t>(c), i);
       }
-      if (static_cast<std::size_t>(c) == binCount_) openBin();
-      addToBin(static_cast<std::size_t>(c), i);
-      if (pruning_) freezeAssigned(b, static_cast<std::size_t>(c));
+      if (pruning_) freezeAssigned(ctx_.inner[i], c);
     }
     dfs(task.choice.size(), uncovered, task.ordLo, task.ordHi);
   }
@@ -381,8 +341,6 @@ class Worker {
   Partitioning takeBest() { return std::move(best_); }
 
  private:
-  static constexpr std::size_t kNoOwnBin = static_cast<std::size_t>(-1);
-
   void resetBins() {
     for (std::size_t j = 0; j < binCount_; ++j) {
       bins_[j].counter.clear();
@@ -390,6 +348,7 @@ class Worker {
       bins_[j].fixedOut = 0;
     }
     binCount_ = 0;
+    std::fill(owner_.begin(), owner_.end(), kUncovered);
     if (pruning_) frozen_ = ctx_.baseFrozen;
   }
 
@@ -400,18 +359,35 @@ class Worker {
   }
 
   /// Marks just-assigned block `b` frozen (its fate is fixed for the
-  /// whole subtree) and tells every *other* open bin, whose crossing
-  /// edges to `b` just turned irreducible.  `own` is the bin `b` joined
-  /// (kNoOwnBin when left uncovered).
-  void freezeAssigned(BlockId b, std::size_t own) {
+  /// whole subtree) and walks its arcs once: every arc whose far end
+  /// sits in another open bin just became an irreducible output
+  /// (u -> b) or input (b -> v) of that bin.  `own` is the bin `b`
+  /// joined, kUncovered when left uncovered.  O(degree(b)).
+  void freezeAssigned(BlockId b, std::int16_t own) {
     frozen_.set(b);
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].counter.freeze(b);
+    for (const CompactArc& a : ctx_.graph.inArcs(b)) {
+      const std::int16_t k = owner_[a.neighbor];
+      if (k != kUncovered && k != own)
+        bins_[static_cast<std::size_t>(k)].counter.freezeOutput(a);
+    }
+    for (const CompactArc& a : ctx_.graph.outArcs(b)) {
+      const std::int16_t k = owner_[a.neighbor];
+      if (k != kUncovered && k != own)
+        bins_[static_cast<std::size_t>(k)].counter.freezeInput(a);
+    }
   }
 
-  void unfreezeAssigned(BlockId b, std::size_t own) {
-    for (std::size_t j = 0; j < binCount_; ++j)
-      if (j != own) bins_[j].counter.unfreeze(b);
+  void unfreezeAssigned(BlockId b, std::int16_t own) {
+    for (const CompactArc& a : ctx_.graph.inArcs(b)) {
+      const std::int16_t k = owner_[a.neighbor];
+      if (k != kUncovered && k != own)
+        bins_[static_cast<std::size_t>(k)].counter.unfreezeOutput(a);
+    }
+    for (const CompactArc& a : ctx_.graph.outArcs(b)) {
+      const std::int16_t k = owner_[a.neighbor];
+      if (k != kUncovered && k != own)
+        bins_[static_cast<std::size_t>(k)].counter.unfreezeInput(a);
+    }
     frozen_.reset(b);
   }
 
@@ -421,9 +397,11 @@ class Worker {
     bins_[j].counter.add(ctx_.inner[i]);
     bins_[j].fixedIn += ctx_.fixedIn[i];
     bins_[j].fixedOut += ctx_.fixedOut[i];
+    owner_[ctx_.inner[i]] = static_cast<std::int16_t>(j);
   }
 
   void removeFromBin(std::size_t j, std::size_t i) {
+    owner_[ctx_.inner[i]] = kUncovered;
     bins_[j].fixedOut -= ctx_.fixedOut[i];
     bins_[j].fixedIn -= ctx_.fixedIn[i];
     bins_[j].counter.remove(ctx_.inner[i]);
@@ -540,35 +518,37 @@ class Worker {
     };
     for (std::size_t j = 0; j < openBins; ++j) {
       if (!canJoin(j, idx)) continue;
-      visit(static_cast<std::int16_t>(j), uncovered,
+      const auto c = static_cast<std::int16_t>(j);
+      visit(c, uncovered,
             [&] {
               addToBin(j, idx);
-              if (pruning_) freezeAssigned(b, j);
+              if (pruning_) freezeAssigned(b, c);
             },
             [&] {
-              if (pruning_) unfreezeAssigned(b, j);
+              if (pruning_) unfreezeAssigned(b, c);
               removeFromBin(j, idx);
             });
     }
     if (newBin) {
-      visit(static_cast<std::int16_t>(openBins), uncovered,
+      const auto c = static_cast<std::int16_t>(openBins);
+      visit(c, uncovered,
             [&] {
               openBin();
-              addToBin(binCount_ - 1, idx);
-              if (pruning_) freezeAssigned(b, binCount_ - 1);
+              addToBin(openBins, idx);
+              if (pruning_) freezeAssigned(b, c);
             },
             [&] {
-              if (pruning_) unfreezeAssigned(b, binCount_ - 1);
-              removeFromBin(binCount_ - 1, idx);
+              if (pruning_) unfreezeAssigned(b, c);
+              removeFromBin(openBins, idx);
               --binCount_;
             });
     }
     visit(kUncovered, uncovered + 1,
           [&] {
-            if (pruning_) freezeAssigned(b, kNoOwnBin);
+            if (pruning_) freezeAssigned(b, kUncovered);
           },
           [&] {
-            if (pruning_) unfreezeAssigned(b, kNoOwnBin);
+            if (pruning_) unfreezeAssigned(b, kUncovered);
           });
   }
 
@@ -602,6 +582,9 @@ class Worker {
   int workerId_ = 0;
   bool pruning_ = false;
   BitSet frozen_;  // non-inner + assigned prefix; bins point at this
+  // The open bin holding each block id, kUncovered when in none: lets
+  // freezeAssigned() notify only the bins that border the block.
+  std::vector<std::int16_t> owner_;
   std::vector<Bin> bins_;  // pool; the first binCount_ entries are live
   std::size_t binCount_ = 0;
   std::vector<std::int16_t> choice_;  // live assignment of blocks [0, idx)

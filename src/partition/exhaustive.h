@@ -18,7 +18,9 @@
 // the admissible lower-bound layer: per-bin *irreducible* crossing I/O
 // (signals to non-inner blocks and to blocks the search already fixed
 // elsewhere -- maintained incrementally by PortCounter's frozen-set
-// tracking, sound in both counting modes) kills subtrees whose bins can
+// tracking, sound in both counting modes; assigning a block notifies
+// only the bins holding its neighbors, so a node costs O(degree) of
+// bookkeeping however many bins are open) kills subtrees whose bins can
 // no longer fit any completion, and a per-block unbinnable floor adds
 // the cost every remaining unplaceable block must pay.  The bound is
 // admissible (never exceeds the cost of any valid completion), so
@@ -60,11 +62,6 @@ struct ExhaustiveOptions {
   /// itself can produce non-convex partitions in later rounds.  A
   /// plain-problem rule: multiTypeExhaustive ignores it.
   bool requireConvex = false;
-  /// Additionally require the replaced network to stay acyclic at the
-  /// block level.  The packet protocol tolerates benign block-level
-  /// cycles, so this defaults off; see the ablation bench.  A
-  /// plain-problem rule: multiTypeExhaustive ignores it.
-  bool requireAcyclicQuotient = false;
   /// Seed the branch-and-bound with a known solution (commonly PareDown's).
   /// Purely an accelerator: never changes the optimum found.  A seed that
   /// fails verification is ignored: the plain search wants valid,

@@ -97,14 +97,14 @@ PartitionRun multiTypePareDown(const Network& net,
 
 /// Exhaustive branch-and-bound over assignments and option choices, on
 /// the plain search's kernel (exhaustive.cpp) and options.  The plain
-/// problem's rules -- requireConvex and requireAcyclicQuotient -- do not
-/// apply and are ignored.  pruningBound generalizes to the cost model:
-/// each bin's future option cost is floored by the cheapest option
-/// fitting its *irreducible* crossing I/O (a bin fitting no option kills
-/// the subtree), and remaining blocks no option can ever host each add
-/// preDefinedBlockCost.  A verified seed is purely an accelerator: the
-/// result is bit-identical to the unseeded search's, at every thread
-/// count, with the bound on or off.
+/// problem's requireConvex rule does not apply and is ignored.
+/// pruningBound generalizes to the cost model: each bin's future option
+/// cost is floored by the cheapest option fitting its *irreducible*
+/// crossing I/O (a bin fitting no option kills the subtree), and
+/// remaining blocks no option can ever host each add preDefinedBlockCost.
+/// A verified seed is purely an accelerator: the result is bit-identical
+/// to the unseeded search's, at every thread count, with the bound on or
+/// off.
 PartitionRun multiTypeExhaustive(const Network& net,
                                  const ProgCostModel& model,
                                  const ExhaustiveOptions& options = {});

@@ -98,40 +98,6 @@ void PortCounter::remove(BlockId b) {
   if (tracking_ == BorderTracking::kOn) trackRemove(b);
 }
 
-void PortCounter::freeze(BlockId x) {
-  assert(!members_.test(x) && "freeze: block is a member");
-  // x just became permanently un-addable: each crossing edge between x
-  // and a member turns irreducible.  Edges between x and non-members are
-  // not crossing and contribute nothing (if their other end joins later,
-  // add() will see x's frozen bit).
-  if (mode_ == CountingMode::kEdges) {
-    for (const CompactArc& a : graph_->outArcs(x))  // x -> member: input
-      if (members_.test(a.neighbor)) ++fixed_.inputs;
-    for (const CompactArc& a : graph_->inArcs(x))  // member -> x: output
-      if (members_.test(a.neighbor)) ++fixed_.outputs;
-  } else {
-    for (const CompactArc& a : graph_->outArcs(x))
-      if (members_.test(a.neighbor)) fixedIncIn(a.endpoint);
-    for (const CompactArc& a : graph_->inArcs(x))
-      if (members_.test(a.neighbor)) fixedIncOut(a.endpoint);
-  }
-}
-
-void PortCounter::unfreeze(BlockId x) {
-  assert(!members_.test(x) && "unfreeze: block is a member");
-  if (mode_ == CountingMode::kEdges) {
-    for (const CompactArc& a : graph_->outArcs(x))
-      if (members_.test(a.neighbor)) --fixed_.inputs;
-    for (const CompactArc& a : graph_->inArcs(x))
-      if (members_.test(a.neighbor)) --fixed_.outputs;
-  } else {
-    for (const CompactArc& a : graph_->outArcs(x))
-      if (members_.test(a.neighbor)) fixedDecIn(a.endpoint);
-    for (const CompactArc& a : graph_->inArcs(x))
-      if (members_.test(a.neighbor)) fixedDecOut(a.endpoint);
-  }
-}
-
 void PortCounter::trackAdd(BlockId b) {
   // Called with members_ still *excluding* b.  b's own internal degrees
   // are counted from scratch (O(degree)); each member neighbor gains one

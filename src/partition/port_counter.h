@@ -41,9 +41,12 @@
 // on the full io() would be unsound (adding a member can internalize
 // shared fanout and *shrink* the count; it can never shrink the frozen
 // part, because a frozen endpoint stays outside forever).  Tracking is
-// enabled by handing the constructor a caller-owned frozen BitSet;
-// freeze()/unfreeze() notify the counter when an outside block's bit
-// flips, in O(degree) per flip.
+// enabled by handing the constructor a caller-owned frozen BitSet.
+// When an outside block's bit flips, the caller walks that block's arcs
+// and reports each one whose far end is a member through
+// freezeInput()/freezeOutput() (or their inverses), O(1) per arc.  The
+// caller knows which set holds each neighbor, so a block that borders
+// several sets costs O(degree) in total, not O(sets * degree).
 //
 // countIo(), borderBlocks(), and removalRank() in core/subgraph.h remain
 // the independent from-scratch references; the randomized kernel tests
@@ -135,9 +138,11 @@ class PortCounter {
   /// outside endpoint block is in `*frozen`.  The caller owns the bit
   /// flips and must keep the counter in sync: add(b)/remove(b) require
   /// `b` itself to be un-frozen at call time, and every flip of an
-  /// *outside* block's bit must be bracketed by freeze()/unfreeze()
-  /// calls on this counter (flipping a bit while the block is a member
-  /// needs no call -- members have no crossing edges to themselves).
+  /// *outside* block's bit must be reported, one crossing arc at a time,
+  /// through freezeInput()/freezeOutput() (bit set) or
+  /// unfreezeInput()/unfreezeOutput() (bit cleared).  Flipping a bit
+  /// while the block is a member needs no call -- members have no
+  /// crossing edges to themselves.
   PortCounter(const CompactGraph& graph, CountingMode mode,
               BorderTracking tracking = BorderTracking::kOff,
               const BitSet* frozen = nullptr)
@@ -179,15 +184,38 @@ class PortCounter {
   /// Requires a frozen set at construction.
   const IoCount& fixedIo() const { return fixed_; }
 
-  /// Notifies the counter that outside block `x` was frozen (its bit in
-  /// the shared frozen set was just set): crossing edges between `x` and
-  /// members become irreducible.  O(degree(x)).  `x` must not be a
-  /// member.
-  void freeze(BlockId x);
+  /// Reports that crossing connection `arc` just became irreducible: its
+  /// outside end was frozen.  freezeInput() is for an input of the set
+  /// (outside -> member), freezeOutput() for an output (member ->
+  /// outside).  `arc` may come from either end's adjacency list; only
+  /// its source endpoint is read.  O(1).
+  void freezeInput(const CompactArc& arc) {
+    if (mode_ == CountingMode::kEdges)
+      ++fixed_.inputs;
+    else
+      fixedIncIn(arc.endpoint);
+  }
+  void freezeOutput(const CompactArc& arc) {
+    if (mode_ == CountingMode::kEdges)
+      ++fixed_.outputs;
+    else
+      fixedIncOut(arc.endpoint);
+  }
 
-  /// Exact inverse of freeze(); call before (or after) clearing `x`'s
-  /// bit in the shared frozen set.
-  void unfreeze(BlockId x);
+  /// Exact inverses of freezeInput()/freezeOutput(), for when the
+  /// outside end is un-frozen again.
+  void unfreezeInput(const CompactArc& arc) {
+    if (mode_ == CountingMode::kEdges)
+      --fixed_.inputs;
+    else
+      fixedDecIn(arc.endpoint);
+  }
+  void unfreezeOutput(const CompactArc& arc) {
+    if (mode_ == CountingMode::kEdges)
+      --fixed_.outputs;
+    else
+      fixedDecOut(arc.endpoint);
+  }
 
   /// The current border members; always equal (as a set) to
   /// borderBlocks(net, members()).  Requires BorderTracking::kOn.

@@ -107,38 +107,6 @@ TEST(Exhaustive, InvalidSeedIsIgnored) {
   EXPECT_TRUE(verifyPartitioning(problem, run.result).empty());
 }
 
-TEST(Exhaustive, AcyclicQuotientOptionTightens) {
-  // Two disjoint convex pairs wired a->c and d->b create a quotient cycle
-  // when partitioned as {a,b} and {c,d}.
-  const auto& cat = defaultCatalog();
-  Network net;
-  const BlockId s1 = net.addBlock("s1", cat.button());
-  const BlockId s2 = net.addBlock("s2", cat.button());
-  const BlockId a = net.addBlock("a", cat.inverter());
-  const BlockId b = net.addBlock("b", cat.and2());
-  const BlockId c = net.addBlock("c", cat.and2());
-  const BlockId d = net.addBlock("d", cat.inverter());
-  const BlockId o1 = net.addBlock("o1", cat.led());
-  const BlockId o2 = net.addBlock("o2", cat.led());
-  net.connect(s1, 0, a, 0);
-  net.connect(s2, 0, d, 0);
-  net.connect(a, 0, c, 0);
-  net.connect(s1, 0, c, 1);
-  net.connect(d, 0, b, 0);
-  net.connect(s2, 0, b, 1);
-  net.connect(b, 0, o1, 0);
-  net.connect(c, 0, o2, 0);
-  const PartitionProblem problem(net, ProgBlockSpec{});
-  ExhaustiveOptions strict;
-  strict.requireAcyclicQuotient = true;
-  const PartitionRun loose = exhaustiveSearch(problem);
-  const PartitionRun tight = exhaustiveSearch(problem, strict);
-  EXPECT_LE(loose.result.totalAfter(4), tight.result.totalAfter(4));
-  // The strict result's quotient must be acyclic by construction; verify
-  // the loose one found at least as good a cost.
-  EXPECT_TRUE(verifyPartitioning(problem, tight.result).empty());
-}
-
 TEST(Exhaustive, ExploredCounterGrowsWithProblemSize) {
   std::uint64_t prev = 0;
   for (int n : {4, 6, 8}) {

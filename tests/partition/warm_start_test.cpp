@@ -2,9 +2,9 @@
 // shared atomic incumbent.  Contract: the returned optimum is
 // bit-identical to the unseeded search's at every thread count, and the
 // seeded search explores fewer (or equal) nodes -- the heuristic as a
-// pruning accelerator.  Also pins every typed result on the typed sweep
-// by digest, and covers ExhaustiveOptions::nodeBudget, the LNS repair
-// oracle's leash.
+// pruning accelerator.  Also pins the plain exact search and every typed
+// result by digest, and covers ExhaustiveOptions::nodeBudget, the LNS
+// repair oracle's leash.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,6 +17,7 @@
 #include "partition/fm_refine.h"
 #include "partition/greedy_seed.h"
 #include "partition/multitype.h"
+#include "partition/paredown.h"
 #include "partition/verify.h"
 #include "randgen/generator.h"
 
@@ -315,6 +316,48 @@ TEST(WarmStart, TypedResultsMatchTheRecordedDigests) {
       << std::hex << fm.hash;
   EXPECT_EQ(exact.hash, 0x2de8e5f00d4b22e0ull)
       << std::hex << exact.hash;
+}
+
+TEST(WarmStart, PlainExactResultsMatchTheRecordedDigests) {
+  // Pins the serial plain search -- partitions, explored and pruned --
+  // in both counting modes, in three legs: cold with the bound on,
+  // PareDown-seeded with the bound on, and PareDown-seeded unpruned.
+  // The sweep is the Table-1 rows with <= 13 inner blocks, the pruning
+  // suite's 25 random designs and largeNetwork(14, 1..5); the unpruned
+  // leg skips the 14-inner designs (~6.6e9 nodes).  Any change to these
+  // digests is a change in which nodes the search visits.
+  std::vector<Network> sweep;
+  for (const auto& entry : designs::designLibrary())
+    if (entry.innerBlocks <= 13) sweep.push_back(entry.network);
+  for (std::uint32_t seed = 1; seed <= 25; ++seed)
+    sweep.push_back(randgen::randomNetwork(
+        {.innerBlocks = 8 + static_cast<int>(seed % 3), .seed = seed}));
+  for (std::uint32_t seed = 1; seed <= 5; ++seed)
+    sweep.push_back(randgen::randomNetwork(
+        randgen::GeneratorOptions::largeNetwork(14, seed)));
+  ASSERT_EQ(sweep.size(), 42u);
+
+  Fnv1a64 cold, seeded, unpruned;
+  for (const Network& net : sweep) {
+    for (const CountingMode mode :
+         {CountingMode::kEdges, CountingMode::kSignals}) {
+      const PartitionProblem problem(
+          net, ProgBlockSpec{.inputs = 2, .outputs = 2, .mode = mode});
+      ExhaustiveOptions options;
+      options.threads = 1;
+      cold.add(exhaustiveSearch(problem, options));
+      options.seed = pareDown(problem).result;
+      seeded.add(exhaustiveSearch(problem, options));
+      if (problem.innerCount() >= 14) continue;
+      options.pruningBound = false;
+      unpruned.add(exhaustiveSearch(problem, options));
+    }
+  }
+  EXPECT_EQ(cold.hash, 0x3306a08615aa7789ull) << std::hex << cold.hash;
+  EXPECT_EQ(seeded.hash, 0x2a41f4cab59d14ecull)
+      << std::hex << seeded.hash;
+  EXPECT_EQ(unpruned.hash, 0xae277c3df0e6f540ull)
+      << std::hex << unpruned.hash;
 }
 
 TEST(NodeBudget, ClipsTheSearchDeterministically) {
