@@ -21,13 +21,14 @@
 // Usage: bench_cache [repeats] [--json=PATH]
 //   repeats  cache-served requests per design (default 32)
 //
-// JSON records ("eblocks-bench-partition/1", see docs/benchmarks.md):
-//   cache/<design>/cold   deterministic; nodes = explored (seeded serial
-//                         search), cost = inner blocks after synthesis
-//   cache/<design>/warm   informational; seconds = mean hit latency,
-//                         cost = cold/warm speedup
-//   cache/mix/hit_rate    informational; nodes = hits, cost = hit rate
-//                         over the whole repeated+renamed mix
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md):
+//   cache/<design>  one per design
+//     exact  nodes, pruned, inner_after  of the cold run (seeded serial
+//            search; inner_after = inner blocks after synthesis)
+//     info   cold_seconds, hit_seconds (mean over the repeats), speedup
+//   cache/mix       the whole repeated+renamed mix
+//     info   hits, hit_rate, scaled_speedup (the scaled tier's
+//            mean-cold over mean-hit)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -109,21 +110,13 @@ MixResult runMix(const std::string& name, const eblocks::Network& net,
               static_cast<unsigned long long>(cold.run.explored), mix.coldSec,
               mix.hitSec, speedup);
 
-  eblocks::bench::BenchRecord det;
-  det.workload = "cache/" + name + "/cold";
-  det.deterministic = true;
-  det.nodes = cold.run.explored;
-  det.pruned = cold.run.pruned;
-  det.seconds = mix.coldSec;
-  det.cost = cold.innerAfter;
-  json.add(det);
-  eblocks::bench::BenchRecord info;
-  info.workload = "cache/" + name + "/warm";
-  info.deterministic = false;
-  info.nodes = static_cast<std::uint64_t>(repeats);
-  info.seconds = mix.hitSec;
-  info.cost = speedup;
-  json.add(info);
+  json.add("cache/" + name, true,
+           {{"nodes", cold.run.explored},
+            {"pruned", cold.run.pruned},
+            {"inner_after", cold.innerAfter}},
+           {{"cold_seconds", mix.coldSec},
+            {"hit_seconds", mix.hitSec},
+            {"speedup", speedup}});
   return mix;
 }
 
@@ -194,12 +187,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  eblocks::bench::BenchRecord mix;
-  mix.workload = "cache/mix/hit_rate";
-  mix.deterministic = false;
-  mix.nodes = stats.hits;
-  mix.seconds = hitTotal;
-  mix.cost = rate;
-  json.add(mix);
+  json.add("cache/mix", false,
+           {{"hits", stats.hits},
+            {"hit_rate", rate},
+            {"scaled_speedup", overall}});
   return json.write() ? 0 : 1;
 }

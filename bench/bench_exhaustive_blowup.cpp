@@ -16,10 +16,13 @@
 //
 // Usage: bench_exhaustive_blowup [max-inner] [per-size] [limit-seconds]
 //                                [--json=PATH]
-// With --json the per-size aggregates are recorded as
-// "eblocks-bench-partition/1" records (see docs/benchmarks.md); rows
-// where every run completed are flagged deterministic and diffed against
-// the committed baseline by scripts/compare_bench.py.
+//
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md), one per
+// family and size, `<mode>/n=<inner>/per=<designs>`, summed over the
+// size's designs:
+//   exact  nodes, unpruned_nodes, pruned, cost (blocks after) -- exact
+//          only when no run timed out, informational otherwise
+//   info   seconds  of the pruned runs
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -91,15 +94,14 @@ bool runFamily(CountingMode mode, int maxInner, int perSize, double limit,
                 prNodes > 0 ? unNodes / prNodes : 0.0,
                 prSubtrees / perSize, timeouts, prTime / perSize,
                 pdTime / perSize);
-    json.add(bench::BenchRecord{
-        .workload = std::string(toString(mode)) + "/n=" + std::to_string(n) +
-                    "/per=" + std::to_string(perSize),
-        .deterministic = timeouts == 0,
-        .nodes = static_cast<std::uint64_t>(prNodes),
-        .nodesUnpruned = static_cast<std::uint64_t>(unNodes),
-        .pruned = static_cast<std::uint64_t>(prSubtrees),
-        .seconds = prTime,
-        .cost = cost});
+    json.add(std::string(toString(mode)) + "/n=" + std::to_string(n) +
+                 "/per=" + std::to_string(perSize),
+             timeouts == 0,
+             {{"nodes", prNodes},
+              {"unpruned_nodes", unNodes},
+              {"pruned", prSubtrees},
+              {"cost", cost}},
+             {{"seconds", prTime}});
   }
   std::printf("\n");
   return ok;

@@ -18,17 +18,18 @@
 //   clients   concurrent connections in the throughput phase (default 8)
 //   requests  pipelined requests per connection (default 16)
 //
-// JSON records ("eblocks-bench-partition/1", see docs/benchmarks.md):
-//   serve/identity/<design>     deterministic; nodes = explored over the
-//                               wire, cost = inner blocks after synthesis
-//   serve/load/completed        deterministic; nodes = replies received
-//                               (clients * requests -- the no-drop bar)
-//   serve/load/rps              informational; cost = requests/second
-//   serve/load/p50_ms           informational; cost = median latency
-//   serve/load/p99_ms           informational; cost = tail latency
-//   serve/backpressure/served   deterministic; nodes = jobs landed after
-//                               retry, cost = 1 when the daemon shed >= 1
-//                               request with kOverloaded
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md):
+//   serve/identity/<design>
+//     exact  nodes, pruned, inner_after  as served over the wire
+//     info   seconds  (one call's wall time)
+//   serve/load
+//     exact  completed  replies received (clients * requests -- the
+//                       no-drop bar), clients
+//     info   seconds, rps, p50_ms, p99_ms
+//   serve/backpressure
+//     exact  served  jobs landed after retry
+//            shed    1 when the daemon shed >= 1 request with kOverloaded
+//     info   rejected_overload  the daemon's count of shed requests
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -108,7 +109,7 @@ bool identicalToLocal(const Network& net, const server::SynthRequest& request,
 }
 
 /// Phase 1: every library design over the wire, checked against the
-/// local pipeline; the explored counts become deterministic records.
+/// local pipeline; the explored counts become exact JSON values.
 bool identitySweep(bench::BenchJson& json) {
   server::Server daemon(serverOptions(/*executors=*/2, /*queue=*/8));
   std::string error;
@@ -147,14 +148,11 @@ bool identitySweep(bench::BenchJson& json) {
                 static_cast<unsigned long long>(run.explored),
                 result.response->programmableBlocks, ms);
 
-    bench::BenchRecord record;
-    record.workload = "serve/identity/" + entry.name;
-    record.deterministic = true;
-    record.nodes = run.explored;
-    record.pruned = run.pruned;
-    record.seconds = ms / 1e3;
-    record.cost = result.response->innerAfter;
-    json.add(record);
+    json.add("serve/identity/" + entry.name, true,
+             {{"nodes", run.explored},
+              {"pruned", run.pruned},
+              {"inner_after", result.response->innerAfter}},
+             {{"seconds", ms / 1e3}});
   }
   return true;
 }
@@ -233,25 +231,12 @@ bool throughput(int clients, int requests, bench::BenchJson& json) {
     return false;
   }
 
-  bench::BenchRecord det;
-  det.workload = "serve/load/completed";
-  det.deterministic = true;
-  det.nodes = completed;
-  det.seconds = elapsed;
-  det.cost = clients;
-  json.add(det);
-  for (const auto& [name, value] :
-       {std::pair<const char*, double>{"serve/load/rps", rps},
-        {"serve/load/p50_ms", p50},
-        {"serve/load/p99_ms", p99}}) {
-    bench::BenchRecord info;
-    info.workload = name;
-    info.deterministic = false;
-    info.nodes = completed;
-    info.seconds = elapsed;
-    info.cost = value;
-    json.add(info);
-  }
+  json.add("serve/load", true,
+           {{"completed", completed}, {"clients", clients}},
+           {{"seconds", elapsed},
+            {"rps", rps},
+            {"p50_ms", p50},
+            {"p99_ms", p99}});
   return true;
 }
 
@@ -327,12 +312,9 @@ bool backpressure(bench::BenchJson& json) {
     return false;
   }
 
-  bench::BenchRecord record;
-  record.workload = "serve/backpressure/served";
-  record.deterministic = true;
-  record.nodes = served;
-  record.cost = stats.rejectedOverload > 0 ? 1.0 : 0.0;
-  json.add(record);
+  json.add("serve/backpressure", true,
+           {{"served", served}, {"shed", stats.rejectedOverload > 0 ? 1 : 0}},
+           {{"rejected_overload", stats.rejectedOverload}});
   return true;
 }
 

@@ -7,16 +7,20 @@
 // random walk, kEdges vs kSignals, with and without frozen-set
 // tracking), prints adds+removes/sec, and verifies the per-move hot
 // path performs ZERO heap allocations after warm-up by counting global
-// operator new calls around the timed window (non-zero exits 1 -- that
-// exit code, not the JSON diff, is what enforces the zero-alloc
-// invariant).  With --json=PATH those workloads are recorded as
-// eblocks-bench-partition/1 records: `nodes` is the fixed move count
-// (the field scripts/compare_bench.py diffs), `cost` a deterministic
-// io-trace checksum of the walk (a symmetric miscount cannot hide in
-// it), `pruned` the observed allocation count, and the timing fields
-// informational.
+// operator new calls around the timed window (non-zero exits 1).
 //
 // Usage: bench_micro [--json=PATH] [google-benchmark flags]
+//
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md):
+//   moves/<kernel>/n=<inner>
+//     exact  moves     adds+removes in the timed window (fixed)
+//            allocs    heap allocations in that window (must stay 0)
+//            checksum  io-trace checksum of the walk (a symmetric
+//                      miscount cannot hide in it)
+//     info   seconds
+//   failpoint/disabled
+//     exact  checks, fired, allocs  (fired and allocs must stay 0)
+//     info   seconds, ns_per_check
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -243,21 +247,18 @@ bool runMoveWorkload(const char* name, int inner, CountingMode mode,
   const std::uint64_t allocs =
       gAllocCount.load(std::memory_order_relaxed) - allocsBefore;
   const double mps = static_cast<double>(kMoves) / seconds / 1e6;
-  // The io-trace checksum, folded to double-exact range (< 2^53) since
-  // BenchRecord::cost is a double.
-  const double fingerprint = static_cast<double>(checksum % 900000007ull);
+  // The io-trace checksum, folded below 2^53 so a JSON number holds it
+  // exactly.
+  const std::uint64_t fingerprint = checksum % 900000007ull;
   std::printf("%-28s n=%-4d %8.2f Mmoves/s  (%zu moves, %.4fs, "
-              "%llu allocs, io-checksum=%.0f)\n",
+              "%llu allocs, io-checksum=%llu)\n",
               name, inner, mps, kMoves, seconds,
-              static_cast<unsigned long long>(allocs), fingerprint);
-  json.add(eblocks::bench::BenchRecord{
-      .workload = std::string("moves/") + name + "/n=" + std::to_string(inner),
-      .deterministic = true,  // the move count is fixed by construction
-      .nodes = kMoves,
-      .nodesUnpruned = 0,
-      .pruned = allocs,  // steady-state allocations: must stay 0
-      .seconds = seconds,
-      .cost = fingerprint});
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(fingerprint));
+  json.add(std::string("moves/") + name + "/n=" + std::to_string(inner),
+           true,
+           {{"moves", kMoves}, {"allocs", allocs}, {"checksum", fingerprint}},
+           {{"seconds", seconds}});
   if (allocs != 0)
     std::fprintf(stderr,
                  "!! %s n=%d: %llu heap allocations on the move hot path "
@@ -268,10 +269,9 @@ bool runMoveWorkload(const char* name, int inner, CountingMode mode,
 
 /// The zero-overhead-when-disabled guard for the failpoint subsystem
 /// (docs/robustness.md): 2^22 disarmed checks must fire nothing and
-/// allocate nothing, and the per-check cost lands in the JSON record so
-/// compare_bench.py flags a regression if the fast path ever grows a
-/// lock or an allocation.  `pruned` carries fired + allocs (must stay
-/// 0); `cost` is 0 by construction.
+/// allocate nothing (non-zero exit otherwise).  Both counts are exact
+/// JSON values, so compare_bench.py also warns if they move; the
+/// per-check cost is informational.
 bool runFailpointWorkload(eblocks::bench::BenchJson& json) {
   constexpr std::uint64_t kChecks = 1u << 22;
   core::failpoint::clearAll();
@@ -296,14 +296,9 @@ bool runFailpointWorkload(eblocks::bench::BenchJson& json) {
               static_cast<unsigned long long>(kChecks), seconds,
               static_cast<unsigned long long>(fired),
               static_cast<unsigned long long>(allocs));
-  json.add(eblocks::bench::BenchRecord{
-      .workload = "failpoint/disabled/checks",
-      .deterministic = true,
-      .nodes = kChecks,
-      .nodesUnpruned = 0,
-      .pruned = fired + allocs,  // both must stay 0
-      .seconds = seconds,
-      .cost = 0.0});
+  json.add("failpoint/disabled", true,
+           {{"checks", kChecks}, {"fired", fired}, {"allocs", allocs}},
+           {{"seconds", seconds}, {"ns_per_check", nsPerCheck}});
   if (fired != 0 || allocs != 0)
     std::fprintf(stderr,
                  "!! failpoint/disabled: %llu fired, %llu allocs on the "

@@ -22,10 +22,13 @@
 //
 // Usage: bench_parallel_speedup [max-inner] [per-size] [threads] [limit-s]
 //                               [--json=PATH]
-// With --json the per-size serial/parallel node counts and the
-// hub-and-spoke serial/parallel pair are recorded as
-// "eblocks-bench-partition/1" records; the serial rows are deterministic
-// and diffed against the committed baseline by scripts/compare_bench.py.
+//
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md), one per size,
+// `random/n=<inner>/per=<designs>` (summed over the size's designs), and
+// one for the unbalanced tree, `hub_spoke`:
+//   exact  nodes, pruned, cost (blocks after)  of the serial runs --
+//          exact only when every run completed, informational otherwise
+//   info   seconds (serial), threads, parallel_nodes, parallel_seconds
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -139,22 +142,15 @@ bool unbalancedTree(int threads, double limit,
   };
   row("serial", serial);
   row("work-stealing", steal);
-  json.add(eblocks::bench::BenchRecord{
-      .workload = "hub_spoke/serial/threads=1",
-      .deterministic = !serial.timedOut,
-      .nodes = serial.explored,
-      .nodesUnpruned = 0,
-      .pruned = serial.pruned,
-      .seconds = serial.seconds,
-      .cost = static_cast<double>(serial.result.totalAfter(n))});
-  json.add(eblocks::bench::BenchRecord{
-      .workload = "hub_spoke/steal/threads=" + std::to_string(threads),
-      .deterministic = false,  // steal timing varies node counts
-      .nodes = steal.explored,
-      .nodesUnpruned = 0,
-      .pruned = steal.pruned,
-      .seconds = steal.seconds,
-      .cost = static_cast<double>(steal.result.totalAfter(n))});
+  // Steal timing varies the parallel node count, so it is informational.
+  json.add("hub_spoke", !serial.timedOut,
+           {{"nodes", serial.explored},
+            {"pruned", serial.pruned},
+            {"cost", serial.result.totalAfter(n)}},
+           {{"seconds", serial.seconds},
+            {"threads", threads},
+            {"parallel_nodes", steal.explored},
+            {"parallel_seconds", steal.seconds}});
 
   if (serial.timedOut) {
     std::printf("  serial hit the limit; raise [limit-s] to compare "
@@ -240,25 +236,16 @@ int main(int argc, char** argv) {
                 parallelTime > 0 ? serialTime / parallelTime : 0.0,
                 serialNodes / perSize, parallelNodes / perSize, cost,
                 identical ? "yes" : "NO");
-    json.add(bench::BenchRecord{
-        .workload = "random/n=" + std::to_string(n) +
-                    "/per=" + std::to_string(perSize) + "/serial",
-        .deterministic = completed,
-        .nodes = static_cast<std::uint64_t>(serialNodes),
-        .nodesUnpruned = 0,
-        .pruned = static_cast<std::uint64_t>(serialPruned),
-        .seconds = serialTime,
-        .cost = static_cast<double>(costSum)});
-    json.add(bench::BenchRecord{
-        .workload = "random/n=" + std::to_string(n) +
-                    "/per=" + std::to_string(perSize) + "/threads=" +
-                    std::to_string(threads),
-        .deterministic = false,  // steal timing varies node counts
-        .nodes = static_cast<std::uint64_t>(parallelNodes),
-        .nodesUnpruned = 0,
-        .pruned = 0,
-        .seconds = parallelTime,
-        .cost = static_cast<double>(costSum)});
+    json.add("random/n=" + std::to_string(n) +
+                 "/per=" + std::to_string(perSize),
+             completed,
+             {{"nodes", serialNodes},
+              {"pruned", serialPruned},
+              {"cost", costSum}},
+             {{"seconds", serialTime},
+              {"threads", threads},
+              {"parallel_nodes", parallelNodes},
+              {"parallel_seconds", parallelTime}});
   }
 
   // The multi-type search runs on the same kernel; spot-check one size,

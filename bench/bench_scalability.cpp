@@ -16,6 +16,11 @@
 //    a 2 GHz Athlon XP") and the Section-4.2 O(n^2) worst case.
 //
 // Usage: bench_scalability [max-inner] [--json=PATH]
+//
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md) for parts 1
+// and 2: `scale/n<inner>/<algo>` and `warm/<design>/{cold,seeded}`:
+//   exact  nodes (probes for the heuristics), pruned, cost (blocks after)
+//   info   seconds
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -42,15 +47,12 @@ void printRow(const char* algo, int n, const PartitionRun& run) {
 }
 
 void record(bench::BenchJson& json, const std::string& workload, int n,
-            const PartitionRun& run, bool deterministic) {
-  bench::BenchRecord r;
-  r.workload = workload;
-  r.deterministic = deterministic && !run.timedOut;
-  r.nodes = run.explored;
-  r.pruned = run.pruned;
-  r.seconds = run.seconds;
-  r.cost = run.result.totalAfter(n);
-  json.add(std::move(r));
+            const PartitionRun& run) {
+  json.add(workload, !run.timedOut,
+           {{"nodes", run.explored},
+            {"pruned", run.pruned},
+            {"cost", run.result.totalAfter(n)}},
+           {{"seconds", run.seconds}});
 }
 
 }  // namespace
@@ -76,17 +78,17 @@ int main(int argc, char** argv) {
 
     const PartitionRun pd = pareDown(problem);
     printRow("paredown", n, pd);
-    record(json, "scale/n" + std::to_string(n) + "/paredown", n, pd, true);
+    record(json, "scale/n" + std::to_string(n) + "/paredown", n, pd);
 
     const PartitionRun greedy = greedySeed(problem);
     printRow("greedy", n, greedy);
-    record(json, "scale/n" + std::to_string(n) + "/greedy", n, greedy, true);
+    record(json, "scale/n" + std::to_string(n) + "/greedy", n, greedy);
 
     PartitionRun fm = fmRefine(problem, greedy.result);
     fm.explored += greedy.explored;
     fm.seconds += greedy.seconds;
     printRow("fm", n, fm);
-    record(json, "scale/n" + std::to_string(n) + "/fm", n, fm, true);
+    record(json, "scale/n" + std::to_string(n) + "/fm", n, fm);
 
     LnsOptions lnsOptions;
     lnsOptions.timeLimitSeconds = 0;  // node-budgeted, not wall-clocked
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
     lns.explored += fm.explored;
     lns.seconds += fm.seconds;
     printRow("fm+lns", n, lns);
-    record(json, "scale/n" + std::to_string(n) + "/lns", n, lns, true);
+    record(json, "scale/n" + std::to_string(n) + "/lns", n, lns);
   }
 
   const auto warmRow = [&](const std::string& name, const Network& net) {
@@ -118,8 +120,8 @@ int main(int argc, char** argv) {
                 unseeded.result.totalAfter(n),
                 static_cast<unsigned long long>(unseeded.explored),
                 static_cast<unsigned long long>(seeded.explored), saved);
-    record(json, "warm/" + name + "/cold", n, unseeded, true);
-    record(json, "warm/" + name + "/seeded", n, seeded, true);
+    record(json, "warm/" + name + "/cold", n, unseeded);
+    record(json, "warm/" + name + "/seeded", n, seeded);
   };
   if (maxInner >= 16) {
     std::printf("\nWarm start: cold vs fm-seeded serial exhaustive "

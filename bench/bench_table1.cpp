@@ -5,10 +5,14 @@
 //
 // Usage: bench_table1 [exhaustive-time-limit-seconds] [--json=PATH]
 //   Designs whose exhaustive run exceeds the limit print "--", like the
-//   paper's rows for 19+ inner blocks.  With --json every design's run is
-//   recorded as an "eblocks-bench-partition/1" record (non-deterministic:
-//   the exhaustive run is parallel and time-limited; see
-//   docs/benchmarks.md).
+//   paper's rows for 19+ inner blocks.
+//
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md), one per
+// design, `table1/<design>`:
+//   exact  paredown_cost    blocks after PareDown (serial, deterministic)
+//   info   exhaustive_cost  blocks after the exhaustive search, present
+//                           only when it proved optimality
+//          nodes, pruned, seconds  of that parallel, time-limited search
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -103,15 +107,12 @@ int main(int argc, char** argv) {
     std::string workload = "table1/" + entry.name;
     for (char& c : workload)
       if (c == ' ') c = '_';
-    json.add(eblocks::bench::BenchRecord{
-        .workload = workload,
-        .deterministic = false,  // parallel, time-limited
-        .nodes = ex.explored,
-        .nodesUnpruned = 0,
-        .pruned = ex.pruned,
-        .seconds = ex.seconds,
-        .cost = static_cast<double>(ex.optimal ? ex.result.totalAfter(n)
-                                               : pdTotal)});
+    eblocks::bench::Values info = {{"nodes", ex.explored},
+                                   {"pruned", ex.pruned},
+                                   {"seconds", ex.seconds}};
+    if (ex.optimal)
+      info.emplace_back("exhaustive_cost", ex.result.totalAfter(n));
+    json.add(workload, true, {{"paredown_cost", pdTotal}}, std::move(info));
   }
   return json.write() ? 0 : 1;
 }

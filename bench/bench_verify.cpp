@@ -8,12 +8,12 @@
 //   scripts  stimulus scripts per design (default 256)
 //   events   events per script (default 40)
 //
-// JSON records ("eblocks-bench-partition/1", see docs/benchmarks.md):
-//   verify/<design>/steps   deterministic; nodes = stimulus steps checked
-//                           (identical for the scalar and batch sweeps by
-//                           the verdict-identity contract -- any drift is
-//                           a checker regression, not noise)
-//   verify/<design>/batch   informational; seconds + cost = speedup
+// JSON records ("eblocks-bench/2", see docs/benchmarks.md), one per
+// design, `verify/<design>`:
+//   exact  steps  stimulus steps checked (identical for the scalar and
+//                 batch sweeps by the verdict-identity contract -- any
+//                 drift is a checker regression, not noise)
+//   info   scalar_seconds, batch_seconds, speedup
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -85,19 +85,10 @@ int main(int argc, char** argv) {
     batchTotal += batchSec;
     stimuliTotal += corpus.size();
 
-    eblocks::bench::BenchRecord det;
-    det.workload = "verify/" + entry.name + "/steps";
-    det.deterministic = true;
-    det.nodes = steps;
-    det.seconds = scalarSec;
-    json.add(det);
-    eblocks::bench::BenchRecord info;
-    info.workload = "verify/" + entry.name + "/batch";
-    info.deterministic = false;
-    info.nodes = steps;
-    info.seconds = batchSec;
-    info.cost = speedup;
-    json.add(info);
+    json.add("verify/" + entry.name, true, {{"steps", steps}},
+             {{"scalar_seconds", scalarSec},
+              {"batch_seconds", batchSec},
+              {"speedup", speedup}});
   }
 
   const double overall = batchTotal > 0 ? scalarTotal / batchTotal : 0.0;

@@ -1,30 +1,30 @@
 #!/usr/bin/env python3
 """Diff machine-readable bench output against the committed baseline.
 
-The benches emit "eblocks-bench-partition/1" JSON (see bench/bench_json.h
-and docs/benchmarks.md).  This script merges one or more current output
-files, compares every *deterministic* record against the baseline by
-(bench, workload) key, and prints a GitHub-annotation warning for each
-node-count regression beyond the threshold.  Node counts -- not wall
-times -- are the signal: deterministic records (seeded serial searches)
-reproduce exactly across machines and compilers, so any growth is a real
-search regression, not noise.
+The benches emit "eblocks-bench/2" JSON (see bench/bench_json.h and
+docs/benchmarks.md): one record per (bench, workload), with an `exact`
+map of values that reproduce bit-for-bit on every run, machine and
+compiler, and an `info` map (wall times, rates, speedups) that is never
+compared.  This script merges one or more current output files and, for
+every baseline record, requires each exact value to appear in the
+current record's exact map with the same number.  Every difference --
+changed, missing, or moved to info -- prints one GitHub-annotation
+warning naming the bench, workload, value, old and new.
 
-Regressions WARN, they do not fail the build (exit 0): a legitimate
-algorithm change may trade nodes for soundness, and the committed
-baseline is updated in the same PR.  Only malformed input exits non-zero.
+Differences WARN, they do not fail the build (exit 0): a legitimate
+algorithm change ships its own baseline update.  Only malformed input, a
+duplicate record, or a file of another schema exits non-zero.
 
 Usage:
   scripts/compare_bench.py --baseline bench/baselines/BENCH_partition.json \
-      [--threshold 0.2] [--merged-out BENCH_partition.json] \
-      current1.json [current2.json ...]
+      [--merged-out BENCH_partition.json] current1.json [current2.json ...]
 """
 
 import argparse
 import json
 import sys
 
-SCHEMA = "eblocks-bench-partition/1"
+SCHEMA = "eblocks-bench/2"
 
 
 def load_records(path):
@@ -37,6 +37,8 @@ def load_records(path):
     records = {}
     for record in doc.get("records", []):
         key = (record["bench"], record["workload"])
+        if not all(isinstance(record.get(m), dict) for m in ("exact", "info")):
+            sys.exit(f"error: {path}: record {key} lacks an exact or info map")
         if key in records:
             sys.exit(f"error: {path}: duplicate record {key}")
         records[key] = record
@@ -47,9 +49,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True,
                         help="committed baseline JSON")
-    parser.add_argument("--threshold", type=float, default=0.2,
-                        help="warn when nodes grow beyond this fraction "
-                             "(default 0.2 = 20%%)")
     parser.add_argument("--merged-out", default=None,
                         help="write the merged current records to this "
                              "path (the CI artifact)")
@@ -62,8 +61,8 @@ def main():
     for path in args.current:
         for key, record in load_records(path).items():
             if key in current:
-                sys.exit(f"error: {path}: record {key} already seen in "
-                         f"another current file")
+                sys.exit(f"error: {path}: duplicate record {key} (already "
+                         f"seen in another current file)")
             current[key] = record
 
     if args.merged_out:
@@ -73,49 +72,24 @@ def main():
             f.write("\n")
         print(f"merged {len(merged)} records -> {args.merged_out}")
 
-    warnings = 0
-    improvements = 0
-    compared = 0
-    for key, base in sorted(baseline.items()):
-        if not base.get("deterministic"):
-            continue
-        bench, workload = key
-        cur = current.get(key)
-        if cur is None:
-            print(f"::warning::bench {bench} workload '{workload}' missing "
-                  f"from current output (bench args changed without "
-                  f"updating the baseline?)")
-            warnings += 1
-            continue
-        if not cur.get("deterministic"):
-            print(f"::warning::bench {bench} workload '{workload}' is no "
-                  f"longer deterministic (timeout during the run?); "
-                  f"node comparison skipped")
-            warnings += 1
-            continue
-        compared += 1
-        base_nodes, cur_nodes = base["nodes"], cur["nodes"]
-        if base_nodes == 0:
-            continue
-        ratio = cur_nodes / base_nodes
-        if ratio > 1.0 + args.threshold:
-            print(f"::warning::bench {bench} workload '{workload}': "
-                  f"explored nodes regressed {base_nodes} -> {cur_nodes} "
-                  f"({ratio:.2f}x, threshold {1 + args.threshold:.2f}x). "
-                  f"If intentional, regenerate bench/baselines/ (see "
-                  f"docs/benchmarks.md).")
-            warnings += 1
-        elif ratio < 1.0 - args.threshold:
-            print(f"improvement: {bench} '{workload}': "
-                  f"{base_nodes} -> {cur_nodes} nodes ({ratio:.2f}x)")
-            improvements += 1
+    compared = warnings = 0
+    for (bench, workload), base in sorted(baseline.items()):
+        exact = current.get((bench, workload), {}).get("exact", {})
+        for name, old in sorted(base["exact"].items()):
+            compared += 1
+            new = exact.get(name, "missing")
+            if new != old:
+                print(f"::warning::bench {bench} workload '{workload}' exact "
+                      f"value '{name}': {old} -> {new}. If intentional, "
+                      f"regenerate bench/baselines/ (see docs/benchmarks.md).")
+                warnings += 1
 
     for key in sorted(set(current) - set(baseline)):
         print(f"note: new workload {key} not in the baseline; add it by "
               f"regenerating bench/baselines/")
 
-    print(f"compare_bench: {compared} deterministic workloads compared, "
-          f"{improvements} improved, {warnings} warning(s)")
+    print(f"compare_bench: {compared} exact values compared, "
+          f"{warnings} warning(s)")
     return 0
 
 

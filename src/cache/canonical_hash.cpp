@@ -185,17 +185,12 @@ std::uint64_t optionsFingerprint(std::string_view algorithm,
   if (algorithm == "lns") {
     h = combine(h, static_cast<std::uint64_t>(engine.lnsPocket));
     h = combine(h, static_cast<std::uint64_t>(engine.lnsRounds));
-    h = combine(h, engine.lnsRepairNodes);
+    // The repair node budget is LnsOptions' fixed default; it stays
+    // folded so `lns` keys match the records already on disk.
+    h = combine(h, partition::LnsOptions{}.repairNodeBudget);
     h = combine(h, engine.rngSeed);
   }
   return h;
-}
-
-Hash128 solutionKey(const Network& net, std::string_view algorithm,
-                    const partition::ProgBlockSpec& spec,
-                    const partition::EngineOptions& engine) {
-  return solutionKey(structureHash(net),
-                     optionsFingerprint(algorithm, spec, engine));
 }
 
 Hash128 solutionKey(const Hash128& structure, std::uint64_t optionsFp) {

@@ -83,13 +83,9 @@ std::uint64_t optionsFingerprint(std::string_view algorithm,
                                  const partition::ProgBlockSpec& spec,
                                  const partition::EngineOptions& engine);
 
-/// The exact-hit cache key: structureHash folded with optionsFingerprint.
-Hash128 solutionKey(const Network& net, std::string_view algorithm,
-                    const partition::ProgBlockSpec& spec,
-                    const partition::EngineOptions& engine);
-
-/// Same fold from precomputed parts (what a store record carries in its
-/// header, so re-indexing never re-runs the refinement).
+/// The exact-hit cache key: structureHash folded with optionsFingerprint,
+/// from precomputed parts (what a store record carries in its header, so
+/// re-indexing never re-runs the refinement).
 Hash128 solutionKey(const Hash128& structure, std::uint64_t optionsFp);
 
 /// Blocks in canonical order: WL refinement plus individualization until

@@ -94,30 +94,30 @@ PartitionRun runTypedFm(const Network& net, const ProgCostModel& model,
 constexpr Strategy kStrategies[] = {
     {"aggregation",
      "greedy neighbor aggregation (Section 4.2); fast, no look-ahead",
-     runAggregation, nullptr},
+     runAggregation, nullptr, false},
     {"exhaustive",
      "optimal work-stealing branch-and-bound (Section 4.1), "
      "PareDown-seeded, admissible-bound pruned",
-     runExhaustive, runTypedExhaustive},
+     runExhaustive, runTypedExhaustive, true},
     {"fm",
      "FM-style pass-based refinement of the greedy seed (gain "
      "buckets, rollback-to-best-prefix)",
-     runFm, runTypedFm},
+     runFm, runTypedFm, false},
     {"greedy",
      "constructive BFS cluster growth + residual PareDown; "
      "near-linear seed for fm/lns",
-     runGreedy, nullptr},
+     runGreedy, nullptr, false},
     {"ladder",
      "deadline degradation ladder greedy -> fm -> lns -> exact "
      "B&B; always feasible, run.degradedTier reports the rung",
-     degradationLadder, nullptr},
+     degradationLadder, nullptr, true},
     {"lns",
      "anytime large-neighborhood search over fm's solution "
      "(pocket destroy + exact B&B repair)",
-     runLns, nullptr},
+     runLns, nullptr, false},
     {"paredown",
      "border-paring heuristic (Section 4.2); O(n^2), near-optimal",
-     runPareDown, runTypedPareDown},
+     runPareDown, runTypedPareDown, false},
 };
 static_assert(std::ranges::is_sorted(kStrategies, {}, &Strategy::name));
 
@@ -151,7 +151,6 @@ LnsOptions toLnsOptions(const EngineOptions& options) {
   lns.timeLimitSeconds = options.timeLimitSeconds;
   lns.pocketSize = options.lnsPocket;
   lns.maxRounds = options.lnsRounds;
-  lns.repairNodeBudget = options.lnsRepairNodes;
   lns.rngSeed = options.rngSeed;
   lns.cancel = options.cancel;
   lns.progressNodes = options.progressNodes;

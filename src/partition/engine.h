@@ -68,8 +68,6 @@ struct EngineOptions {
   int lnsPocket = 0;
   /// `lns` strategy: destroy/repair rounds (0 = until the time limit).
   int lnsRounds = 0;
-  /// `lns` strategy: node budget per repair search.
-  std::uint64_t lnsRepairNodes = 200000;
   /// Seed for randomized strategies (`lns`'s destroy step).
   std::uint32_t rngSeed = 1;
   /// Cooperative cancellation, riding the searches' timeout plumbing
@@ -93,7 +91,8 @@ struct EngineOptions {
 ExhaustiveOptions toExhaustiveOptions(const EngineOptions& options);
 
 /// LNS options under `options`: time limit, the lns* knobs, the RNG
-/// seed, cancellation, and telemetry.
+/// seed, cancellation, and telemetry.  The repair node budget keeps its
+/// LnsOptions default.
 LnsOptions toLnsOptions(const EngineOptions& options);
 
 /// Makes `candidate` the exact search's seed when there is none yet or
@@ -115,6 +114,9 @@ struct Strategy {
                       const EngineOptions& options);
   PartitionRun (*runTyped)(const Network& net, const ProgCostModel& model,
                            const EngineOptions& options);
+  /// True when the strategy reads EngineOptions::initialIncumbent, the
+  /// only case where a cache near miss is worth looking up.
+  bool readsIncumbent;
 };
 
 /// Every strategy, sorted by name.

@@ -31,7 +31,8 @@ SynthResult synthesize(const Network& source, const SynthOptions& options) {
   // fresh run by the store's contract, and it still passes through the
   // verification gate below like any other partitioning.  On a miss, a
   // near-miss record (same structure, compatible constraints) seeds the
-  // engine's warm-start incumbent, a pure pruning accelerator.
+  // engine's warm-start incumbent, a pure pruning accelerator -- looked
+  // up only for the strategies that read one.
   bool fromCache = false;
   partition::EngineOptions engine = options.engine;
   if (options.cache) {
@@ -42,8 +43,13 @@ SynthResult synthesize(const Network& source, const SynthOptions& options) {
       fromCache = true;
     } else {
       result.cacheOutcome = CacheOutcome::kMiss;
-      if (std::optional<partition::Partitioning> incumbent =
-              options.cache->nearMiss(source, options.spec, options.engine)) {
+      const partition::Strategy* strategy =
+          partition::findStrategy(options.algorithm);
+      std::optional<partition::Partitioning> incumbent;
+      if (strategy && strategy->readsIncumbent)
+        incumbent =
+            options.cache->nearMiss(source, options.spec, options.engine);
+      if (incumbent) {
         engine.initialIncumbent = std::move(*incumbent);
         result.cacheOutcome = CacheOutcome::kWarmStart;
       }

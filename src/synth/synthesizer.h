@@ -46,8 +46,9 @@ struct SynthOptions {
   /// Optional solution cache.  When attached, synthesize() asks it for a
   /// stored run first (an exact hit skips the partitioner entirely; the
   /// result is still verified and is bit-identical to a fresh run), seeds
-  /// the engine's initialIncumbent from a near miss on a miss, and stores
-  /// completed cacheable runs afterwards.  Shared so the shell, tests,
+  /// the engine's initialIncumbent from a near miss on a miss when the
+  /// strategy reads one (Strategy::readsIncumbent), and stores completed
+  /// cacheable runs afterwards.  Shared so the shell, tests,
   /// and benches can hold one store across many synthesize() calls.
   std::shared_ptr<cache::SolutionStore> cache;
 };

@@ -174,6 +174,26 @@ TEST(SolutionStore, NearMissWarmStartKeepsBitIdentityWithFewerNodes) {
   EXPECT_EQ(store->stats().warmStarts, 1u);
 }
 
+TEST(SolutionStore, NearMissIsNotLookedUpForStrategiesWithoutIncumbent) {
+  // PareDown never reads EngineOptions::initialIncumbent, so a stored
+  // 2x2 solution is no warm start for a 3x3 PareDown request: the
+  // request is a plain miss, and the store is never asked for one.
+  for (const auto& e : designs::designLibrary()) {
+    const auto store = std::make_shared<SolutionStore>(StoreOptions{});
+    synth::SynthOptions tight;
+    tight.emitC = false;
+    tight.cache = store;
+    synth::SynthOptions loose = tight;
+    loose.spec.inputs = 3;
+    loose.spec.outputs = 3;
+    (void)synth::synthesize(e.network, tight);
+    EXPECT_EQ(synth::synthesize(e.network, loose).cacheOutcome,
+              synth::CacheOutcome::kMiss)
+        << e.name;
+    EXPECT_EQ(store->stats().warmStarts, 0u) << e.name;
+  }
+}
+
 TEST(SolutionStore, NearMissRefusesTighterBudgetsAndOtherModes) {
   const Network net = designs::garageOpenAtNight();
   const auto store = std::make_shared<SolutionStore>(StoreOptions{});
