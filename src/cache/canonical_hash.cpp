@@ -140,6 +140,27 @@ std::vector<std::uint64_t> refineToFixpoint(const Network& net,
   return colors;
 }
 
+/// The structure hash of stable colors.  Only their sorted multiset
+/// enters it: block ids (and with them declaration order and instance
+/// names) vanish.
+Hash128 hashColors(const Network& net, std::vector<std::uint64_t> colors) {
+  std::sort(colors.begin(), colors.end());
+  Hash128 h;
+  h.hi = combine(0x5EEDull, net.blockCount());
+  h.lo = combine(0xFACEull, net.connections().size());
+  for (const std::uint64_t c : colors) {
+    h.hi = combine(h.hi, c);
+    h.lo = combine(h.lo, mix(c ^ 0xA5A5A5A5A5A5A5A5ull));
+  }
+  return h;
+}
+
+/// Revision of the store's record layout (cache/solution_store.h), folded
+/// into every solution key: a record written in another layout derives a
+/// key that differs from its file name and is swept at open.  Layout 1
+/// keeps partitions by canonical position and no network.
+constexpr std::uint64_t kRecordLayout = 1;
+
 }  // namespace
 
 std::string toHex(const Hash128& h) {
@@ -156,19 +177,7 @@ std::string toHex(const Hash128& h) {
 }
 
 Hash128 structureHash(const Network& net) {
-  std::vector<std::uint64_t> colors =
-      refineToFixpoint(net, initialColors(net));
-  // The sorted multiset of stable colors is the canonical form: block
-  // ids (and with them declaration order and instance names) vanish.
-  std::sort(colors.begin(), colors.end());
-  Hash128 h;
-  h.hi = combine(0x5EEDull, net.blockCount());
-  h.lo = combine(0xFACEull, net.connections().size());
-  for (const std::uint64_t c : colors) {
-    h.hi = combine(h.hi, c);
-    h.lo = combine(h.lo, mix(c ^ 0xA5A5A5A5A5A5A5A5ull));
-  }
-  return h;
+  return hashColors(net, refineToFixpoint(net, initialColors(net)));
 }
 
 std::uint64_t optionsFingerprint(std::string_view algorithm,
@@ -194,21 +203,22 @@ std::uint64_t optionsFingerprint(std::string_view algorithm,
 }
 
 Hash128 solutionKey(const Hash128& structure, std::uint64_t optionsFp) {
-  return Hash128{combine(structure.hi, optionsFp),
-                 combine(structure.lo, mix(optionsFp))};
+  const std::uint64_t fp = combine(optionsFp, kRecordLayout);
+  return Hash128{combine(structure.hi, fp), combine(structure.lo, mix(fp))};
 }
 
-std::vector<BlockId> canonicalOrder(const Network& net) {
+CanonicalForm canonicalForm(const Network& net) {
   std::vector<std::uint64_t> colors =
       refineToFixpoint(net, initialColors(net));
+  CanonicalForm form{hashColors(net, colors), {}};
 
   // Individualization: while any color class has several members, give
   // one member of the smallest ambiguous color a fresh color and
   // re-refine.  Picking the lowest block id is arbitrary -- under a true
   // automorphism any member is equivalent, and when it is NOT a true
-  // automorphism (WL-equivalent but not interchangeable) the resulting
-  // cross-network map can be wrong, which is why isomorphismMap's
-  // callers verify.  Each round splits at least one class, so this
+  // automorphism (WL-equivalent but not interchangeable) positions can
+  // correspond wrongly across networks, which is why the store verifies
+  // every mapped result.  Each round splits at least one class, so this
   // terminates in < blockCount rounds.
   for (std::size_t round = 0; round < net.blockCount(); ++round) {
     std::unordered_map<std::uint64_t, std::uint32_t> classSize;
@@ -229,26 +239,12 @@ std::vector<BlockId> canonicalOrder(const Network& net) {
     colors = refineToFixpoint(net, std::move(colors));
   }
 
-  std::vector<BlockId> order(net.blockCount());
-  for (BlockId b = 0; b < net.blockCount(); ++b) order[b] = b;
-  std::sort(order.begin(), order.end(), [&](BlockId a, BlockId b) {
+  form.order.resize(net.blockCount());
+  for (BlockId b = 0; b < net.blockCount(); ++b) form.order[b] = b;
+  std::sort(form.order.begin(), form.order.end(), [&](BlockId a, BlockId b) {
     return colors[a] != colors[b] ? colors[a] < colors[b] : a < b;
   });
-  return order;
-}
-
-std::optional<std::vector<BlockId>> isomorphismMap(const Network& from,
-                                                   const Network& to) {
-  if (from.blockCount() != to.blockCount() ||
-      from.connections().size() != to.connections().size())
-    return std::nullopt;
-  if (structureHash(from) != structureHash(to)) return std::nullopt;
-  const std::vector<BlockId> fromOrder = canonicalOrder(from);
-  const std::vector<BlockId> toOrder = canonicalOrder(to);
-  std::vector<BlockId> map(from.blockCount(), kNoBlock);
-  for (std::size_t i = 0; i < fromOrder.size(); ++i)
-    map[fromOrder[i]] = toOrder[i];
-  return map;
+  return form;
 }
 
 }  // namespace eblocks::cache

@@ -32,24 +32,25 @@
 //     at 1.
 //
 //   solutionKey = structureHash x optionsFingerprint  --  the exact-hit
-//     cache key.  Records that share a structureHash but differ in
-//     fingerprint are near-miss candidates (same design, different
-//     constraints); cache/solution_store.h decides warm-start
-//     compatibility.
+//     cache key, with the store's record-layout revision folded in.
+//     Records that share a structureHash but differ in fingerprint are
+//     near-miss candidates (same design, different constraints);
+//     cache/solution_store.h decides warm-start compatibility.
 //
-// canonicalOrder()/isomorphismMap() extend the refinement with
-// individualization so a *hit* on a renamed variant can be translated
-// back: the stored partitioning references the stored network's block
-// ids, and the map carries it onto the requesting network's ids.  The
-// map is exact whenever refinement individualizes every block (all
-// realistic designs here); for networks with true automorphisms the
-// class-internal choice is arbitrary, so callers must verify the
-// translated result and degrade to a miss -- never trust it blindly.
+// canonicalForm() extends the refinement with individualization until
+// every block has its own color, and returns the blocks sorted by color
+// next to the structure hash.  A block's index in that order is its
+// *canonical position*; the store keeps partitions by position, so a hit
+// on a renamed or reordered variant maps them onto the requesting
+// network's ids through the request's own order.  Positions correspond
+// exactly whenever refinement individualizes every block (all realistic
+// designs here); for networks with true automorphisms the class-internal
+// choice is arbitrary, so callers must verify the mapped result and
+// degrade to a miss -- never trust it blindly.
 #ifndef EBLOCKS_CACHE_CANONICAL_HASH_H_
 #define EBLOCKS_CACHE_CANONICAL_HASH_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,26 +84,22 @@ std::uint64_t optionsFingerprint(std::string_view algorithm,
                                  const partition::ProgBlockSpec& spec,
                                  const partition::EngineOptions& engine);
 
-/// The exact-hit cache key: structureHash folded with optionsFingerprint,
-/// from precomputed parts (what a store record carries in its header, so
-/// re-indexing never re-runs the refinement).
+/// The exact-hit cache key: structureHash folded with optionsFingerprint
+/// and the record-layout revision, from precomputed parts (what a store
+/// record carries in its header, so re-indexing never re-runs the
+/// refinement).
 Hash128 solutionKey(const Hash128& structure, std::uint64_t optionsFp);
 
-/// Blocks in canonical order: WL refinement plus individualization until
-/// every block's color is unique, then sorted by color.  Two isomorphic
-/// networks yield orders that correspond position-by-position (exactly
-/// when refinement alone separates all blocks; best-effort under true
-/// automorphisms -- see header comment).
-std::vector<BlockId> canonicalOrder(const Network& net);
-
-/// Best-effort isomorphism: map[id in `from`] = corresponding id in
-/// `to`, built by aligning the two canonical orders.  nullopt when the
-/// networks cannot be isomorphic (different block/connection counts or
-/// structure hashes).  Callers MUST verify whatever they translate
-/// through it (partition::verifyPartitioning) and treat failure as a
-/// cache miss.
-std::optional<std::vector<BlockId>> isomorphismMap(const Network& from,
-                                                   const Network& to);
+/// A network's canonical form, from one refinement: its structure hash
+/// and its blocks in canonical order (order[i] = the block at canonical
+/// position i).  Two isomorphic networks yield orders that correspond
+/// position-by-position (exactly when refinement alone separates all
+/// blocks; best-effort under true automorphisms -- see header comment).
+struct CanonicalForm {
+  Hash128 structure;  ///< == structureHash(net)
+  std::vector<BlockId> order;
+};
+CanonicalForm canonicalForm(const Network& net);
 
 }  // namespace eblocks::cache
 

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
@@ -27,8 +26,8 @@ constexpr const char* kRecordSuffix = ".eblk";
 // at the next open instead of shadowing real records.
 constexpr const char* kTmpMarker = ".eblk.tmp";
 
-/// The store's correctness contract is "only ever return what a fresh
-/// run would have", so only completed runs of deterministic strategies
+/// A stored run must be one a fresh run on the stored design
+/// reproduces, so only completed runs of deterministic strategies
 /// qualify.  lns is deterministic exactly when its round count is fixed
 /// (rounds == 0 runs until the wall clock, which no two machines agree
 /// on); exhaustive results are only reproducible when the search proved
@@ -47,59 +46,32 @@ bool cacheable(std::string_view algorithm,
          algorithm == "greedy" || algorithm == "fm";
 }
 
-/// Type equality by semantics, not identity: records decoded from disk
-/// carry fresh BlockType objects, so pointer comparison alone would
-/// never match.  Type *names* are compared last and least -- two
-/// catalogs may register the same descriptor under different names.
-bool sameType(const BlockType& a, const BlockType& b) {
-  return &a == &b ||
-         (a.blockClass() == b.blockClass() &&
-          a.sequential() == b.sequential() &&
-          a.programmable() == b.programmable() &&
-          a.inputNames() == b.inputNames() &&
-          a.outputNames() == b.outputNames() &&
-          a.behaviorSource() == b.behaviorSource());
-}
-
-/// Positionally aligned: same shape, same semantics at every block id.
-/// The stored partitioning then transfers without translation -- this is
-/// the repeated-identical-request fast path (instance names may differ).
-bool aligned(const Network& a, const Network& b) {
-  if (a.blockCount() != b.blockCount()) return false;
-  const auto ca = a.connections();
-  const auto cb = b.connections();
-  if (ca.size() != cb.size() ||
-      !std::equal(ca.begin(), ca.end(), cb.begin()))
-    return false;
-  for (BlockId i = 0; i < a.blockCount(); ++i)
-    if (!sameType(*a.block(i).type, *b.block(i).type)) return false;
-  return true;
-}
-
-/// Carries a stored partitioning onto the requesting network: directly
-/// when positionally aligned, otherwise through the canonical
-/// isomorphism -- and in the latter case the translated result is
-/// verified against the problem before it is trusted (isomorphismMap is
-/// best-effort under true automorphisms; see canonical_hash.h).
-/// nullopt = could not translate; the caller treats it as a miss.
-std::optional<partition::Partitioning> translate(
-    const Network& stored, const partition::Partitioning& p,
-    const partition::PartitionProblem& problem, bool requireConvex) {
-  const Network& net = problem.network();
-  for (const BitSet& s : p.partitions)
-    if (s.size() != stored.blockCount()) return std::nullopt;
-  if (aligned(stored, net)) return p;
-
-  const std::optional<std::vector<BlockId>> map =
-      isomorphismMap(stored, net);
-  if (!map) return std::nullopt;
+/// Every partition with each member m replaced by map[m]: block ids to
+/// canonical positions on insert, positions to the request's ids on a
+/// hit.
+partition::Partitioning renumbered(const partition::Partitioning& p,
+                                   const std::vector<BlockId>& map) {
   partition::Partitioning out;
   out.partitions.reserve(p.partitions.size());
   for (const BitSet& s : p.partitions) {
-    BitSet t(net.blockCount());
-    s.forEach([&](std::size_t b) { t.set((*map)[b]); });
+    BitSet t(map.size());
+    s.forEach([&](std::size_t m) { t.set(map[m]); });
     out.partitions.push_back(std::move(t));
   }
+  return out;
+}
+
+/// Carries a stored partitioning (members by canonical position) onto the
+/// requesting network through its canonical order, then verifies it
+/// against the problem before it is trusted (positions correspond only
+/// best-effort under true automorphisms; see canonical_hash.h).
+/// nullopt = could not place; the caller treats it as a miss.
+std::optional<partition::Partitioning> placed(
+    const partition::Partitioning& p, const CanonicalForm& form,
+    const partition::PartitionProblem& problem, bool requireConvex) {
+  for (const BitSet& s : p.partitions)
+    if (s.size() != form.order.size()) return std::nullopt;
+  partition::Partitioning out = renumbered(p, form.order);
   partition::VerifyOptions vo;
   vo.requireConvex = requireConvex;
   if (!partition::verifyPartitioning(problem, out, vo).empty())
@@ -112,25 +84,20 @@ std::optional<partition::Partitioning> translate(
 struct RecordFields {
   Hash128 structure;
   std::uint64_t fp = 0;
-  std::string algorithm;
   partition::ProgBlockSpec spec;
   bool requireConvex = false;
 };
 
-std::string encodeRecord(const RecordFields& f, const Network& net,
+std::string encodeRecord(const RecordFields& f,
                          const partition::PartitionRun& run) {
   io::BinaryWriter w;
   w.u64(f.structure.hi);
   w.u64(f.structure.lo);
   w.u64(f.fp);
-  w.str(f.algorithm);
   w.varint(static_cast<std::uint64_t>(f.spec.inputs));
   w.varint(static_cast<std::uint64_t>(f.spec.outputs));
   w.u8(static_cast<std::uint8_t>(f.spec.mode));
   w.u8(f.requireConvex ? 1 : 0);
-  const std::string netFrame = io::writeNetworkBinary(net);
-  w.varint(netFrame.size());
-  w.bytes(netFrame);
   const std::string runFrame = io::writePartitionRunBinary(run);
   w.varint(runFrame.size());
   w.bytes(runFrame);
@@ -138,13 +105,12 @@ std::string encodeRecord(const RecordFields& f, const Network& net,
 }
 
 /// The fixed prefix alone -- all the index needs, so opening a store
-/// never decodes networks.
+/// never decodes runs.
 RecordFields decodePrefix(io::BinaryReader& r) {
   RecordFields f;
   f.structure.hi = r.u64();
   f.structure.lo = r.u64();
   f.fp = r.u64();
-  f.algorithm = std::string(r.str());
   f.spec.inputs = static_cast<int>(r.varint());
   f.spec.outputs = static_cast<int>(r.varint());
   if (f.spec.inputs < 0 || f.spec.outputs < 0)
@@ -159,8 +125,7 @@ RecordFields decodePrefix(io::BinaryReader& r) {
 
 struct Record {
   RecordFields fields;
-  Network net;
-  partition::PartitionRun run;
+  partition::PartitionRun run;  ///< partitions by canonical position
 };
 
 Record decodeRecord(std::string_view blob) {
@@ -172,10 +137,6 @@ Record decodeRecord(std::string_view blob) {
   io::BinaryReader r(blob, io::SectionTag::kSolutionRecord);
   Record rec;
   rec.fields = decodePrefix(r);
-  const std::uint64_t netLen = r.varint();
-  if (netLen > r.remaining())
-    throw io::BinaryError("solution record: network blob truncated");
-  rec.net = io::readNetworkBinary(r.bytes(static_cast<std::size_t>(netLen)));
   const std::uint64_t runLen = r.varint();
   if (runLen > r.remaining())
     throw io::BinaryError("solution record: run blob truncated");
@@ -218,33 +179,44 @@ std::string SolutionStore::pathFor(const std::string& keyHex) const {
   return (fs::path(options_.directory) / (keyHex + kRecordSuffix)).string();
 }
 
-std::string SolutionStore::loadBlob(const Entry& e) const {
+std::string SolutionStore::loadBlob(const std::string& keyHex,
+                                   const Entry& e) const {
   if (options_.directory.empty()) return e.blob;
-  return readFile(pathFor(e.keyHex));
+  return readFile(pathFor(keyHex));
+}
+
+void SolutionStore::addEntry(const std::string& keyHex, Entry e) {
+  bytes_ += e.bytes;
+  byStructure_[e.structure].push_back(keyHex);
+  const auto it = entries_.emplace(keyHex, std::move(e)).first;
+  recency_.push_front(&it->first);
+  it->second.recency = recency_.begin();
+}
+
+void SolutionStore::touch(Entry& e) {
+  recency_.splice(recency_.begin(), recency_, e.recency);
 }
 
 void SolutionStore::dropEntry(const std::string& keyHex, bool deleteFile) {
   const auto it = entries_.find(keyHex);
   if (it == entries_.end()) return;
   bytes_ -= it->second.bytes;
-  const auto bit = byStructure_.find(toHex(it->second.structure));
+  const auto bit = byStructure_.find(it->second.structure);
   if (bit != byStructure_.end()) {
     std::erase(bit->second, keyHex);
     if (bit->second.empty()) byStructure_.erase(bit);
   }
-  entries_.erase(it);
   if (deleteFile && !options_.directory.empty()) {
     std::error_code ec;
     fs::remove(pathFor(keyHex), ec);
   }
+  recency_.erase(it->second.recency);
+  entries_.erase(it);
 }
 
 void SolutionStore::evictToBudget() {
-  while (bytes_ > options_.maxBytes && !entries_.empty()) {
-    const Entry* lru = nullptr;
-    for (const auto& [key, e] : entries_)
-      if (!lru || e.lastUse < lru->lastUse) lru = &e;
-    const std::string victim = lru->keyHex;
+  while (bytes_ > options_.maxBytes && !recency_.empty()) {
+    const std::string victim = *recency_.back();
     dropEntry(victim, /*deleteFile=*/true);
     ++stats_.evictions;
   }
@@ -266,21 +238,15 @@ void SolutionStore::indexDirectory() {
     try {
       io::BinaryReader r(blob, io::SectionTag::kSolutionRecord);
       const RecordFields f = decodePrefix(r);
-      Entry e;
-      e.keyHex = toHex(solutionKey(f.structure, f.fp));
+      const std::string keyHex = toHex(solutionKey(f.structure, f.fp));
       // A record renamed away from its content key can never be found
       // again by pathFor(); treat the mismatch like any other damage.
-      if (e.keyHex + kRecordSuffix != fname)
+      // Records of an older layout land here too: the key folds in the
+      // layout revision.
+      if (keyHex + kRecordSuffix != fname)
         throw io::BinaryError("solution record: file name != content key");
-      e.structure = f.structure;
-      e.algorithm = f.algorithm;
-      e.spec = f.spec;
-      e.requireConvex = f.requireConvex;
-      e.bytes = blob.size();
-      e.lastUse = ++clock_;
-      bytes_ += e.bytes;
-      byStructure_[toHex(e.structure)].push_back(e.keyHex);
-      entries_.emplace(e.keyHex, std::move(e));
+      addEntry(keyHex, Entry{f.structure, f.spec, f.requireConvex,
+                             blob.size(), "", {}});
     } catch (const io::BinaryError&) {
       ++stats_.corrupt;
       std::error_code rec;
@@ -294,9 +260,9 @@ std::optional<partition::PartitionRun> SolutionStore::lookup(
     const Network& net, std::string_view algorithm,
     const partition::ProgBlockSpec& spec,
     const partition::EngineOptions& engine) {
-  const Hash128 s = structureHash(net);
+  const CanonicalForm form = canonicalForm(net);
   const std::uint64_t fp = optionsFingerprint(algorithm, spec, engine);
-  const std::string keyHex = toHex(solutionKey(s, fp));
+  const std::string keyHex = toHex(solutionKey(form.structure, fp));
 
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(keyHex);
@@ -304,7 +270,7 @@ std::optional<partition::PartitionRun> SolutionStore::lookup(
     ++stats_.misses;
     return std::nullopt;
   }
-  const std::string blob = loadBlob(it->second);
+  const std::string blob = loadBlob(keyHex, it->second);
   Record rec;
   try {
     rec = decodeRecord(blob);
@@ -319,26 +285,26 @@ std::optional<partition::PartitionRun> SolutionStore::lookup(
     return std::nullopt;
   }
   const partition::PartitionProblem problem(net, spec);
-  std::optional<partition::Partitioning> translated =
-      translate(rec.net, rec.run.result, problem, engine.requireConvex);
-  if (!translated) {
+  std::optional<partition::Partitioning> result =
+      placed(rec.run.result, form, problem, engine.requireConvex);
+  if (!result) {
     ++stats_.misses;
     return std::nullopt;
   }
-  it->second.lastUse = ++clock_;
+  touch(it->second);
   ++stats_.hits;
   partition::PartitionRun run = std::move(rec.run);
-  run.result = std::move(*translated);
+  run.result = std::move(*result);
   return run;
 }
 
 std::optional<partition::Partitioning> SolutionStore::nearMiss(
     const Network& net, const partition::ProgBlockSpec& spec,
     const partition::EngineOptions& engine) {
-  const Hash128 s = structureHash(net);
+  const CanonicalForm form = canonicalForm(net);
 
   std::lock_guard<std::mutex> lock(mu_);
-  const auto bit = byStructure_.find(toHex(s));
+  const auto bit = byStructure_.find(form.structure);
   if (bit == byStructure_.end()) return std::nullopt;
 
   const partition::PartitionProblem problem(net, spec);
@@ -349,7 +315,7 @@ std::optional<partition::Partitioning> SolutionStore::nearMiss(
   for (const std::string& keyHex : candidates) {
     const auto it = entries_.find(keyHex);
     if (it == entries_.end()) continue;
-    const Entry& e = it->second;
+    Entry& e = it->second;
     // Compatibility: a partitioning valid under a tighter port budget
     // stays valid under a looser one (same counting rules); convexity
     // must be at least as strict as the request demands.
@@ -358,7 +324,7 @@ std::optional<partition::Partitioning> SolutionStore::nearMiss(
       continue;
     if (engine.requireConvex && !e.requireConvex) continue;
 
-    const std::string blob = loadBlob(e);
+    const std::string blob = loadBlob(keyHex, e);
     Record rec;
     try {
       rec = decodeRecord(blob);
@@ -367,14 +333,14 @@ std::optional<partition::Partitioning> SolutionStore::nearMiss(
       dropEntry(keyHex, /*deleteFile=*/true);
       continue;
     }
-    std::optional<partition::Partitioning> translated =
-        translate(rec.net, rec.run.result, problem, engine.requireConvex);
-    if (!translated) continue;
-    it->second.lastUse = ++clock_;
-    const int cost = translated->totalAfter(problem.innerCount());
+    std::optional<partition::Partitioning> result =
+        placed(rec.run.result, form, problem, engine.requireConvex);
+    if (!result) continue;
+    touch(e);
+    const int cost = result->totalAfter(problem.innerCount());
     if (cost < bestCost) {
       bestCost = cost;
-      best = std::move(*translated);
+      best = std::move(*result);
     }
   }
   if (best) ++stats_.warmStarts;
@@ -473,21 +439,24 @@ void SolutionStore::insert(const Network& net, std::string_view algorithm,
                            const partition::EngineOptions& engine,
                            const partition::PartitionRun& run) {
   if (!cacheable(algorithm, engine, run)) return;
-  RecordFields f;
-  f.structure = structureHash(net);
-  f.fp = optionsFingerprint(algorithm, spec, engine);
-  f.algorithm = std::string(algorithm);
-  f.spec = spec;
-  f.requireConvex = engine.requireConvex;
+  const CanonicalForm form = canonicalForm(net);
+  std::vector<BlockId> position(form.order.size());
+  for (std::size_t i = 0; i < form.order.size(); ++i)
+    position[form.order[i]] = static_cast<BlockId>(i);
+  partition::PartitionRun stored = run;
+  stored.result = renumbered(run.result, position);
+  const RecordFields f{form.structure,
+                       optionsFingerprint(algorithm, spec, engine), spec,
+                       engine.requireConvex};
   const std::string keyHex = toHex(solutionKey(f.structure, f.fp));
-  const std::string blob = encodeRecord(f, net, run);
+  const std::string blob = encodeRecord(f, stored);
   if (blob.size() > options_.maxBytes) return;
 
   std::lock_guard<std::mutex> lock(mu_);
   const auto existing = entries_.find(keyHex);
   if (existing != entries_.end()) {
-    // Bit-identity makes the stored record equivalent; just refresh LRU.
-    existing->second.lastUse = ++clock_;
+    // Keep the record already stored under this key; just refresh LRU.
+    touch(existing->second);
     return;
   }
   if (!options_.directory.empty() && !writeRecordFile(keyHex, blob)) {
@@ -497,18 +466,8 @@ void SolutionStore::insert(const Network& net, std::string_view algorithm,
     ++stats_.writeFailures;
     return;
   }
-  Entry e;
-  e.keyHex = keyHex;
-  e.structure = f.structure;
-  e.algorithm = f.algorithm;
-  e.spec = spec;
-  e.requireConvex = f.requireConvex;
-  e.bytes = blob.size();
-  if (options_.directory.empty()) e.blob = blob;
-  e.lastUse = ++clock_;
-  bytes_ += e.bytes;
-  byStructure_[toHex(e.structure)].push_back(keyHex);
-  entries_.emplace(keyHex, std::move(e));
+  addEntry(keyHex, Entry{f.structure, spec, f.requireConvex, blob.size(),
+                         options_.directory.empty() ? blob : "", {}});
   ++stats_.inserts;
   evictToBudget();
 }

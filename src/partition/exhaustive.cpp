@@ -730,6 +730,25 @@ PartitionRun multiTypeExhaustive(const Network& net,
       ctx, milli.preDefinedBlockCost * n,
       seeded ? &*options.seed : nullptr,
       seeded ? milli.totalCost(*options.seed, n) : 0);
+  // A leaf prices each bin at its cheapest fitting option, even one that
+  // costs more than the blocks it replaces.  An optimum never holds such
+  // a bin, but a search stopped by its time limit or node budget can
+  // return one, and the verifier rejects it.  Leaving its blocks
+  // uncovered instead only lowers the cost, so the incumbent's price was
+  // a sound bound all along; the returned partitioning is the valid one.
+  Partitioning& p = out.result;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < p.partitions.size(); ++k) {
+    const int price = milli.optionCost[static_cast<std::size_t>(
+        p.optionIndex[k])];
+    if (price > milli.preDefinedBlockCost *
+                    static_cast<int>(p.partitions[k].count()))
+      continue;
+    std::swap(p.partitions[kept], p.partitions[k]);
+    p.optionIndex[kept++] = p.optionIndex[k];
+  }
+  p.partitions.resize(kept);
+  p.optionIndex.resize(kept);
   out.algorithm = "multitype-exhaustive";
   out.seconds = secondsSince(start);
   return out;

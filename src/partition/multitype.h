@@ -104,7 +104,9 @@ PartitionRun multiTypePareDown(const Network& net,
 /// remaining blocks no option can ever host each add preDefinedBlockCost.
 /// A verified seed is purely an accelerator: the result is bit-identical
 /// to the unseeded search's, at every thread count, with the bound on or
-/// off.
+/// off.  A search stopped early drops from its incumbent every partition
+/// whose option costs more than the blocks it replaces, so its result
+/// verifies too.
 PartitionRun multiTypeExhaustive(const Network& net,
                                  const ProgCostModel& model,
                                  const ExhaustiveOptions& options = {});

@@ -27,8 +27,9 @@ SynthResult synthesize(const Network& source, const SynthOptions& options) {
   result.originalInner = problem.innerCount();
 
   // Consult the solution cache (when attached): an exact hit replaces the
-  // partitioner run outright -- the stored result is bit-identical to a
-  // fresh run by the store's contract, and it still passes through the
+  // partitioner run outright -- the stored run, carried over by canonical
+  // position, is bit-identical to a fresh run when the request keeps the
+  // stored declaration order -- and it still passes through the
   // verification gate below like any other partitioning.  On a miss, a
   // near-miss record (same structure, compatible constraints) seeds the
   // engine's warm-start incumbent, a pure pruning accelerator -- looked

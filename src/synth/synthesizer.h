@@ -45,7 +45,9 @@ struct SynthOptions {
   bool emitC = true;  ///< produce C sources per block
   /// Optional solution cache.  When attached, synthesize() asks it for a
   /// stored run first (an exact hit skips the partitioner entirely; the
-  /// result is still verified and is bit-identical to a fresh run), seeds
+  /// result is still verified, and it is bit-identical to a fresh run
+  /// when the request keeps the stored declaration order -- a reordered
+  /// copy gets the stored run carried over by canonical position), seeds
   /// the engine's initialIncumbent from a near miss on a miss when the
   /// strategy reads one (Strategy::readsIncumbent), and stores completed
   /// cacheable runs afterwards.  Shared so the shell, tests,

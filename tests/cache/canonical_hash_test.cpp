@@ -148,7 +148,7 @@ TEST(StructureHash, TypeSubstitutionChangesHash) {
 
 // The hash keys on computation, not catalog spelling: two designs the
 // partitioner cannot tell apart are SUPPOSED to collide -- that is the
-// cache's hit-rate lever, and translation + verification make serving
+// cache's hit-rate lever, and placement + verification make serving
 // one's record for the other sound.  The library contains exactly one
 // such pair: "Ignition Illuminator" (contact switches -> inverter ->
 // and2 -> led) and "Night Lamp Controller" (light/motion sensors ->
@@ -245,9 +245,9 @@ TEST(StructureHash, StableAcrossRepeatedRunsAndThreads) {
   for (const Hash128& h : results) EXPECT_EQ(h, serial);
 }
 
-// --- isomorphism map ---------------------------------------------------------------
+// --- canonical form ------------------------------------------------------------
 
-TEST(IsomorphismMap, ExactOnRelabeledCopies) {
+TEST(CanonicalForm, PositionsCorrespondOnRelabeledCopies) {
   for (int i = 0; i < 10; ++i) {
     randgen::GeneratorOptions options;
     options.innerBlocks = 5 + i * 3;
@@ -255,24 +255,32 @@ TEST(IsomorphismMap, ExactOnRelabeledCopies) {
     const Network from = randgen::randomNetwork(options);
     const Network to = randgen::relabeledCopy(from, 31 + i);
 
-    const auto map = isomorphismMap(from, to);
-    ASSERT_TRUE(map.has_value()) << "random#" << i;
-    // A valid map is a permutation carrying every arc onto an arc.
-    std::set<BlockId> image(map->begin(), map->end());
+    const CanonicalForm a = canonicalForm(from);
+    const CanonicalForm b = canonicalForm(to);
+    EXPECT_EQ(a.structure, structureHash(from)) << "random#" << i;
+    EXPECT_EQ(b.structure, a.structure) << "random#" << i;
+    ASSERT_EQ(a.order.size(), from.blockCount());
+    ASSERT_EQ(b.order.size(), to.blockCount());
+    // Position p of one network is position p of the other: the map is
+    // a permutation carrying every arc onto an arc.
+    std::vector<BlockId> map(from.blockCount(), kNoBlock);
+    for (std::size_t p = 0; p < a.order.size(); ++p)
+      map[a.order[p]] = b.order[p];
+    std::set<BlockId> image(map.begin(), map.end());
     EXPECT_EQ(image.size(), from.blockCount()) << "not a permutation";
     std::set<Connection> target;
     for (const Connection& c : to.connections()) target.insert(c);
     for (const Connection& c : from.connections()) {
-      const Connection mapped{{(*map)[c.from.block], c.from.port},
-                              {(*map)[c.to.block], c.to.port}};
+      const Connection mapped{{map[c.from.block], c.from.port},
+                              {map[c.to.block], c.to.port}};
       EXPECT_TRUE(target.count(mapped))
-          << "arc lost by the map in random#" << i;
+          << "arc lost by the positions in random#" << i;
     }
   }
-}
-
-TEST(IsomorphismMap, RefusesDifferentDesigns) {
-  EXPECT_FALSE(isomorphismMap(garage(), designs::figure5()).has_value());
+  // Different designs never share a structure, so no record of one is
+  // ever placed onto the other.
+  EXPECT_NE(canonicalForm(garage()).structure,
+            canonicalForm(designs::figure5()).structure);
 }
 
 // --- golden fixture ------------------------------------------------------------------

@@ -1,15 +1,19 @@
 // The solution store's correctness battery (cache/solution_store.h).
 //
-// The cache's one promise: synthesis THROUGH the cache is observably
-// identical to synthesis without it -- bit-identical networks, programs,
-// and partitions -- just faster.  Exact hits are compared byte-for-byte
-// against fresh runs (Table-1 designs and a 25-design random corpus);
-// near-miss warm starts must preserve bit-identity while exploring
-// fewer-or-equal nodes (the engine's warm-start contract); renamed
-// variants must hit through the canonical hash; damaged record files
-// must degrade to a miss, never a crash; and eight threads hammering a
-// single store must be clean under the TSan CI job (which runs every
-// cache.* test).
+// The cache's promise: a hit on a request that keeps the stored
+// declaration order (a verbatim repeat, a renamed-in-place copy) is
+// observably identical to synthesis without the cache -- bit-identical
+// networks, programs, and partitions -- just faster; a reordered copy
+// gets the stored run carried over by canonical position and verified.
+// Exact hits are compared byte-for-byte against fresh runs (Table-1
+// designs and a 25-design random corpus), and everything the cache
+// serves over a sweep of strategies, modes and reordered copies is
+// pinned by digest; near-miss warm starts must preserve bit-identity
+// while exploring fewer-or-equal nodes (the engine's warm-start
+// contract); renamed variants must hit through the canonical hash;
+// damaged and old-layout record files must degrade to a miss, never a
+// crash; and eight threads hammering a single store must be clean under
+// the TSan CI job (which runs every cache.* test).
 #include "cache/solution_store.h"
 
 #include <gtest/gtest.h>
@@ -134,12 +138,114 @@ TEST(SolutionStore, RenamedReorderedVariantHits) {
     const synth::SynthResult hit = synth::synthesize(variant, options);
     EXPECT_EQ(hit.cacheOutcome, synth::CacheOutcome::kHit)
         << "variant seed " << seed;
-    // The translated result is verified inside synthesize(); equal cost
+    // The placed result is verified inside synthesize(); equal cost
     // proves the hit carried the stored optimum, not just any solution.
     EXPECT_EQ(hit.innerAfter, first.innerAfter);
     EXPECT_EQ(hit.programmableBlocks, first.programmableBlocks);
   }
   EXPECT_EQ(store->stats().hits, 3u);
+}
+
+// --- what the cache serves is pinned ------------------------------------------
+
+/// FNV-1a-64 over everything a cached synthesize() call hands back.
+struct Fnv1a64 {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  void add(std::string_view bytes) {
+    add(bytes.size());
+    for (const char c : bytes) {
+      hash ^= static_cast<std::uint8_t>(c);
+      hash *= 0x100000001b3ull;
+    }
+  }
+  void add(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  void add(const synth::SynthResult& r) {
+    add(io::writeNetworkBinary(r.network));
+    partition::PartitionRun run = r.run;
+    run.seconds = 0.0;
+    add(io::writePartitionRunBinary(run));
+    for (const synth::SynthesizedBlock& b : r.blocks) add(b.cSource);
+    add(static_cast<std::uint64_t>(r.cacheOutcome));
+  }
+  void add(const StoreStats& s) {
+    for (const std::uint64_t v : {s.hits, s.misses, s.warmStarts, s.inserts,
+                                  s.evictions, s.corrupt, s.writeFailures})
+      add(v);
+  }
+};
+
+/// The same blocks and arcs in the same declaration order, every
+/// instance renamed.
+Network renamedInPlace(const Network& source) {
+  Network out(source.name() + "_renamed");
+  for (BlockId b = 0; b < source.blockCount(); ++b)
+    out.addBlock(std::to_string(b) + "x", source.block(b).type);
+  for (const Connection& c : source.connections()) out.connect(c.from, c.to);
+  return out;
+}
+
+TEST(SolutionStore, ServedResultsMatchTheRecordedDigests) {
+  // Every strategy the store caches, in both counting modes, at 2x2 and
+  // then 3x3 on one store per strategy and mode, over the Table-1 designs
+  // (exhaustive only on those with <= 13 inner blocks) and 25 random
+  // ones: each design verbatim, then three reordered copies (hits carried
+  // over from the verbatim run), then a renamed-in-place copy, whose hit
+  // must also be byte-identical to a fresh run.  The digests hash network
+  // frames, run frames (seconds zeroed), C sources and cache outcomes of
+  // every call, plus each store's final counters.  Any change to them is
+  // a change in what the cache serves.
+  std::vector<Network> sweep;
+  for (const auto& e : designs::designLibrary()) sweep.push_back(e.network);
+  for (std::uint32_t seed = 1; seed <= 25; ++seed)
+    sweep.push_back(randgen::randomNetwork(
+        {.innerBlocks = 4 + static_cast<int>(seed % 9), .seed = 3100 + seed}));
+
+  std::vector<std::uint64_t> digests;
+  for (const char* algorithm :
+       {"paredown", "aggregation", "greedy", "fm", "exhaustive"}) {
+    Fnv1a64 served;
+    for (const CountingMode mode :
+         {CountingMode::kEdges, CountingMode::kSignals}) {
+      const auto store = std::make_shared<SolutionStore>(StoreOptions{});
+      for (const int budget : {2, 3}) {
+        synth::SynthOptions options;
+        options.algorithm = algorithm;
+        options.spec = {.inputs = budget, .outputs = budget, .mode = mode};
+        options.engine.threads = 1;
+        synth::SynthOptions cached = options;
+        cached.cache = store;
+        for (const Network& net : sweep) {
+          if (options.algorithm == "exhaustive" &&
+              net.innerBlocks().size() > 13)
+            continue;
+          served.add(synth::synthesize(net, cached));
+          for (std::uint32_t seed = 1; seed <= 3; ++seed)
+            served.add(
+                synth::synthesize(randgen::relabeledCopy(net, seed), cached));
+          const Network renamed = renamedInPlace(net);
+          const synth::SynthResult hit = synth::synthesize(renamed, cached);
+          EXPECT_EQ(hit.cacheOutcome, synth::CacheOutcome::kHit)
+              << algorithm << " " << net.name();
+          expectBitIdentical(hit, synth::synthesize(renamed, options),
+                             std::string(algorithm) + " " + net.name());
+          served.add(hit);
+        }
+      }
+      served.add(store->stats());
+    }
+    digests.push_back(served.hash);
+  }
+  const std::vector<std::uint64_t> recorded = {
+      0x7f6e1eed4003876dull, 0xd03ac1f8c5cd90e0ull, 0x7788c596661f0c04ull,
+      0x8867dae2373d9aa5ull, 0x3debd702262a19a4ull};
+  EXPECT_EQ(digests, recorded) << std::hex << digests[0] << " " << digests[1]
+                               << " " << digests[2] << " " << digests[3]
+                               << " " << digests[4];
 }
 
 // --- near-miss warm starts ---------------------------------------------------
@@ -326,6 +432,28 @@ TEST(SolutionStore, RotAfterIndexingIsAMissOnTheLiveStore) {
   // Same store instance, already-indexed entry, rotten file: miss.
   EXPECT_FALSE(store.lookup(net, "paredown", {}, {}).has_value());
   EXPECT_GE(store.stats().corrupt, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(SolutionStore, RecordsOfTheOldLayoutAreRetiredAtOpen) {
+  // tests/data/old_solution_record.eblk is the garage design's 2x2
+  // paredown record as the previous layout wrote it (a stored network,
+  // partitions by block id), under the file name its key derived then.
+  // The key now folds in the layout revision, so the file is misnamed.
+  const std::string dir = freshDir("oldlayout");
+  fs::create_directories(dir);
+  const fs::path old =
+      fs::path(dir) / "c324ed6689e42a89a55aaf38db215e4f.eblk";
+  fs::copy_file(
+      fs::path(EBLOCKS_TEST_DATA_DIR) / "old_solution_record.eblk", old);
+
+  SolutionStore store{StoreOptions{dir}};
+  EXPECT_FALSE(fs::exists(old));
+  EXPECT_EQ(store.stats().corrupt, 1u);
+  const Network net = designs::garageOpenAtNight();
+  EXPECT_FALSE(store.lookup(net, "paredown", {}, {}).has_value());
+  store.insert(net, "paredown", {}, {}, runFor(net, "paredown"));
+  EXPECT_TRUE(store.lookup(net, "paredown", {}, {}).has_value());
   fs::remove_all(dir);
 }
 

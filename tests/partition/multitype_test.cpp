@@ -140,9 +140,28 @@ TEST(MultiType, ExhaustivePicksMixOfBlockSizes) {
 TEST(MultiType, TimeLimitStillVerifies) {
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
                               {"prog_4x4", 4, 4, 2.5}});
-  const Network net = randgen::randomNetwork({.innerBlocks = 24, .seed = 5});
+  // 40 inner blocks: the search is still running after 20 s at 4 threads
+  // (a 24-inner design finished in 45 ms, too close to the limit).
+  const Network net = randgen::randomNetwork({.innerBlocks = 40, .seed = 5});
   ExhaustiveOptions options;
   options.timeLimitSeconds = 0.02;
+  options.seed = multiTypePareDown(net, model).result;
+  const PartitionRun run = multiTypeExhaustive(net, model, options);
+  EXPECT_TRUE(run.timedOut);
+  EXPECT_TRUE(verifyPartitioning(net, model, run.result).empty());
+}
+
+TEST(MultiType, NodeBudgetStillVerifies) {
+  // Serial and node-budgeted, so the search stops at the same node on
+  // every machine.  The best leaf it has found by then prices one bin at
+  // a 4x4 that costs more than the blocks it holds; the returned result
+  // must leave those blocks uncovered instead.
+  const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
+                              {"prog_4x4", 4, 4, 2.5}});
+  const Network net = randgen::randomNetwork({.innerBlocks = 40, .seed = 5});
+  ExhaustiveOptions options;
+  options.threads = 1;
+  options.nodeBudget = 100000;
   options.seed = multiTypePareDown(net, model).result;
   const PartitionRun run = multiTypeExhaustive(net, model, options);
   EXPECT_TRUE(run.timedOut);
