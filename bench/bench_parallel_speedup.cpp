@@ -81,10 +81,11 @@ Network hubAndSpoke(int chainLen) {
   const BlockId hub = net.addBlock("hub", cat.or3());
   int id = 0;
   for (int c = 0; c < 3; ++c) {
-    BlockId prev = net.addBlock("s" + std::to_string(c), cat.button());
+    BlockId prev =
+        net.addBlock(std::string("s").append(std::to_string(c)), cat.button());
     for (int i = 0; i < chainLen; ++i) {
-      const BlockId b = net.addBlock("c" + std::to_string(id++),
-                                     cat.inverter());
+      const BlockId b = net.addBlock(
+          std::string("c").append(std::to_string(id++)), cat.inverter());
       net.connect(prev, 0, b, 0);
       prev = b;
     }
@@ -93,13 +94,15 @@ Network hubAndSpoke(int chainLen) {
   for (int c = 0; c < 2; ++c) {
     BlockId prev = hub;
     for (int i = 0; i < chainLen; ++i) {
-      const BlockId b = net.addBlock("d" + std::to_string(id++),
-                                     cat.inverter());
+      const BlockId b = net.addBlock(
+          std::string("d").append(std::to_string(id++)), cat.inverter());
       net.connect(prev, 0, b, 0);
       prev = b;
     }
     net.connect(prev, 0,
-                net.addBlock("led" + std::to_string(c), cat.led()), 0);
+                net.addBlock(std::string("led").append(std::to_string(c)),
+                             cat.led()),
+                0);
   }
   return net;
 }

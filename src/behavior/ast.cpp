@@ -1,7 +1,5 @@
 #include "behavior/ast.h"
 
-#include <utility>
-
 namespace eblocks::behavior {
 
 const char* toString(UnaryOp op) {
@@ -31,102 +29,47 @@ const char* toString(BinaryOp op) {
   return "?";
 }
 
-ExprPtr makeIntLit(std::int64_t v) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kIntLit;
-  e->intValue = v;
-  return e;
+Index appendCopy(Program& dst, const Program& src,
+                 std::span<const Index> slotMap) {
+  const Index base = static_cast<Index>(dst.nodes.size());
+  const auto shift = [base](Index i) { return i == kNone ? kNone : i + base; };
+  for (Node n : src.nodes) {
+    if (n.slot != kNone) n.slot = slotMap[static_cast<std::size_t>(n.slot)];
+    n.lhs = shift(n.lhs);
+    n.rhs = shift(n.rhs);
+    n.then = shift(n.then);
+    n.orElse = shift(n.orElse);
+    n.next = shift(n.next);
+    dst.nodes.push_back(n);
+  }
+  return base;
 }
 
-ExprPtr makeVarRef(std::string name) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kVarRef;
-  e->name = std::move(name);
-  return e;
-}
-
-ExprPtr makeUnary(UnaryOp op, ExprPtr operand) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kUnary;
-  e->uop = op;
-  e->lhs = std::move(operand);
-  return e;
-}
-
-ExprPtr makeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kBinary;
-  e->bop = op;
-  e->lhs = std::move(lhs);
-  e->rhs = std::move(rhs);
-  return e;
-}
-
-StmtPtr makeVarDecl(std::string name, ExprPtr init) {
-  auto s = std::make_unique<Stmt>();
-  s->kind = StmtKind::kVarDecl;
-  s->name = std::move(name);
-  s->expr = std::move(init);
-  return s;
-}
-
-StmtPtr makeAssign(std::string name, ExprPtr value) {
-  auto s = std::make_unique<Stmt>();
-  s->kind = StmtKind::kAssign;
-  s->name = std::move(name);
-  s->expr = std::move(value);
-  return s;
-}
-
-StmtPtr makeIf(ExprPtr cond, std::vector<StmtPtr> thenBody,
-               std::vector<StmtPtr> elseBody) {
-  auto s = std::make_unique<Stmt>();
-  s->kind = StmtKind::kIf;
-  s->expr = std::move(cond);
-  s->thenBody = std::move(thenBody);
-  s->elseBody = std::move(elseBody);
-  return s;
-}
-
-namespace {
-
-void collectRefs(const Expr& e, std::set<std::string>& out) {
-  if (e.kind == ExprKind::kVarRef) out.insert(e.name);
-  if (e.lhs) collectRefs(*e.lhs, out);
-  if (e.rhs) collectRefs(*e.rhs, out);
-}
-
-void collectRefs(const Stmt& s, std::set<std::string>& out) {
-  if (s.expr) collectRefs(*s.expr, out);
-  for (const StmtPtr& t : s.thenBody) collectRefs(*t, out);
-  for (const StmtPtr& t : s.elseBody) collectRefs(*t, out);
-}
-
-void collectAssigns(const Stmt& s, std::set<std::string>& out) {
-  if (s.kind == StmtKind::kAssign) out.insert(s.name);
-  for (const StmtPtr& t : s.thenBody) collectAssigns(*t, out);
-  for (const StmtPtr& t : s.elseBody) collectAssigns(*t, out);
-}
-
-}  // namespace
-
-std::vector<std::string> declaredVars(const Program& p) {
-  std::vector<std::string> out;
-  for (const StmtPtr& s : p.statements)
-    if (s->kind == StmtKind::kVarDecl) out.push_back(s->name);
-  return out;
-}
-
-std::set<std::string> referencedNames(const Program& p) {
-  std::set<std::string> out;
-  for (const StmtPtr& s : p.statements) collectRefs(*s, out);
-  return out;
-}
-
-std::set<std::string> assignedNames(const Program& p) {
-  std::set<std::string> out;
-  for (const StmtPtr& s : p.statements) collectAssigns(*s, out);
-  return out;
+NameTable bindNames(const Program& p, const std::vector<std::string>& inputs,
+                    const std::vector<std::string>& outputs) {
+  NameTable table(p.names.size());
+  for (std::size_t s = 0; s < p.names.size(); ++s) {
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      if (inputs[i] == p.names[s])
+        table[s] = {NameBinding::Kind::kInput, static_cast<int>(i)};
+    for (std::size_t i = 0; i < outputs.size(); ++i)
+      if (outputs[i] == p.names[s])
+        table[s] = {NameBinding::Kind::kOutput, static_cast<int>(i)};
+  }
+  int ordinal = 0;
+  for (const Index s : p.top) {
+    const Node& n = p.nodes[static_cast<std::size_t>(s)];
+    if (n.kind != NodeKind::kVarDecl) continue;
+    NameBinding& nb = table[static_cast<std::size_t>(n.slot)];
+    if (nb.kind == NameBinding::Kind::kLocal && nb.stateOrdinal < 0)
+      nb.stateOrdinal = ordinal++;
+  }
+  // The builtin is shared by every member of a merge and never renamed;
+  // a port called `tick` is a port, a `var tick` keeps its ordinal.
+  for (std::size_t s = 0; s < p.names.size(); ++s)
+    if (p.names[s] == "tick" && table[s].kind == NameBinding::Kind::kLocal)
+      table[s].kind = NameBinding::Kind::kTick;
+  return table;
 }
 
 }  // namespace eblocks::behavior

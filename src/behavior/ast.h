@@ -1,4 +1,4 @@
-// Abstract syntax trees for block behaviors.
+// Behavior programs in one flat, slot-resolved form.
 //
 // A behavior program is a list of statements evaluated top-to-bottom on
 // every block activation (arrival of an input packet or a timer tick).
@@ -8,23 +8,28 @@
 //   - reads reference input ports, state variables, or the builtin `tick`
 //     (1 when the activation is a timer tick).
 //
-// The code generator (src/codegen) merges programs of all blocks in a
-// partition by concatenating their statement lists in level order after
-// variable renaming, exactly as Section 3.3 describes.
+// Every expression and statement is one Node of Program::nodes, and a node
+// names its children by index.  Every name is a *slot*: an index into
+// Program::names, which holds each distinct name once, so a consumer
+// resolves a name once per slot rather than once per occurrence.  A node's
+// children precede it, so an expression's root is the last of its nodes.
+// The statements of an `if` body are chained through Node::next; the top
+// level is the list Program::top.
+//
+// The code generator (src/codegen) merges the programs of all blocks in a
+// partition by copying their nodes in level order, with node indices
+// offset and every slot mapped to a slot of the merged program (the
+// "variable renaming" of Section 3.3).
 #ifndef EBLOCKS_BEHAVIOR_AST_H_
 #define EBLOCKS_BEHAVIOR_AST_H_
 
 #include <cstdint>
-#include <memory>
-#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace eblocks::behavior {
-
-// --- expressions -----------------------------------------------------------
-
-enum class ExprKind : std::uint8_t { kIntLit, kVarRef, kUnary, kBinary };
 
 enum class UnaryOp : std::uint8_t { kNot, kNeg };
 
@@ -37,65 +42,80 @@ enum class BinaryOp : std::uint8_t {
 const char* toString(UnaryOp op);
 const char* toString(BinaryOp op);
 
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+/// A node index or a slot.
+using Index = std::int32_t;
+inline constexpr Index kNone = -1;
 
-struct Expr {
-  ExprKind kind;
-  std::int64_t intValue = 0;  // kIntLit
-  std::string name;           // kVarRef
-  UnaryOp uop = UnaryOp::kNot;
-  BinaryOp bop = BinaryOp::kAdd;
-  ExprPtr lhs;  // kUnary operand / kBinary left
-  ExprPtr rhs;  // kBinary right
+enum class NodeKind : std::uint8_t {
+  kIntLit, kVarRef, kUnary, kBinary,  // expressions
+  kVarDecl, kAssign, kIf,             // statements
 };
 
-ExprPtr makeIntLit(std::int64_t v);
-ExprPtr makeVarRef(std::string name);
-ExprPtr makeUnary(UnaryOp op, ExprPtr operand);
-ExprPtr makeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
-
-// --- statements --------------------------------------------------------------
-
-enum class StmtKind : std::uint8_t { kVarDecl, kAssign, kIf };
-
-struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
-
-struct Stmt {
-  StmtKind kind;
-  std::string name;  // kVarDecl/kAssign: target variable
-  ExprPtr expr;      // kVarDecl init / kAssign rhs / kIf condition
-  std::vector<StmtPtr> thenBody;  // kIf
-  std::vector<StmtPtr> elseBody;  // kIf
+struct Node {
+  NodeKind kind = NodeKind::kIntLit;
+  UnaryOp uop = UnaryOp::kNot;    ///< kUnary
+  BinaryOp bop = BinaryOp::kAdd;  ///< kBinary
+  Index slot = kNone;  ///< kVarRef: the name read; kVarDecl, kAssign: written
+  /// kUnary operand, kBinary left operand; the expression of a statement
+  /// (declaration initializer, assigned value, `if` condition).
+  Index lhs = kNone;
+  Index rhs = kNone;     ///< kBinary right operand
+  Index then = kNone;    ///< kIf: first statement of the then body
+  Index orElse = kNone;  ///< kIf: first statement of the else body
+  Index next = kNone;    ///< a statement of an `if` body: the one after it
+  std::int64_t value = 0;  ///< kIntLit
 };
-
-StmtPtr makeVarDecl(std::string name, ExprPtr init);
-StmtPtr makeAssign(std::string name, ExprPtr value);
-StmtPtr makeIf(ExprPtr cond, std::vector<StmtPtr> thenBody,
-               std::vector<StmtPtr> elseBody = {});
-
-// --- programs ----------------------------------------------------------------
 
 struct Program {
-  std::vector<StmtPtr> statements;
+  std::vector<Node> nodes;
+  std::vector<std::string> names;  ///< slot -> name, each name once
+  std::vector<Index> top;          ///< top-level statements, in order
 
   Program() = default;
   Program(Program&&) = default;
   Program& operator=(Program&&) = default;
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
+
+  /// Appends `n`; returns its index.
+  Index add(const Node& n) {
+    nodes.push_back(n);
+    return static_cast<Index>(nodes.size()) - 1;
+  }
+  /// Appends a slot named `name`; returns it.
+  Index addName(std::string name) {
+    names.push_back(std::move(name));
+    return static_cast<Index>(names.size()) - 1;
+  }
 };
 
-/// Names of variables declared with `var` in program order.
-std::vector<std::string> declaredVars(const Program& p);
+/// Appends a copy of `src`'s nodes to `dst`, with every slot s of `src`
+/// replaced by slotMap[s], a slot of `dst`.  Returns the offset added to
+/// `src`'s node indices; `dst.top` is left to the caller.
+Index appendCopy(Program& dst, const Program& src,
+                 std::span<const Index> slotMap);
 
-/// Every name referenced (read) anywhere in the program.
-std::set<std::string> referencedNames(const Program& p);
+/// What one slot of a block's program denotes, relative to its ports.
+struct NameBinding {
+  enum class Kind : std::uint8_t {
+    kInput,   ///< input port `port`
+    kOutput,  ///< output port `port`
+    kTick,    ///< the builtin `tick` (when no port is named `tick`)
+    kLocal,   ///< state or any other block-local name
+  };
+  Kind kind = Kind::kLocal;
+  int port = -1;          ///< kInput / kOutput: the port number
+  int stateOrdinal = -1;  ///< `var` declaration ordinal among non-port names
+};
 
-/// Every name assigned (written) anywhere in the program, excluding
-/// declarations.
-std::set<std::string> assignedNames(const Program& p);
+/// One binding per slot.
+using NameTable = std::vector<NameBinding>;
+
+/// Binds every slot of `p`.  A name shared by an input and an output binds
+/// to the output, a name shared by two ports to the later one, and a port
+/// name wins over a `var` of the same name.
+NameTable bindNames(const Program& p, const std::vector<std::string>& inputs,
+                    const std::vector<std::string>& outputs);
 
 }  // namespace eblocks::behavior
 

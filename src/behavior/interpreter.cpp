@@ -12,29 +12,30 @@ void Environment::set(const std::string& name, std::int64_t value) {
   vars_[name] = value;
 }
 
-std::int64_t evaluate(const Expr& e, const Environment& env) {
-  switch (e.kind) {
-    case ExprKind::kIntLit:
-      return e.intValue;
-    case ExprKind::kVarRef:
-      return env.get(e.name);
-    case ExprKind::kUnary: {
-      const std::int64_t v = evaluate(*e.lhs, env);
-      return e.uop == UnaryOp::kNot ? (v == 0 ? 1 : 0) : -v;
+std::int64_t evaluate(const Program& p, Index e, const Environment& env) {
+  const Node& n = p.nodes[static_cast<std::size_t>(e)];
+  switch (n.kind) {
+    case NodeKind::kIntLit:
+      return n.value;
+    case NodeKind::kVarRef:
+      return env.get(p.names[static_cast<std::size_t>(n.slot)]);
+    case NodeKind::kUnary: {
+      const std::int64_t v = evaluate(p, n.lhs, env);
+      return n.uop == UnaryOp::kNot ? (v == 0 ? 1 : 0) : -v;
     }
-    case ExprKind::kBinary: {
+    case NodeKind::kBinary: {
       // Short-circuit for logical operators.
-      if (e.bop == BinaryOp::kAnd) {
-        if (evaluate(*e.lhs, env) == 0) return 0;
-        return evaluate(*e.rhs, env) != 0 ? 1 : 0;
+      if (n.bop == BinaryOp::kAnd) {
+        if (evaluate(p, n.lhs, env) == 0) return 0;
+        return evaluate(p, n.rhs, env) != 0 ? 1 : 0;
       }
-      if (e.bop == BinaryOp::kOr) {
-        if (evaluate(*e.lhs, env) != 0) return 1;
-        return evaluate(*e.rhs, env) != 0 ? 1 : 0;
+      if (n.bop == BinaryOp::kOr) {
+        if (evaluate(p, n.lhs, env) != 0) return 1;
+        return evaluate(p, n.rhs, env) != 0 ? 1 : 0;
       }
-      const std::int64_t a = evaluate(*e.lhs, env);
-      const std::int64_t b = evaluate(*e.rhs, env);
-      switch (e.bop) {
+      const std::int64_t a = evaluate(p, n.lhs, env);
+      const std::int64_t b = evaluate(p, n.rhs, env);
+      switch (n.bop) {
         case BinaryOp::kAdd: return a + b;
         case BinaryOp::kSub: return a - b;
         case BinaryOp::kMul: return a * b;
@@ -55,38 +56,40 @@ std::int64_t evaluate(const Expr& e, const Environment& env) {
       }
       throw EvalError("unreachable binary operator");
     }
+    default:
+      break;
   }
   throw EvalError("unreachable expression kind");
 }
 
 namespace {
 
-void executeStmt(const Stmt& s, Environment& env) {
-  switch (s.kind) {
-    case StmtKind::kVarDecl:
-      break;  // state persists between activations
-    case StmtKind::kAssign:
-      env.set(s.name, evaluate(*s.expr, env));
-      break;
-    case StmtKind::kIf: {
-      const auto& body =
-          evaluate(*s.expr, env) != 0 ? s.thenBody : s.elseBody;
-      for (const StmtPtr& t : body) executeStmt(*t, env);
-      break;
-    }
+void executeStmt(const Program& p, const Node& n, Environment& env) {
+  if (n.kind == NodeKind::kAssign) {
+    env.set(p.names[static_cast<std::size_t>(n.slot)],
+            evaluate(p, n.lhs, env));
+  } else if (n.kind == NodeKind::kIf) {
+    for (Index s = evaluate(p, n.lhs, env) != 0 ? n.then : n.orElse;
+         s != kNone; s = p.nodes[static_cast<std::size_t>(s)].next)
+      executeStmt(p, p.nodes[static_cast<std::size_t>(s)], env);
   }
+  // kVarDecl: state persists between activations
 }
 
 }  // namespace
 
 void execute(const Program& p, Environment& env) {
-  for (const StmtPtr& s : p.statements) executeStmt(*s, env);
+  for (const Index s : p.top)
+    executeStmt(p, p.nodes[static_cast<std::size_t>(s)], env);
 }
 
 void initializeState(const Program& p, Environment& env) {
-  for (const StmtPtr& s : p.statements)
-    if (s->kind == StmtKind::kVarDecl)
-      env.set(s->name, evaluate(*s->expr, env));
+  for (const Index s : p.top) {
+    const Node& n = p.nodes[static_cast<std::size_t>(s)];
+    if (n.kind == NodeKind::kVarDecl)
+      env.set(p.names[static_cast<std::size_t>(n.slot)],
+              evaluate(p, n.lhs, env));
+  }
 }
 
 }  // namespace eblocks::behavior

@@ -1,9 +1,10 @@
-// Tree-walking interpreter for behavior programs.
+// Interpreter for behavior programs, walking their nodes.
 //
-// The simulator evaluates a block's syntax tree on every activation; the
-// same interpreter evaluates merged programmable-block trees, which is how
-// we validate code generation ("the simulator's interpreter evaluates the
+// The simulator evaluates a block's program on every activation; the same
+// interpreter evaluates merged programmable-block programs, which is how we
+// validate code generation ("the simulator's interpreter evaluates the
 // tree in the same manner as a non-programmable block", Section 3.3).
+// Variables are kept by name: a slot reads and writes p.names[slot].
 #ifndef EBLOCKS_BEHAVIOR_INTERPRETER_H_
 #define EBLOCKS_BEHAVIOR_INTERPRETER_H_
 
@@ -41,8 +42,8 @@ class Environment {
   std::unordered_map<std::string, std::int64_t> vars_;
 };
 
-/// Evaluates an expression in `env`.
-std::int64_t evaluate(const Expr& e, const Environment& env);
+/// Evaluates the expression at node `e` of `p` in `env`.
+std::int64_t evaluate(const Program& p, Index e, const Environment& env);
 
 /// Runs every non-declaration statement top to bottom.  Declarations are
 /// skipped: persistent state is initialized once via initializeState().

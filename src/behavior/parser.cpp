@@ -1,6 +1,7 @@
 #include "behavior/parser.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "behavior/lexer.h"
@@ -28,15 +29,14 @@ class Parser {
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Program parseProgram() {
-    Program p;
-    while (!at(TokenKind::kEnd)) p.statements.push_back(parseStmt(true));
-    return p;
+    while (!at(TokenKind::kEnd)) out_.top.push_back(parseStmt(true));
+    return std::move(out_);
   }
 
-  ExprPtr parseSingleExpression() {
-    ExprPtr e = parseExpr();
+  Program parseSingleExpression() {
+    parseExpr();
     expect(TokenKind::kEnd, "end of expression");
-    return e;
+    return std::move(out_);
   }
 
  private:
@@ -105,13 +105,21 @@ class Parser {
     Recursion recursion_;
   };
 
-  ExprPtr binary(BinaryOp op, ExprPtr lhs, const Extent& lhsExtent,
-                 ExprPtr rhs) {
-    reach(1 + std::max(lhsExtent.height, last_.height), true);
-    return makeBinary(op, std::move(lhs), std::move(rhs));
+  /// The slot of `name`, added on first sight.
+  Index slot(const std::string& name) {
+    const auto [it, fresh] =
+        slots_.try_emplace(name, static_cast<Index>(out_.names.size()));
+    if (fresh) out_.addName(name);
+    return it->second;
   }
 
-  StmtPtr parseStmt(bool allowDecl) {
+  Index binary(BinaryOp op, Index lhs, const Extent& lhsExtent, Index rhs) {
+    reach(1 + std::max(lhsExtent.height, last_.height), true);
+    return out_.add({.kind = NodeKind::kBinary, .bop = op, .lhs = lhs,
+                     .rhs = rhs});
+  }
+
+  Index parseStmt(bool allowDecl) {
     const StmtLevel level(*this);
     if (at(TokenKind::kKwVar)) {
       if (!allowDecl)
@@ -120,150 +128,162 @@ class Parser {
             "(state initialization has reset semantics)",
             cur().line, cur().column);
       take();
-      Token name = expect(TokenKind::kIdent, "variable name");
+      const Index target =
+          slot(expect(TokenKind::kIdent, "variable name").text);
       expect(TokenKind::kAssign, "'=' after variable name");
-      ExprPtr init = parseExpr();
+      const Index init = parseExpr();
       expect(TokenKind::kSemicolon, "';' after declaration");
-      return makeVarDecl(name.text, std::move(init));
+      return out_.add(
+          {.kind = NodeKind::kVarDecl, .slot = target, .lhs = init});
     }
     if (at(TokenKind::kKwIf)) return parseIf();
     if (at(TokenKind::kIdent)) {
-      Token name = take();
+      const Index target = slot(take().text);
       expect(TokenKind::kAssign, "'=' in assignment");
-      ExprPtr rhs = parseExpr();
+      const Index value = parseExpr();
       expect(TokenKind::kSemicolon, "';' after assignment");
-      return makeAssign(name.text, std::move(rhs));
+      return out_.add(
+          {.kind = NodeKind::kAssign, .slot = target, .lhs = value});
     }
     throw ParseError("expected statement, found " +
                          std::string(toString(cur().kind)),
                      cur().line, cur().column);
   }
 
-  StmtPtr parseIf() {
+  Index parseIf() {
     expect(TokenKind::kKwIf, "'if'");
     expect(TokenKind::kLParen, "'(' after 'if'");
-    ExprPtr cond = parseExpr();
+    const Index cond = parseExpr();
     expect(TokenKind::kRParen, "')' after condition");
-    std::vector<StmtPtr> thenBody = parseBlock();
-    std::vector<StmtPtr> elseBody;
-    if (accept(TokenKind::kKwElse)) {
-      if (at(TokenKind::kKwIf)) {
-        elseBody.push_back(parseStmt(false));  // else-if chain
-      } else {
-        elseBody = parseBlock();
-      }
-    }
-    return makeIf(std::move(cond), std::move(thenBody), std::move(elseBody));
+    const Index then = parseBlock();
+    Index orElse = kNone;
+    if (accept(TokenKind::kKwElse))  // a block, or an else-if chain
+      orElse = at(TokenKind::kKwIf) ? parseStmt(false) : parseBlock();
+    return out_.add(
+        {.kind = NodeKind::kIf, .lhs = cond, .then = then, .orElse = orElse});
   }
 
-  std::vector<StmtPtr> parseBlock() {
+  /// Parses `{ stmt* }`; returns its first statement (kNone when empty),
+  /// the others chained behind it through Node::next.
+  Index parseBlock() {
     expect(TokenKind::kLBrace, "'{'");
-    std::vector<StmtPtr> body;
+    Index first = kNone, last = kNone;
     while (!at(TokenKind::kRBrace)) {
       if (at(TokenKind::kEnd))
         throw ParseError("unterminated block", cur().line, cur().column);
-      body.push_back(parseStmt(false));
+      const Index s = parseStmt(false);
+      if (last == kNone)
+        first = s;
+      else
+        out_.nodes[static_cast<std::size_t>(last)].next = s;
+      last = s;
     }
     take();  // consume '}'
-    return body;
+    return first;
   }
 
-  ExprPtr parseExpr() { return parseOr(); }
+  Index parseExpr() { return parseOr(); }
 
-  ExprPtr parseOr() {
-    ExprPtr lhs = parseAnd();
+  Index parseOr() {
+    Index lhs = parseAnd();
     while (accept(TokenKind::kOrOr)) {
       const Extent l = last_;
-      lhs = binary(BinaryOp::kOr, std::move(lhs), l, parseAnd());
+      lhs = binary(BinaryOp::kOr, lhs, l, parseAnd());
     }
     return lhs;
   }
 
-  ExprPtr parseAnd() {
-    ExprPtr lhs = parseEquality();
+  Index parseAnd() {
+    Index lhs = parseEquality();
     while (accept(TokenKind::kAndAnd)) {
       const Extent l = last_;
-      lhs = binary(BinaryOp::kAnd, std::move(lhs), l, parseEquality());
+      lhs = binary(BinaryOp::kAnd, lhs, l, parseEquality());
     }
     return lhs;
   }
 
-  ExprPtr parseEquality() {
-    ExprPtr lhs = parseRel();
+  Index parseEquality() {
+    Index lhs = parseRel();
     for (;;) {
       const Extent l = last_;
       if (accept(TokenKind::kEq))
-        lhs = binary(BinaryOp::kEq, std::move(lhs), l, parseRel());
+        lhs = binary(BinaryOp::kEq, lhs, l, parseRel());
       else if (accept(TokenKind::kNe))
-        lhs = binary(BinaryOp::kNe, std::move(lhs), l, parseRel());
+        lhs = binary(BinaryOp::kNe, lhs, l, parseRel());
       else
         return lhs;
     }
   }
 
-  ExprPtr parseRel() {
-    ExprPtr lhs = parseAdd();
+  Index parseRel() {
+    Index lhs = parseAdd();
     for (;;) {
       const Extent l = last_;
       if (accept(TokenKind::kLt))
-        lhs = binary(BinaryOp::kLt, std::move(lhs), l, parseAdd());
+        lhs = binary(BinaryOp::kLt, lhs, l, parseAdd());
       else if (accept(TokenKind::kLe))
-        lhs = binary(BinaryOp::kLe, std::move(lhs), l, parseAdd());
+        lhs = binary(BinaryOp::kLe, lhs, l, parseAdd());
       else if (accept(TokenKind::kGt))
-        lhs = binary(BinaryOp::kGt, std::move(lhs), l, parseAdd());
+        lhs = binary(BinaryOp::kGt, lhs, l, parseAdd());
       else if (accept(TokenKind::kGe))
-        lhs = binary(BinaryOp::kGe, std::move(lhs), l, parseAdd());
+        lhs = binary(BinaryOp::kGe, lhs, l, parseAdd());
       else
         return lhs;
     }
   }
 
-  ExprPtr parseAdd() {
-    ExprPtr lhs = parseMul();
+  Index parseAdd() {
+    Index lhs = parseMul();
     for (;;) {
       const Extent l = last_;
       if (accept(TokenKind::kPlus))
-        lhs = binary(BinaryOp::kAdd, std::move(lhs), l, parseMul());
+        lhs = binary(BinaryOp::kAdd, lhs, l, parseMul());
       else if (accept(TokenKind::kMinus))
-        lhs = binary(BinaryOp::kSub, std::move(lhs), l, parseMul());
+        lhs = binary(BinaryOp::kSub, lhs, l, parseMul());
       else
         return lhs;
     }
   }
 
-  ExprPtr parseMul() {
-    ExprPtr lhs = parseUnary();
+  Index parseMul() {
+    Index lhs = parseUnary();
     for (;;) {
       const Extent l = last_;
       if (accept(TokenKind::kStar))
-        lhs = binary(BinaryOp::kMul, std::move(lhs), l, parseUnary());
+        lhs = binary(BinaryOp::kMul, lhs, l, parseUnary());
       else if (accept(TokenKind::kSlash))
-        lhs = binary(BinaryOp::kDiv, std::move(lhs), l, parseUnary());
+        lhs = binary(BinaryOp::kDiv, lhs, l, parseUnary());
       else if (accept(TokenKind::kPercent))
-        lhs = binary(BinaryOp::kMod, std::move(lhs), l, parseUnary());
+        lhs = binary(BinaryOp::kMod, lhs, l, parseUnary());
       else
         return lhs;
     }
   }
 
-  ExprPtr parseUnary() {
+  Index parseUnary() {
     const bool bang = at(TokenKind::kBang);
     if (!bang && !at(TokenKind::kMinus)) return parsePrimary();
     ++pos_;
     const Recursion recursion(*this);
-    ExprPtr operand = parseUnary();
+    const Index operand = parseUnary();
     reach(last_.height + 1, true);
-    return makeUnary(bang ? UnaryOp::kNot : UnaryOp::kNeg, std::move(operand));
+    return out_.add({.kind = NodeKind::kUnary,
+                     .uop = bang ? UnaryOp::kNot : UnaryOp::kNeg,
+                     .lhs = operand});
   }
 
-  ExprPtr parsePrimary() {
-    if (at(TokenKind::kIntLit)) return leaf(makeIntLit(take().intValue));
-    if (accept(TokenKind::kKwTrue)) return leaf(makeIntLit(1));
-    if (accept(TokenKind::kKwFalse)) return leaf(makeIntLit(0));
-    if (at(TokenKind::kIdent)) return leaf(makeVarRef(take().text));
+  Index parsePrimary() {
+    if (at(TokenKind::kIntLit)) return literal(take().intValue);
+    if (accept(TokenKind::kKwTrue)) return literal(1);
+    if (accept(TokenKind::kKwFalse)) return literal(0);
+    if (at(TokenKind::kIdent)) {
+      const Index name = slot(take().text);
+      reach(1, false);
+      return out_.add({.kind = NodeKind::kVarRef, .slot = name});
+    }
     if (accept(TokenKind::kLParen)) {
       const Recursion recursion(*this);
-      ExprPtr e = parseExpr();
+      const Index e = parseExpr();
       expect(TokenKind::kRParen, "')'");
       reach(last_.height + (last_.op ? 0 : 1), false);
       return e;
@@ -273,9 +293,9 @@ class Parser {
                      cur().line, cur().column);
   }
 
-  ExprPtr leaf(ExprPtr e) {
+  Index literal(std::int64_t v) {
     reach(1, false);
-    return e;
+    return out_.add({.kind = NodeKind::kIntLit, .value = v});
   }
 
   std::vector<Token> tokens_;
@@ -283,6 +303,8 @@ class Parser {
   int stmtDepth_ = 0;  // statement levels enclosing the current position
   int recursion_ = 0;  // live Recursion guards
   Extent last_;        // the expression production that returned last
+  Program out_;
+  std::unordered_map<std::string, Index> slots_;  // name -> slot of out_
 };
 
 }  // namespace
@@ -291,7 +313,7 @@ Program parse(std::string_view source) {
   return Parser(lex(source)).parseProgram();
 }
 
-ExprPtr parseExpression(std::string_view source) {
+Program parseExpression(std::string_view source) {
   return Parser(lex(source)).parseSingleExpression();
 }
 

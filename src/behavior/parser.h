@@ -16,10 +16,14 @@
 //   unary     := ('!'|'-') unary | primary
 //   primary   := INT | 'true' | 'false' | IDENT | '(' expr ')'
 //
-// Nesting is bounded, so that neither the parser nor any later walk over
-// the tree (merge, printer, C emitter, interpreter, canonical hash) can
-// exhaust the stack on hostile input.  Every statement, `if` body level,
-// unary or binary operator, operand, and parenthesized group is one level;
+// The parser builds the flat form of behavior/ast.h: each name becomes a
+// slot when first seen, and a node is appended after its children.
+//
+// Nesting is bounded, so that neither the parser nor any later recursive
+// walk over a program's nodes (printer, C emitter, interpreter, batch
+// simulator compiler) can exhaust the stack on hostile input.  Every
+// statement, `if` body level, unary or binary operator, operand, and
+// parenthesized group is one level;
 // `a + b + c` nests one level per operator, and an else-if one level per
 // `else`.  Parentheses directly around an operator are part of that
 // operator's level, which is exactly how the printer parenthesizes, so a
@@ -54,8 +58,9 @@ class ParseError : public std::runtime_error {
 /// Parses a full behavior program.  Throws LexError / ParseError.
 Program parse(std::string_view source);
 
-/// Parses a single expression (useful in tests).
-ExprPtr parseExpression(std::string_view source);
+/// Parses a single expression (useful in tests): a program with no
+/// statements whose last node is the expression.
+Program parseExpression(std::string_view source);
 
 }  // namespace eblocks::behavior
 

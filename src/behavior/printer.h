@@ -1,24 +1,23 @@
-// Pretty-printer: AST -> DSL source.  Round-trips through the parser, which
-// the tests rely on, and renders merged programs for humans and goldens.
+// Pretty-printer: program -> DSL source.  Round-trips through the parser,
+// which the tests rely on, and renders merged programs for humans and
+// goldens.
 #ifndef EBLOCKS_BEHAVIOR_PRINTER_H_
 #define EBLOCKS_BEHAVIOR_PRINTER_H_
 
 #include <string>
+#include <vector>
 
 #include "behavior/ast.h"
 
 namespace eblocks::behavior {
 
-/// Renders an expression with minimal parentheses (fully parenthesized
-/// compound subexpressions; atoms bare).
-std::string toSource(const Expr& e);
-
-/// Renders a statement (multi-line for if/else), indented by `indent`
-/// levels of two spaces.
-std::string toSource(const Stmt& s, int indent = 0);
-
-/// Renders a whole program.
+/// Renders a whole program: one top-level statement per line, if/else
+/// bodies indented by two spaces per level, compound operands
+/// parenthesized and atoms bare.
 std::string toSource(const Program& p);
+
+/// Renders `p` with slot s spelled names[s] instead of p.names[s].
+std::string toSource(const Program& p, const std::vector<std::string>& names);
 
 }  // namespace eblocks::behavior
 

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "behavior/printer.h"
-#include "behavior/rename.h"
 
 namespace eblocks::cache {
 
@@ -40,27 +39,25 @@ std::uint64_t hashString(std::string_view s, std::uint64_t seed = 0) {
 /// `var` declaration -> "$vK" in declaration order.  Builtin names
 /// (tick, env, display) pass through untouched.  Two types that differ
 /// only in how their signals are spelled print identically here -- the
-/// "signal renaming" half of the hash's invariance.  A renamed copy of the
-/// type's shared tree (BlockType::program), built with the same machinery
-/// codegen merges with.
+/// "signal renaming" half of the hash's invariance.  The type's shared
+/// program (BlockType::program), printed with a canonical name per slot.
 std::string canonicalBehavior(const BlockType& t) {
   if (t.behaviorSource().empty()) return "";
-  const behavior::NameTable& names = t.nameTable();
-  return behavior::toSource(
-      behavior::renamedCopy(t.program(), [&](const std::string& n) {
-        const behavior::NameBinding& nb = names.at(n);
-        switch (nb.kind) {
-          case behavior::NameBinding::Kind::kInput:
-            return "$i" + std::to_string(nb.port);
-          case behavior::NameBinding::Kind::kOutput:
-            return "$o" + std::to_string(nb.port);
-          case behavior::NameBinding::Kind::kTick:
-          case behavior::NameBinding::Kind::kLocal:
-            break;
-        }
-        return nb.stateOrdinal >= 0 ? "$v" + std::to_string(nb.stateOrdinal)
-                                    : n;
-      }));
+  const behavior::Program& program = t.program();
+  const behavior::NameTable& bindings = t.nameTable();
+  std::vector<std::string> names(program.names.size());
+  for (std::size_t s = 0; s < names.size(); ++s) {
+    const behavior::NameBinding& nb = bindings[s];
+    if (nb.kind == behavior::NameBinding::Kind::kInput)
+      names[s] = "$i" + std::to_string(nb.port);
+    else if (nb.kind == behavior::NameBinding::Kind::kOutput)
+      names[s] = "$o" + std::to_string(nb.port);
+    else if (nb.stateOrdinal >= 0)
+      names[s] = "$v" + std::to_string(nb.stateOrdinal);
+    else
+      names[s] = program.names[s];
+  }
+  return behavior::toSource(program, names);
 }
 
 /// Initial WL color: the block's type *semantics*.  Instance names are

@@ -6,52 +6,68 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <system_error>
 #include <vector>
 
 namespace eblocks::codegen {
 
 namespace {
 
-using behavior::BinaryOp;
-using behavior::Expr;
-using behavior::ExprKind;
-using behavior::Stmt;
-using behavior::StmtKind;
-using behavior::StmtPtr;
+using behavior::Index;
+using behavior::kNone;
+using behavior::Node;
+using behavior::NodeKind;
 using behavior::UnaryOp;
+
+/// k when `name` is `stem` followed by k in [0, count), spelled the way
+/// std::to_string spells it; otherwise -1.
+int portNumber(std::string_view name, std::string_view stem, int count) {
+  if (!name.starts_with(stem)) return -1;
+  name.remove_prefix(stem.size());
+  int k = -1;
+  const auto [end, ec] =
+      std::from_chars(name.data(), name.data() + name.size(), k);
+  if (ec != std::errc{} || end != name.data() + name.size() || k < 0 ||
+      k >= count || (name.size() > 1 && name.front() == '0'))
+    return -1;
+  return k;
+}
 
 class Emitter {
  public:
   Emitter(const MergedProgram& merged, const CEmitOptions& options)
       : merged_(merged),
+        program_(merged.program),
         prefix_(options.symbolPrefix),
         macro_(upper(options.symbolPrefix)),
         options_(options) {
-    // Each DSL name's C lvalue, resolved once per unit.  Earlier entries
-    // win: tick, then state variables, then ports.
-    const std::size_t ports =
-        static_cast<std::size_t>(merged.inputCount() + merged.outputCount());
-    portNames_.reserve(ports);  // the table keys view these: no regrowth
-    lvalues_.reserve(1 + merged.program.statements.size() + ports);
-    lvalues_.emplace("tick", LValue{LValue::Kind::kTick, 0});
-    for (const StmtPtr& s : merged.program.statements)
-      if (s->kind == StmtKind::kVarDecl) {
-        lvalues_.emplace(s->name, LValue{LValue::Kind::kState, 0});
+    // Each slot's C lvalue, resolved once per unit: tick first, then
+    // state variables, then the ports in<k> and out<k>.
+    lvalues_.assign(program_.names.size(), LValue{});
+    for (const Index s : program_.top)
+      if (node(s).kind == NodeKind::kVarDecl) {
+        lvalues_[static_cast<std::size_t>(node(s).slot)].kind =
+            LValue::Kind::kState;
         hasState_ = true;
       }
-    for (int k = 0; k < merged.inputCount(); ++k)
-      lvalues_.emplace(portNames_.emplace_back("in" + std::to_string(k)),
-                       LValue{LValue::Kind::kInput, k});
-    for (int k = 0; k < merged.outputCount(); ++k)
-      lvalues_.emplace(portNames_.emplace_back("out" + std::to_string(k)),
-                       LValue{LValue::Kind::kOutput, k});
+    for (std::size_t s = 0; s < lvalues_.size(); ++s) {
+      const std::string& name = program_.names[s];
+      LValue& lv = lvalues_[s];
+      if (name == "tick") {
+        lv.kind = LValue::Kind::kTick;
+      } else if (lv.kind == LValue::Kind::kUnknown) {
+        const int in = portNumber(name, "in", merged.inputCount());
+        const int out = portNumber(name, "out", merged.outputCount());
+        if (in >= 0) lv = {LValue::Kind::kInput, in};
+        if (out >= 0) lv = {LValue::Kind::kOutput, out};
+      }
+    }
   }
 
   std::string run() {
     // Table-1 units run to about 400 bytes of boilerplate plus 46 per
     // top-level statement.
-    out_.reserve(512 + 64 * merged_.program.statements.size());
+    out_.reserve(512 + 64 * program_.top.size());
     header();
     stateStruct();
     resetFunction();
@@ -62,12 +78,19 @@ class Emitter {
   }
 
  private:
-  /// What a DSL name denotes in C: `tick`, `st-><name>`, or a port slot.
+  /// What a slot denotes in C: `tick`, `st-><name>`, or a port.
   struct LValue {
-    enum class Kind : std::uint8_t { kTick, kState, kInput, kOutput };
-    Kind kind;
-    int port;  // kInput / kOutput
+    enum class Kind : std::uint8_t { kUnknown, kTick, kState, kInput, kOutput };
+    Kind kind = Kind::kUnknown;
+    int port = -1;  // kInput / kOutput
   };
+
+  const Node& node(Index i) const {
+    return program_.nodes[static_cast<std::size_t>(i)];
+  }
+  const std::string& name(Index slot) const {
+    return program_.names[static_cast<std::size_t>(slot)];
+  }
 
   // The whole unit is appended into out_: no string per node or line.
   template <typename... Parts>
@@ -83,65 +106,68 @@ class Emitter {
     out_.append(digits, res.ptr);
   }
 
-  void cName(const std::string& name) {
-    const auto it = lvalues_.find(name);
-    if (it == lvalues_.end())
-      throw CodegenError("emitC: unknown name '" + name +
-                         "' (not a state variable, port, or tick)");
-    switch (it->second.kind) {
+  void cName(Index slot) {
+    const LValue& lv = lvalues_[static_cast<std::size_t>(slot)];
+    switch (lv.kind) {
+      case LValue::Kind::kUnknown: break;
       case LValue::Kind::kTick: return put("tick");
-      case LValue::Kind::kState: return put("st->", name);
-      case LValue::Kind::kInput: return put("in[", it->second.port, ']');
-      case LValue::Kind::kOutput: return put("out[", it->second.port, ']');
+      case LValue::Kind::kState: return put("st->", name(slot));
+      case LValue::Kind::kInput: return put("in[", lv.port, ']');
+      case LValue::Kind::kOutput: return put("out[", lv.port, ']');
     }
+    throw CodegenError("emitC: unknown name '" + name(slot) +
+                       "' (not a state variable, port, or tick)");
   }
 
-  void expr(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kIntLit:
-        return put(e.intValue);
-      case ExprKind::kVarRef:
-        return cName(e.name);
-      case ExprKind::kUnary:
-        put(e.uop == UnaryOp::kNot ? "!(" : "-(");
-        expr(*e.lhs);
+  void expr(Index e) {
+    const Node& n = node(e);
+    switch (n.kind) {
+      case NodeKind::kIntLit:
+        return put(n.value);
+      case NodeKind::kVarRef:
+        return cName(n.slot);
+      case NodeKind::kUnary:
+        put(n.uop == UnaryOp::kNot ? "!(" : "-(");
+        expr(n.lhs);
         return put(')');
-      case ExprKind::kBinary:
+      case NodeKind::kBinary:
         put('(');
-        expr(*e.lhs);
-        put(' ', toString(e.bop), ' ');
-        expr(*e.rhs);
+        expr(n.lhs);
+        put(' ', toString(n.bop), ' ');
+        expr(n.rhs);
         return put(')');
+      default:
+        break;
     }
     throw CodegenError("emitC: unreachable expression kind");
   }
 
-  void stmt(const Stmt& s, int depth) {
+  /// Statement `s` and, inside an `if` body, the ones chained after it.
+  void stmts(Index s, int depth) {
     const auto indent = static_cast<std::size_t>(depth) * 2;
-    switch (s.kind) {
-      case StmtKind::kVarDecl:
-        break;  // handled by reset
-      case StmtKind::kAssign:
+    for (; s != kNone; s = node(s).next) {
+      const Node& n = node(s);
+      if (n.kind == NodeKind::kAssign) {
         out_.append(indent, ' ');
-        cName(s.name);
+        cName(n.slot);
         put(" = ");
-        expr(*s.expr);
+        expr(n.lhs);
         put(";\n");
-        break;
-      case StmtKind::kIf:
+      } else if (n.kind == NodeKind::kIf) {
         out_.append(indent, ' ');
         put("if (");
-        expr(*s.expr);
+        expr(n.lhs);
         put(") {\n");
-        for (const StmtPtr& t : s.thenBody) stmt(*t, depth + 1);
-        if (!s.elseBody.empty()) {
+        stmts(n.then, depth + 1);
+        if (n.orElse != kNone) {
           out_.append(indent, ' ');
           put("} else {\n");
-          for (const StmtPtr& t : s.elseBody) stmt(*t, depth + 1);
+          stmts(n.orElse, depth + 1);
         }
         out_.append(indent, ' ');
         put("}\n");
-        break;
+      }
+      // kVarDecl: handled by reset
     }
   }
 
@@ -160,17 +186,18 @@ class Emitter {
   void stateStruct() {
     put("typedef struct {\n");
     if (!hasState_) put("  int32_t unused_;\n");
-    for (const StmtPtr& s : merged_.program.statements)
-      if (s->kind == StmtKind::kVarDecl) put("  int32_t ", s->name, ";\n");
+    for (const Index s : program_.top)
+      if (node(s).kind == NodeKind::kVarDecl)
+        put("  int32_t ", name(node(s).slot), ";\n");
     put("} ", prefix_, "_state_t;\n\n");
   }
 
   void resetFunction() {
     put("void ", prefix_, "_reset(", prefix_, "_state_t* st) {\n");
-    for (const StmtPtr& s : merged_.program.statements)
-      if (s->kind == StmtKind::kVarDecl) {
-        put("  st->", s->name, " = ");
-        expr(*s->expr);
+    for (const Index s : program_.top)
+      if (node(s).kind == NodeKind::kVarDecl) {
+        put("  st->", name(node(s).slot), " = ");
+        expr(node(s).lhs);
         put(";\n");
       }
     put("}\n\n");
@@ -183,7 +210,7 @@ class Emitter {
         "             int32_t tick) {\n");
     if (merged_.inputCount() == 0) put("  (void)in;\n");
     put("  (void)tick;\n");
-    for (const StmtPtr& s : merged_.program.statements) stmt(*s, 1);
+    for (const Index s : program_.top) stmts(s, 1);
     put("}\n\n");
   }
 
@@ -266,11 +293,11 @@ class Emitter {
   }
 
   const MergedProgram& merged_;
+  const behavior::Program& program_;
   const std::string& prefix_;  // of every emitted symbol
   const std::string macro_;    // the prefix upper-cased, for macros
   const CEmitOptions& options_;
-  std::vector<std::string> portNames_;  // "in0".., "out0"..
-  std::unordered_map<std::string_view, LValue> lvalues_;
+  std::vector<LValue> lvalues_;  // per slot
   bool hasState_ = false;
   std::string out_;
 };

@@ -7,6 +7,7 @@ namespace eblocks::codegen {
 std::vector<BlockId> levelOrder(const BitSet& partition,
                                 const std::vector<int>& levels) {
   std::vector<BlockId> members;
+  members.reserve(partition.count());
   partition.forEach(
       [&](std::size_t b) { members.push_back(static_cast<BlockId>(b)); });
   std::stable_sort(members.begin(), members.end(),

@@ -2,19 +2,21 @@
 // (Section 3.3).
 //
 // For every member block, in non-decreasing level order, the member's
-// syntax tree is cloned and rewired:
-//   - input ports driven from inside the partition become internal wire
+// program nodes are copied with their indices offset, and each of its
+// slots (behavior/ast.h) is mapped to a slot of the merged program:
+//   - input ports driven from inside the partition map to internal wire
 //     variables (communication "will occur internally in a programmable
 //     block via variables");
-//   - input ports driven from outside become the programmable block's
+//   - input ports driven from outside map to the programmable block's
 //     input ports in0..in{i-1};
-//   - output ports become internal wires, re-exported through out0.. when
+//   - output ports map to internal wires, re-exported through out0.. when
 //     consumed outside the partition;
-//   - state variables are prefixed with the member id ("the conflict is
-//     resolved through variable renaming").
-// The rewired trees are concatenated (declarations hoisted) into one
-// program that the simulator interprets directly and the C emitter
-// translates for the physical block.
+//   - `tick` maps to the one shared `tick`;
+//   - state variables map to names prefixed with the member id ("the
+//     conflict is resolved through variable renaming").
+// The copies form one program (declarations hoisted) that the simulator
+// interprets directly and the C emitter translates for the physical
+// block.
 #ifndef EBLOCKS_CODEGEN_MERGE_PROGRAM_H_
 #define EBLOCKS_CODEGEN_MERGE_PROGRAM_H_
 
@@ -58,7 +60,8 @@ struct MergedProgram {
 
 /// Merges the behaviors of `partition`'s members.  `levels` is the level
 /// table of `net` (core/levels.h).  Throws CodegenError on undriven member
-/// inputs or unparsable member behaviors.
+/// inputs or unparsable member behaviors, and std::invalid_argument when
+/// two declarations land on one merged variable.
 MergedProgram mergePartitionProgram(const Network& net,
                                     const BitSet& partition,
                                     const std::vector<int>& levels,

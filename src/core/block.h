@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "behavior/ast.h"
-#include "behavior/rename.h"
 
 namespace eblocks {
 
@@ -76,14 +75,16 @@ class BlockType {
   /// equality checks read.
   const std::string& behaviorSource() const { return behavior_; }
 
-  /// The parsed behavior, shared by every consumer (merge, simulators,
-  /// canonical hash).  Parsed on the first call and kept for the type's
-  /// lifetime, so a malformed type stays constructible; thread-safe.
-  /// Throws the text's LexError / ParseError, on every call.
+  /// The parsed behavior in its flat form (behavior/ast.h), shared by
+  /// every consumer (merge, simulators, canonical hash).  Parsed on the
+  /// first call and kept for the type's lifetime, so a malformed type
+  /// stays constructible; thread-safe.  Throws the text's LexError /
+  /// ParseError, on every call.
   const behavior::Program& program() const;
 
-  /// What each name of program() denotes for this type's ports, resolved
-  /// with the parse and shared likewise.  Same exceptions as program().
+  /// What each slot of program() denotes for this type's ports, indexed by
+  /// slot, resolved with the parse and shared likewise.  Same exceptions as
+  /// program().
   const behavior::NameTable& nameTable() const;
 
   /// True for blocks with internal state (toggle, trip, delay, pulse...).

@@ -193,8 +193,9 @@ Network twoZoneSecurity() {
   // -> chirp-limited pulse) of four mergeable blocks; a master section
   // qualifies "any zone" with night-time and drives a hall lamp through
   // its own four-block pipeline.  19 inner blocks; the three four-block
-  // pipelines each fit a 2x2 programmable block (2 in / 2 out), which is
-  // what lands this design on the paper's 10-total / 3-programmable row.
+  // pipelines each fit a 2x2 programmable block (2 in / 2 out).  The
+  // paper's row is 10 total / 3 programmable; PareDown measures 12 / 4
+  // here and exhaustive search 10 / 5 (docs/benchmarks.md, deviations).
   const auto& cat = defaultCatalog();
   Network net("Two-Zone Security");
   const BlockId reset = net.addBlock("reset_button", cat.button());

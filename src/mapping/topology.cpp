@@ -42,7 +42,7 @@ std::optional<PhysId> Topology::findNode(const std::string& nodeName) const {
 Topology Topology::line(int n, int inputs, int outputs) {
   Topology t("line" + std::to_string(n));
   for (int i = 0; i < n; ++i)
-    t.addNode("n" + std::to_string(i), inputs, outputs);
+    t.addNode(std::string("n").append(std::to_string(i)), inputs, outputs);
   for (int i = 0; i + 1 < n; ++i)
     t.addDuplexLink(static_cast<PhysId>(i), static_cast<PhysId>(i + 1));
   return t;
@@ -59,8 +59,9 @@ Topology Topology::grid(int rows, int cols, int inputs, int outputs) {
   Topology t("grid" + std::to_string(rows) + "x" + std::to_string(cols));
   for (int r = 0; r < rows; ++r)
     for (int c = 0; c < cols; ++c)
-      t.addNode("n" + std::to_string(r) + "_" + std::to_string(c), inputs,
-                outputs);
+      t.addNode(std::string("n").append(std::to_string(r)).append("_").append(
+                    std::to_string(c)),
+                inputs, outputs);
   const auto id = [cols](int r, int c) {
     return static_cast<PhysId>(r * cols + c);
   };

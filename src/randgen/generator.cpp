@@ -81,7 +81,8 @@ Network randomNetwork(const GeneratorOptions& options) {
   std::vector<BlockId> compute;  // in creation (topological) order
   auto freshSensor = [&] {
     const BlockId s = net.addBlock(
-        "s" + std::to_string(sensors.size()), pickSensorType(cat, rng));
+        std::string("s").append(std::to_string(sensors.size())),
+        pickSensorType(cat, rng));
     sensors.push_back(s);
     return s;
   };
@@ -105,7 +106,8 @@ Network randomNetwork(const GeneratorOptions& options) {
     BlockTypePtr type = arity == 1   ? pickOneInputType(cat, rng)
                         : arity == 2 ? pickTwoInputType(cat, rng)
                                      : pickThreeInputType(cat, rng);
-    const BlockId b = net.addBlock("c" + std::to_string(i), std::move(type));
+    const BlockId b = net.addBlock(std::string("c").append(std::to_string(i)),
+                                   std::move(type));
     for (int p = 0; p < net.block(b).type->inputCount(); ++p) {
       const bool useSensor = compute.empty() || uni(rng) < options.sensorInputProb;
       if (useSensor) {
@@ -137,8 +139,9 @@ Network randomNetwork(const GeneratorOptions& options) {
   for (BlockId b : compute) {
     const bool isSink = net.outdegree(b) == 0;
     if (isSink || uni(rng) < options.outputTapProb) {
-      const BlockId o = net.addBlock("o" + std::to_string(outCount++),
-                                     pickOutputType(cat, rng));
+      const BlockId o =
+          net.addBlock(std::string("o").append(std::to_string(outCount++)),
+                       pickOutputType(cat, rng));
       net.connect(b, 0, o, 0);
     }
   }

@@ -18,8 +18,9 @@ namespace eblocks::sim {
 namespace {
 
 using behavior::BinaryOp;
-using behavior::ExprKind;
-using behavior::StmtKind;
+using behavior::Index;
+using behavior::kNone;
+using behavior::NodeKind;
 using behavior::UnaryOp;
 
 // --- compiled (slot-indexed) behavior programs -----------------------------
@@ -30,7 +31,7 @@ using behavior::UnaryOp;
 // slot-indexed expressions and statements.
 
 struct CompiledExpr {
-  ExprKind kind = ExprKind::kIntLit;
+  NodeKind kind = NodeKind::kIntLit;
   UnaryOp uop = UnaryOp::kNot;
   BinaryOp bop = BinaryOp::kAdd;
   int lhs = -1;
@@ -40,7 +41,7 @@ struct CompiledExpr {
 };
 
 struct CompiledStmt {
-  StmtKind kind = StmtKind::kAssign;
+  NodeKind kind = NodeKind::kAssign;
   int slot = -1;  // kVarDecl / kAssign target
   int expr = -1;  // decl init / assign rhs / if condition
   std::vector<int> thenBody;
@@ -83,47 +84,58 @@ bool detectTruthTable(const BlockType& type,
   const int n = type.inputCount();
   if (n < 1 || n > 6 || type.outputCount() != 1) return false;
   const std::size_t combos = std::size_t{1} << n;
-  if (program.statements.size() != combos) return false;
-  std::unordered_map<std::string_view, int> inputIndex;
-  for (int i = 0; i < n; ++i) inputIndex.emplace(type.inputName(i), i);
+  if (program.top.size() != combos) return false;
+  // Each slot's input number (the first input of that name), or -1.
+  std::vector<int> inputOf(program.names.size(), -1);
+  for (std::size_t s = 0; s < inputOf.size(); ++s)
+    for (int i = n - 1; i >= 0; --i)
+      if (type.inputName(i) == program.names[s]) inputOf[s] = i;
+  const auto node = [&](Index i) -> const behavior::Node& {
+    return program.nodes[static_cast<std::size_t>(i)];
+  };
 
   // Flattens an `&&` tree of `input == 0|1` leaves into a combo index.
-  const auto flattenCombo = [&](const behavior::Expr& e, std::uint32_t* combo,
-                                std::uint32_t* seenInputs, auto&& self) -> bool {
-    if (e.kind == ExprKind::kBinary && e.bop == BinaryOp::kAnd)
-      return self(*e.lhs, combo, seenInputs, self) &&
-             self(*e.rhs, combo, seenInputs, self);
-    if (e.kind != ExprKind::kBinary || e.bop != BinaryOp::kEq) return false;
-    if (e.lhs->kind != ExprKind::kVarRef ||
-        e.rhs->kind != ExprKind::kIntLit)
+  const auto flattenCombo = [&](Index ei, std::uint32_t* combo,
+                                std::uint32_t* seenInputs,
+                                auto&& self) -> bool {
+    const behavior::Node& e = node(ei);
+    if (e.kind == NodeKind::kBinary && e.bop == BinaryOp::kAnd)
+      return self(e.lhs, combo, seenInputs, self) &&
+             self(e.rhs, combo, seenInputs, self);
+    if (e.kind != NodeKind::kBinary || e.bop != BinaryOp::kEq) return false;
+    if (node(e.lhs).kind != NodeKind::kVarRef ||
+        node(e.rhs).kind != NodeKind::kIntLit)
       return false;
-    const auto it = inputIndex.find(e.lhs->name);
-    if (it == inputIndex.end()) return false;
-    const std::int64_t v = e.rhs->intValue;
+    const int input = inputOf[static_cast<std::size_t>(node(e.lhs).slot)];
+    if (input < 0) return false;
+    const std::int64_t v = node(e.rhs).value;
     if (v != 0 && v != 1) return false;
-    if ((*seenInputs >> it->second) & 1u) return false;  // input repeated
-    *seenInputs |= std::uint32_t{1} << it->second;
-    *combo |= static_cast<std::uint32_t>(v) << it->second;
+    if ((*seenInputs >> input) & 1u) return false;  // input repeated
+    *seenInputs |= std::uint32_t{1} << input;
+    *combo |= static_cast<std::uint32_t>(v) << input;
     return true;
   };
 
   std::uint64_t table = 0, seenCombos = 0;
-  for (const behavior::StmtPtr& s : program.statements) {
-    if (s->kind != StmtKind::kIf || !s->elseBody.empty() ||
-        s->thenBody.size() != 1)
+  for (const Index si : program.top) {
+    const behavior::Node& s = node(si);
+    if (s.kind != NodeKind::kIf || s.orElse != kNone || s.then == kNone ||
+        node(s.then).next != kNone)
       return false;
-    const behavior::Stmt& body = *s->thenBody.front();
-    if (body.kind != StmtKind::kAssign || body.name != type.outputName(0) ||
-        body.expr->kind != ExprKind::kIntLit ||
-        (body.expr->intValue != 0 && body.expr->intValue != 1))
+    const behavior::Node& body = node(s.then);
+    if (body.kind != NodeKind::kAssign ||
+        program.names[static_cast<std::size_t>(body.slot)] !=
+            type.outputName(0) ||
+        node(body.lhs).kind != NodeKind::kIntLit ||
+        (node(body.lhs).value != 0 && node(body.lhs).value != 1))
       return false;
     std::uint32_t combo = 0, seenInputs = 0;
-    if (!flattenCombo(*s->expr, &combo, &seenInputs, flattenCombo))
+    if (!flattenCombo(s.lhs, &combo, &seenInputs, flattenCombo))
       return false;
     if (seenInputs != (std::uint32_t{1} << n) - 1) return false;
     if ((seenCombos >> combo) & 1u) return false;  // combo repeated
     seenCombos |= std::uint64_t{1} << combo;
-    table |= static_cast<std::uint64_t>(body.expr->intValue) << combo;
+    table |= static_cast<std::uint64_t>(node(body.lhs).value) << combo;
   }
   if (seenCombos != (combos == 64 ? ~std::uint64_t{0}
                                   : (std::uint64_t{1} << combos) - 1))
@@ -134,10 +146,10 @@ bool detectTruthTable(const BlockType& type,
 
 class Compiler {
  public:
-  explicit Compiler(const std::string& blockName) : blockName_(blockName) {}
+  Compiler(const std::string& blockName, const behavior::Program& program)
+      : blockName_(blockName), program_(program) {}
 
-  BlockProgram compile(const BlockType& type,
-                       const behavior::Program& program) {
+  BlockProgram compile(const BlockType& type) {
     BlockProgram bp;
     // Pre-bind the names the simulator binds before the first activation
     // (ports, tick, env), in a deterministic slot order.
@@ -149,10 +161,10 @@ class Compiler {
     if (type.blockClass() == BlockClass::kSensor) bp.envSlot = slotFor("env");
     prebound_ = out_.slotOf;
 
-    for (const behavior::StmtPtr& s : program.statements) {
-      const int idx = compileStmt(*s);
+    for (const Index s : program_.top) {
+      const int idx = compileStmt(s);
       out_.top.push_back(idx);
-      if (s->kind == StmtKind::kVarDecl)
+      if (node(s).kind == NodeKind::kVarDecl)
         out_.varInits.emplace_back(out_.stmts[static_cast<std::size_t>(idx)].slot,
                                    out_.stmts[static_cast<std::size_t>(idx)].expr);
     }
@@ -178,54 +190,68 @@ class Compiler {
     return slot;
   }
 
-  int compileExpr(const behavior::Expr& e) {
+  const behavior::Node& node(Index i) const {
+    return program_.nodes[static_cast<std::size_t>(i)];
+  }
+  const std::string& name(Index slot) const {
+    return program_.names[static_cast<std::size_t>(slot)];
+  }
+
+  int compileExpr(Index ei) {
+    const behavior::Node& e = node(ei);
     CompiledExpr ce;
     ce.kind = e.kind;
     switch (e.kind) {
-      case ExprKind::kIntLit:
-        ce.lit = e.intValue;
+      case NodeKind::kIntLit:
+        ce.lit = e.value;
         break;
-      case ExprKind::kVarRef:
-        ce.slot = slotFor(e.name);
-        referenced_.insert(e.name);
+      case NodeKind::kVarRef:
+        ce.slot = slotFor(name(e.slot));
+        referenced_.insert(name(e.slot));
         break;
-      case ExprKind::kUnary:
+      case NodeKind::kUnary:
         ce.uop = e.uop;
-        ce.lhs = compileExpr(*e.lhs);
+        ce.lhs = compileExpr(e.lhs);
         break;
-      case ExprKind::kBinary:
+      case NodeKind::kBinary:
         ce.bop = e.bop;
-        ce.lhs = compileExpr(*e.lhs);
-        ce.rhs = compileExpr(*e.rhs);
+        ce.lhs = compileExpr(e.lhs);
+        ce.rhs = compileExpr(e.rhs);
         break;
+      default:
+        throw SimError("batch: unreachable expression kind");
     }
     out_.exprs.push_back(ce);
     return static_cast<int>(out_.exprs.size()) - 1;
   }
 
-  int compileStmt(const behavior::Stmt& s) {
+  int compileStmt(Index si) {
+    const behavior::Node& s = node(si);
     CompiledStmt cs;
     cs.kind = s.kind;
     switch (s.kind) {
-      case StmtKind::kVarDecl:
-      case StmtKind::kAssign:
-        cs.slot = slotFor(s.name);
-        bound_.insert(s.name);
-        cs.expr = compileExpr(*s.expr);
+      case NodeKind::kVarDecl:
+      case NodeKind::kAssign:
+        cs.slot = slotFor(name(s.slot));
+        bound_.insert(name(s.slot));
+        cs.expr = compileExpr(s.lhs);
         break;
-      case StmtKind::kIf:
-        cs.expr = compileExpr(*s.expr);
-        for (const behavior::StmtPtr& t : s.thenBody)
-          cs.thenBody.push_back(compileStmt(*t));
-        for (const behavior::StmtPtr& t : s.elseBody)
-          cs.elseBody.push_back(compileStmt(*t));
+      case NodeKind::kIf:
+        cs.expr = compileExpr(s.lhs);
+        for (Index t = s.then; t != kNone; t = node(t).next)
+          cs.thenBody.push_back(compileStmt(t));
+        for (Index t = s.orElse; t != kNone; t = node(t).next)
+          cs.elseBody.push_back(compileStmt(t));
         break;
+      default:
+        throw SimError("batch: unreachable statement kind");
     }
     out_.stmts.push_back(std::move(cs));
     return static_cast<int>(out_.stmts.size()) - 1;
   }
 
   const std::string& blockName_;
+  const behavior::Program& program_;
   CompiledProgram out_;
   std::unordered_map<std::string, int> prebound_;
   std::set<std::string> referenced_;
@@ -280,8 +306,8 @@ struct BatchSimulator::Impl {
         throw SimError("block '" + net.block(b).name + "' (" + t.name() +
                        "): " + e.what());
       }
-      Compiler compiler(net.block(b).name);
-      programs_.push_back(compiler.compile(t, *program));
+      Compiler compiler(net.block(b).name, *program);
+      programs_.push_back(compiler.compile(t));
       programs_.back().ttValid =
           detectTruthTable(t, *program, &programs_.back().ttMinterms);
       envs_[b].resize(
@@ -313,19 +339,19 @@ struct BatchSimulator::Impl {
                LaneMask mask, int depth) {
     const CompiledExpr& e = bp.prog.exprs[static_cast<std::size_t>(idx)];
     switch (e.kind) {
-      case ExprKind::kIntLit: {
+      case NodeKind::kIntLit: {
         if (e.lit == 0 || e.lit == 1)
           return Val{true, e.lit ? kAllLanes : 0, nullptr};
         std::int64_t* out = scratch(depth);
         for (int i = 0; i < kLanes; ++i) out[i] = e.lit;
         return Val{false, 0, out};
       }
-      case ExprKind::kVarRef: {
+      case NodeKind::kVarRef: {
         const LaneVector& v = env[static_cast<std::size_t>(e.slot)];
         if (v.packed()) return Val{true, v.bits(), nullptr};
         return Val{false, 0, v.wide()};
       }
-      case ExprKind::kUnary: {
+      case NodeKind::kUnary: {
         const Val v = evalExpr(bp, env, e.lhs, mask, depth + 1);
         if (e.uop == UnaryOp::kNot) return Val{true, ~v.truthy(), nullptr};
         // kNeg
@@ -334,8 +360,10 @@ struct BatchSimulator::Impl {
         for (int i = 0; i < kLanes; ++i) out[i] = -v.lane(i);
         return Val{false, 0, out};
       }
-      case ExprKind::kBinary:
+      case NodeKind::kBinary:
         return evalBinary(bp, env, e, mask, depth);
+      default:
+        break;
     }
     throw SimError("batch: unreachable expression kind");
   }
@@ -474,14 +502,12 @@ struct BatchSimulator::Impl {
     for (const int si : stmts) {
       const CompiledStmt& s = bp.prog.stmts[static_cast<std::size_t>(si)];
       switch (s.kind) {
-        case StmtKind::kVarDecl:
-          break;  // state persists between activations
-        case StmtKind::kAssign: {
+        case NodeKind::kAssign: {
           const Val v = evalExpr(bp, env, s.expr, mask, depth);
           assignSlot(env[static_cast<std::size_t>(s.slot)], v, mask);
           break;
         }
-        case StmtKind::kIf: {
+        case NodeKind::kIf: {
           const LaneMask t =
               evalExpr(bp, env, s.expr, mask, depth).truthy() & mask;
           const LaneMask f = mask & ~t;
@@ -489,6 +515,8 @@ struct BatchSimulator::Impl {
           if (f) execStmts(bp, env, s.elseBody, f, depth + 1);
           break;
         }
+        default:
+          break;  // kVarDecl: state persists between activations
       }
     }
   }

@@ -1,7 +1,5 @@
 #include "synth/synthesizer.h"
 
-#include <map>
-#include <set>
 #include <stdexcept>
 
 #include "behavior/printer.h"
@@ -131,43 +129,49 @@ SynthResult synthesize(const Network& source, const SynthOptions& options) {
     result.blocks.push_back(std::move(sb));
   }
 
-  // Port lookup tables per partition.
-  std::vector<std::map<Connection, int>> inPort(partitions.size());
-  std::vector<std::map<Connection, int>> outPort(partitions.size());
-  for (std::size_t k = 0; k < partitions.size(); ++k) {
-    const codegen::MergedProgram& mp = result.blocks[k].merged;
-    for (int port = 0; port < mp.inputCount(); ++port)
+  // The programmable port each boundary-crossing connection enters or
+  // leaves through, keyed by the connection's consumer endpoint (every
+  // input port has one driver): one entry per input port of `source`.
+  std::vector<std::size_t> firstInput(source.blockCount() + 1, 0);
+  for (BlockId b = 0; b < source.blockCount(); ++b)
+    firstInput[b + 1] =
+        firstInput[b] +
+        static_cast<std::size_t>(source.block(b).type->inputCount());
+  const auto consumer = [&](const Connection& c) {
+    return firstInput[c.to.block] + c.to.port;
+  };
+  std::vector<std::uint16_t> inPort(firstInput.back()),
+      outPort(firstInput.back());
+  for (const SynthesizedBlock& sb : result.blocks) {
+    for (int port = 0; port < sb.merged.inputCount(); ++port)
       for (const Connection& c :
-           mp.inputEdges[static_cast<std::size_t>(port)])
-        inPort[k][c] = port;
-    for (int port = 0; port < mp.outputCount(); ++port)
+           sb.merged.inputEdges[static_cast<std::size_t>(port)])
+        inPort[consumer(c)] = static_cast<std::uint16_t>(port);
+    for (int port = 0; port < sb.merged.outputCount(); ++port)
       for (const Connection& c :
-           mp.outputEdges[static_cast<std::size_t>(port)])
-        outPort[k][c] = port;
+           sb.merged.outputEdges[static_cast<std::size_t>(port)])
+        outPort[consumer(c)] = static_cast<std::uint16_t>(port);
   }
 
-  // Rewire.
-  std::set<std::pair<Endpoint, Endpoint>> added;
+  // Rewire.  Connections that share a programmable port (kSignals mode)
+  // collapse into one: skip a target port already driven by this source;
+  // connect() still rejects a second, different source.
   for (const Connection& c : source.connections()) {
     const int pf = partOf[c.from.block];
     const int pt = partOf[c.to.block];
     if (pf >= 0 && pf == pt) continue;  // fully internal to one partition
-    Endpoint from, to;
-    if (pf >= 0) {
-      from = Endpoint{progId[static_cast<std::size_t>(pf)],
-                      static_cast<std::uint16_t>(
-                          outPort[static_cast<std::size_t>(pf)].at(c))};
-    } else {
-      from = Endpoint{newId[c.from.block], c.from.port};
-    }
-    if (pt >= 0) {
-      to = Endpoint{progId[static_cast<std::size_t>(pt)],
-                    static_cast<std::uint16_t>(
-                        inPort[static_cast<std::size_t>(pt)].at(c))};
-    } else {
-      to = Endpoint{newId[c.to.block], c.to.port};
-    }
-    if (added.emplace(from, to).second) net.connect(from, to);
+    const Endpoint from =
+        pf >= 0 ? Endpoint{progId[static_cast<std::size_t>(pf)],
+                           outPort[consumer(c)]}
+                : Endpoint{newId[c.from.block], c.from.port};
+    const Endpoint to = pt >= 0
+                            ? Endpoint{progId[static_cast<std::size_t>(pt)],
+                                       inPort[consumer(c)]}
+                            : Endpoint{newId[c.to.block], c.to.port};
+    if (const auto driver = net.driverOf(to.block, to.port);
+        driver && driver->from == from)
+      continue;
+    net.connect(from, to);
   }
 
   result.network = std::move(net);

@@ -8,7 +8,8 @@ namespace eblocks::behavior {
 namespace {
 
 std::int64_t evalExpr(const std::string& src, Environment env = {}) {
-  return evaluate(*parseExpression(src), env);
+  const Program e = parseExpression(src);
+  return evaluate(e, static_cast<Index>(e.nodes.size()) - 1, env);
 }
 
 TEST(Interpreter, Arithmetic) {

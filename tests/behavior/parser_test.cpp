@@ -4,98 +4,125 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "behavior/printer.h"
 
 namespace eblocks::behavior {
 namespace {
 
+const Node& at(const Program& p, Index i) {
+  return p.nodes[static_cast<std::size_t>(i)];
+}
+
+/// The root of a parsed expression: its last node.
+const Node& root(const Program& e) { return e.nodes.back(); }
+
+const std::string& nameOf(const Program& p, const Node& n) {
+  return p.names[static_cast<std::size_t>(n.slot)];
+}
+
 TEST(Parser, EmptyProgram) {
-  EXPECT_TRUE(parse("").statements.empty());
+  const Program p = parse("");
+  EXPECT_TRUE(p.top.empty());
+  EXPECT_TRUE(p.nodes.empty());
+  EXPECT_TRUE(p.names.empty());
 }
 
 TEST(Parser, VarDecl) {
   const Program p = parse("var q = 3;");
-  ASSERT_EQ(p.statements.size(), 1u);
-  EXPECT_EQ(p.statements[0]->kind, StmtKind::kVarDecl);
-  EXPECT_EQ(p.statements[0]->name, "q");
-  EXPECT_EQ(p.statements[0]->expr->intValue, 3);
+  ASSERT_EQ(p.top.size(), 1u);
+  const Node& s = at(p, p.top[0]);
+  EXPECT_EQ(s.kind, NodeKind::kVarDecl);
+  EXPECT_EQ(nameOf(p, s), "q");
+  EXPECT_EQ(at(p, s.lhs).value, 3);
 }
 
 TEST(Parser, Assignment) {
   const Program p = parse("out = a;");
-  ASSERT_EQ(p.statements.size(), 1u);
-  EXPECT_EQ(p.statements[0]->kind, StmtKind::kAssign);
-  EXPECT_EQ(p.statements[0]->name, "out");
-  EXPECT_EQ(p.statements[0]->expr->kind, ExprKind::kVarRef);
+  ASSERT_EQ(p.top.size(), 1u);
+  const Node& s = at(p, p.top[0]);
+  EXPECT_EQ(s.kind, NodeKind::kAssign);
+  EXPECT_EQ(nameOf(p, s), "out");
+  EXPECT_EQ(at(p, s.lhs).kind, NodeKind::kVarRef);
+  EXPECT_EQ(nameOf(p, at(p, s.lhs)), "a");
 }
 
 TEST(Parser, IfElse) {
   const Program p = parse("if (a) { x = 1; } else { x = 0; }");
-  ASSERT_EQ(p.statements.size(), 1u);
-  const Stmt& s = *p.statements[0];
-  EXPECT_EQ(s.kind, StmtKind::kIf);
-  EXPECT_EQ(s.thenBody.size(), 1u);
-  EXPECT_EQ(s.elseBody.size(), 1u);
+  ASSERT_EQ(p.top.size(), 1u);
+  const Node& s = at(p, p.top[0]);
+  EXPECT_EQ(s.kind, NodeKind::kIf);
+  ASSERT_NE(s.then, kNone);
+  EXPECT_EQ(at(p, s.then).next, kNone);  // one statement in each body
+  ASSERT_NE(s.orElse, kNone);
+  EXPECT_EQ(at(p, s.orElse).next, kNone);
+  // Both bodies write the one slot of `x`.
+  EXPECT_EQ(at(p, s.then).slot, at(p, s.orElse).slot);
+  EXPECT_EQ(p.names, (std::vector<std::string>{"a", "x"}));
 }
 
 TEST(Parser, ElseIfChain) {
   const Program p =
       parse("if (a) { x = 1; } else if (b) { x = 2; } else { x = 3; }");
-  const Stmt& s = *p.statements[0];
-  ASSERT_EQ(s.elseBody.size(), 1u);
-  EXPECT_EQ(s.elseBody[0]->kind, StmtKind::kIf);
-  EXPECT_EQ(s.elseBody[0]->elseBody.size(), 1u);
+  const Node& s = at(p, p.top[0]);
+  ASSERT_NE(s.orElse, kNone);
+  const Node& elseIf = at(p, s.orElse);
+  EXPECT_EQ(elseIf.next, kNone);
+  EXPECT_EQ(elseIf.kind, NodeKind::kIf);
+  ASSERT_NE(elseIf.orElse, kNone);
+  EXPECT_EQ(at(p, elseIf.orElse).next, kNone);
 }
 
 TEST(Parser, PrecedenceMulOverAdd) {
-  const ExprPtr e = parseExpression("1 + 2 * 3");
-  EXPECT_EQ(e->bop, BinaryOp::kAdd);
-  EXPECT_EQ(e->rhs->bop, BinaryOp::kMul);
+  const Program e = parseExpression("1 + 2 * 3");
+  EXPECT_EQ(root(e).bop, BinaryOp::kAdd);
+  EXPECT_EQ(at(e, root(e).rhs).bop, BinaryOp::kMul);
 }
 
 TEST(Parser, PrecedenceComparisonOverLogic) {
-  const ExprPtr e = parseExpression("a < 2 && b >= 3");
-  EXPECT_EQ(e->bop, BinaryOp::kAnd);
-  EXPECT_EQ(e->lhs->bop, BinaryOp::kLt);
-  EXPECT_EQ(e->rhs->bop, BinaryOp::kGe);
+  const Program e = parseExpression("a < 2 && b >= 3");
+  EXPECT_EQ(root(e).bop, BinaryOp::kAnd);
+  EXPECT_EQ(at(e, root(e).lhs).bop, BinaryOp::kLt);
+  EXPECT_EQ(at(e, root(e).rhs).bop, BinaryOp::kGe);
 }
 
 TEST(Parser, PrecedenceAndOverOr) {
-  const ExprPtr e = parseExpression("a || b && c");
-  EXPECT_EQ(e->bop, BinaryOp::kOr);
-  EXPECT_EQ(e->rhs->bop, BinaryOp::kAnd);
+  const Program e = parseExpression("a || b && c");
+  EXPECT_EQ(root(e).bop, BinaryOp::kOr);
+  EXPECT_EQ(at(e, root(e).rhs).bop, BinaryOp::kAnd);
 }
 
 TEST(Parser, ParenthesesOverride) {
-  const ExprPtr e = parseExpression("(1 + 2) * 3");
-  EXPECT_EQ(e->bop, BinaryOp::kMul);
-  EXPECT_EQ(e->lhs->bop, BinaryOp::kAdd);
+  const Program e = parseExpression("(1 + 2) * 3");
+  EXPECT_EQ(root(e).bop, BinaryOp::kMul);
+  EXPECT_EQ(at(e, root(e).lhs).bop, BinaryOp::kAdd);
 }
 
 TEST(Parser, UnaryChains) {
-  const ExprPtr e = parseExpression("!!a");
-  EXPECT_EQ(e->kind, ExprKind::kUnary);
-  EXPECT_EQ(e->lhs->kind, ExprKind::kUnary);
-  EXPECT_EQ(e->lhs->lhs->name, "a");
+  const Program e = parseExpression("!!a");
+  EXPECT_EQ(root(e).kind, NodeKind::kUnary);
+  const Node& inner = at(e, root(e).lhs);
+  EXPECT_EQ(inner.kind, NodeKind::kUnary);
+  EXPECT_EQ(nameOf(e, at(e, inner.lhs)), "a");
 }
 
 TEST(Parser, NegativeLiteralIsUnaryMinus) {
-  const ExprPtr e = parseExpression("-5");
-  EXPECT_EQ(e->kind, ExprKind::kUnary);
-  EXPECT_EQ(e->uop, UnaryOp::kNeg);
+  const Program e = parseExpression("-5");
+  EXPECT_EQ(root(e).kind, NodeKind::kUnary);
+  EXPECT_EQ(root(e).uop, UnaryOp::kNeg);
 }
 
 TEST(Parser, TrueFalseAreLiterals) {
-  EXPECT_EQ(parseExpression("true")->intValue, 1);
-  EXPECT_EQ(parseExpression("false")->intValue, 0);
+  EXPECT_EQ(root(parseExpression("true")).value, 1);
+  EXPECT_EQ(root(parseExpression("false")).value, 0);
 }
 
 TEST(Parser, LeftAssociativity) {
-  const ExprPtr e = parseExpression("1 - 2 - 3");  // (1-2)-3
-  EXPECT_EQ(e->bop, BinaryOp::kSub);
-  EXPECT_EQ(e->lhs->bop, BinaryOp::kSub);
-  EXPECT_EQ(e->rhs->intValue, 3);
+  const Program e = parseExpression("1 - 2 - 3");  // (1-2)-3
+  EXPECT_EQ(root(e).bop, BinaryOp::kSub);
+  EXPECT_EQ(at(e, root(e).lhs).bop, BinaryOp::kSub);
+  EXPECT_EQ(at(e, root(e).rhs).value, 3);
 }
 
 TEST(Parser, MissingSemicolonFails) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "behavior/parser.h"
 #include "blocks/catalog.h"
 #include "core/levels.h"
 #include "designs/library.h"
@@ -69,11 +72,19 @@ TEST(CEmitter, SkeletonAndHarnessAreOptIn) {
 }
 
 TEST(CEmitter, UnknownNameThrows) {
-  MergedProgram m;
-  m.program = behavior::Program{};
-  m.program.statements.push_back(
-      behavior::makeAssign("mystery", behavior::makeIntLit(1)));
-  EXPECT_THROW(emitC(m), CodegenError);
+  // `mystery` is neither declared, nor a port, nor tick; `in0` is not a
+  // port of a block with no inputs.
+  for (const char* source : {"mystery = 1;", "out0 = in0;"}) {
+    MergedProgram m;
+    m.program = behavior::parse(source);
+    m.outputEdges.resize(1);
+    try {
+      (void)emitC(m);
+      ADD_FAILURE() << source;
+    } catch (const CodegenError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown name"), std::string::npos);
+    }
+  }
 }
 
 TEST(CEmitter, HeaderListsMembersAndPorts) {

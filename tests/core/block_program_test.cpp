@@ -1,9 +1,10 @@
 // BlockType::program(): each type's behavior is parsed once, lazily, and
-// the one tree is shared by every caller on every thread.
+// the one parsed program is shared by every caller on every thread.
 #include "core/block.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <latch>
 #include <memory>
 #include <string>
@@ -93,17 +94,24 @@ TEST(BlockProgram, NameTableBindsPortsStateAndTick) {
       std::vector<std::string>{"x"},
       "var q = 0;\nvar a = 1;\nvar r = 2;\nx = a + q + r + tick + env;\n");
   using Kind = behavior::NameBinding::Kind;
-  const behavior::NameTable& names = type->nameTable();
-  EXPECT_EQ(names.at("a").kind, Kind::kInput);  // a port wins over a var
-  EXPECT_EQ(names.at("a").port, 0);
-  EXPECT_EQ(names.at("x").kind, Kind::kOutput);  // an output over an input
-  EXPECT_EQ(names.at("x").port, 0);
-  EXPECT_EQ(names.at("q").stateOrdinal, 0);
-  EXPECT_EQ(names.at("r").stateOrdinal, 1);  // `var a` takes no ordinal
-  EXPECT_EQ(names.at("tick").kind, Kind::kTick);
-  EXPECT_EQ(names.at("env").kind, Kind::kLocal);
-  EXPECT_EQ(names.at("env").stateOrdinal, -1);
-  EXPECT_EQ(names.size(), 6u);
+  const behavior::Program& program = type->program();
+  const behavior::NameTable& bindings = type->nameTable();
+  ASSERT_EQ(bindings.size(), program.names.size());  // one per slot
+  const auto binding = [&](const std::string& name) {
+    const auto it = std::ranges::find(program.names, name);
+    EXPECT_NE(it, program.names.end()) << name;
+    return bindings[static_cast<std::size_t>(it - program.names.begin())];
+  };
+  EXPECT_EQ(binding("a").kind, Kind::kInput);  // a port wins over a var
+  EXPECT_EQ(binding("a").port, 0);
+  EXPECT_EQ(binding("x").kind, Kind::kOutput);  // an output over an input
+  EXPECT_EQ(binding("x").port, 0);
+  EXPECT_EQ(binding("q").stateOrdinal, 0);
+  EXPECT_EQ(binding("r").stateOrdinal, 1);  // `var a` takes no ordinal
+  EXPECT_EQ(binding("tick").kind, Kind::kTick);
+  EXPECT_EQ(binding("env").kind, Kind::kLocal);
+  EXPECT_EQ(binding("env").stateOrdinal, -1);
+  EXPECT_EQ(program.names.size(), 6u);
 }
 
 }  // namespace

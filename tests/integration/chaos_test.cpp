@@ -19,6 +19,7 @@
 // EBLOCKS_CHAOS_ROUNDS widens the sweep (the nightly soak runs 100;
 // scripts/run_chaos.sh sweeps >= 50 seeds across processes).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -146,8 +147,10 @@ TEST(Chaos, RandomizedSchedulesKeepAnswersByteIdentical) {
   const std::uint32_t baseSeed =
       static_cast<std::uint32_t>(envInt("EBLOCKS_CHAOS_SEED", 1));
 
-  const std::string cacheDir =
-      ::testing::TempDir() + "eblocks_chaos_cache";
+  // Tagged with the pid: ctest runs this test both on its own and in the
+  // integration.ChaosSchedules sweep, concurrently under `ctest -j`.
+  std::string cacheDir = ::testing::TempDir() + "eblocks_chaos_cache_";
+  cacheDir += std::to_string(static_cast<long>(::getpid()));
   fs::remove_all(cacheDir);
   ServerOptions options = quickOptions(2, 8);
   options.cacheEnabled = true;

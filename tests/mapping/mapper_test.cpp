@@ -162,7 +162,8 @@ TEST(Mapper, SynthesizedFigure5OntoGrid) {
 
   // A 7-node full mesh with two parallel cables per ordered pair hosts it.
   Topology mesh("mesh7");
-  for (int i = 0; i < 7; ++i) mesh.addNode("m" + std::to_string(i), 2, 2);
+  for (int i = 0; i < 7; ++i)
+    mesh.addNode(std::string("m").append(std::to_string(i)), 2, 2);
   for (PhysId a = 0; a < 7; ++a)
     for (PhysId b = 0; b < 7; ++b)
       if (a != b) {
@@ -183,8 +184,8 @@ TEST(Mapper, RandomNetworksOntoRichTopology) {
                                                 .seed = seed});
     Topology topo("mirror");
     for (BlockId b = 0; b < net.blockCount(); ++b)
-      topo.addNode("p" + std::to_string(b), net.indegree(b),
-                   net.outdegree(b));
+      topo.addNode(std::string("p").append(std::to_string(b)),
+                   net.indegree(b), net.outdegree(b));
     for (const Connection& c : net.connections())
       topo.addLink(c.from.block, c.to.block);
     const auto m = mapNetwork(net, topo);
@@ -199,7 +200,7 @@ TEST(Mapper, RandomNetworksOntoRichTopology) {
 Topology sparsePairs(const Network& net) {
   Topology topo("sparse");
   for (std::size_t i = 0; i < net.blockCount(); ++i)
-    topo.addNode("p" + std::to_string(i), 3, 3);
+    topo.addNode(std::string("p").append(std::to_string(i)), 3, 3);
   for (PhysId i = 0; i + 1 < topo.nodeCount(); i += 2)
     topo.addDuplexLink(i, i + 1);
   return topo;

@@ -93,8 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{60, 19}, PropertyCase{10, 20},
                       PropertyCase{10, 21}, PropertyCase{10, 22}),
     [](const auto& paramInfo) {
-      return "n" + std::to_string(paramInfo.param.innerBlocks) + "_s" +
-             std::to_string(paramInfo.param.seed);
+      return std::string("n")
+          .append(std::to_string(paramInfo.param.innerBlocks))
+          .append("_s")
+          .append(std::to_string(paramInfo.param.seed));
     });
 
 class ExhaustiveProperties : public ::testing::TestWithParam<PropertyCase> {};
@@ -118,8 +120,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{7, 35}, PropertyCase{8, 36},
                       PropertyCase{9, 37}, PropertyCase{10, 38}),
     [](const auto& paramInfo) {
-      return "n" + std::to_string(paramInfo.param.innerBlocks) + "_s" +
-             std::to_string(paramInfo.param.seed);
+      return std::string("n")
+          .append(std::to_string(paramInfo.param.innerBlocks))
+          .append("_s")
+          .append(std::to_string(paramInfo.param.seed));
     });
 
 }  // namespace

@@ -91,8 +91,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomCase{14, 105}, RandomCase{18, 106},
                       RandomCase{25, 107}, RandomCase{32, 108}),
     [](const auto& paramInfo) {
-      return "n" + std::to_string(paramInfo.param.innerBlocks) + "_s" +
-             std::to_string(paramInfo.param.seed);
+      return std::string("n")
+          .append(std::to_string(paramInfo.param.innerBlocks))
+          .append("_s")
+          .append(std::to_string(paramInfo.param.seed));
     });
 
 TEST(SynthEquivalence, SignalsModeAlsoPreservesBehavior) {
