@@ -29,6 +29,12 @@ const char* toString(BinaryOp op) {
   return "?";
 }
 
+Index findSlot(const Program& p, std::string_view name) {
+  for (std::size_t s = 0; s < p.names.size(); ++s)
+    if (p.names[s] == name) return static_cast<Index>(s);
+  return kNone;
+}
+
 Index appendCopy(Program& dst, const Program& src,
                  std::span<const Index> slotMap) {
   const Index base = static_cast<Index>(dst.nodes.size());

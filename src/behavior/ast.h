@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,6 +89,9 @@ struct Program {
     return static_cast<Index>(names.size()) - 1;
   }
 };
+
+/// The slot of `p` named `name`, or kNone (a linear scan).
+Index findSlot(const Program& p, std::string_view name);
 
 /// Appends a copy of `src`'s nodes to `dst`, with every slot s of `src`
 /// replaced by slotMap[s], a slot of `dst`.  Returns the offset added to

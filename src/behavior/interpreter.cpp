@@ -1,50 +1,45 @@
 #include "behavior/interpreter.h"
 
+#include <limits>
+
 namespace eblocks::behavior {
 
-std::int64_t Environment::get(const std::string& name) const {
-  const auto it = vars_.find(name);
-  if (it == vars_.end()) throw EvalError("unbound variable: " + name);
-  return it->second;
-}
-
-void Environment::set(const std::string& name, std::int64_t value) {
-  vars_[name] = value;
-}
-
-std::int64_t evaluate(const Program& p, Index e, const Environment& env) {
+std::int64_t evaluate(const Program& p, Index e,
+                      std::span<const std::int64_t> vars) {
   const Node& n = p.nodes[static_cast<std::size_t>(e)];
   switch (n.kind) {
     case NodeKind::kIntLit:
       return n.value;
     case NodeKind::kVarRef:
-      return env.get(p.names[static_cast<std::size_t>(n.slot)]);
+      return vars[static_cast<std::size_t>(n.slot)];
     case NodeKind::kUnary: {
-      const std::int64_t v = evaluate(p, n.lhs, env);
+      const std::int64_t v = evaluate(p, n.lhs, vars);
       return n.uop == UnaryOp::kNot ? (v == 0 ? 1 : 0) : -v;
     }
     case NodeKind::kBinary: {
       // Short-circuit for logical operators.
       if (n.bop == BinaryOp::kAnd) {
-        if (evaluate(p, n.lhs, env) == 0) return 0;
-        return evaluate(p, n.rhs, env) != 0 ? 1 : 0;
+        if (evaluate(p, n.lhs, vars) == 0) return 0;
+        return evaluate(p, n.rhs, vars) != 0 ? 1 : 0;
       }
       if (n.bop == BinaryOp::kOr) {
-        if (evaluate(p, n.lhs, env) != 0) return 1;
-        return evaluate(p, n.rhs, env) != 0 ? 1 : 0;
+        if (evaluate(p, n.lhs, vars) != 0) return 1;
+        return evaluate(p, n.rhs, vars) != 0 ? 1 : 0;
       }
-      const std::int64_t a = evaluate(p, n.lhs, env);
-      const std::int64_t b = evaluate(p, n.rhs, env);
+      const std::int64_t a = evaluate(p, n.lhs, vars);
+      const std::int64_t b = evaluate(p, n.rhs, vars);
       switch (n.bop) {
         case BinaryOp::kAdd: return a + b;
         case BinaryOp::kSub: return a - b;
         case BinaryOp::kMul: return a * b;
         case BinaryOp::kDiv:
-          if (b == 0) throw EvalError("division by zero");
-          return a / b;
         case BinaryOp::kMod:
-          if (b == 0) throw EvalError("modulo by zero");
-          return a % b;
+          if (b == 0)
+            throw EvalError(n.bop == BinaryOp::kDiv ? "division by zero"
+                                                    : "modulo by zero");
+          if (a == std::numeric_limits<std::int64_t>::min() && b == -1)
+            throw EvalError("division overflow");
+          return n.bop == BinaryOp::kDiv ? a / b : a % b;
         case BinaryOp::kEq: return a == b;
         case BinaryOp::kNe: return a != b;
         case BinaryOp::kLt: return a < b;
@@ -64,31 +59,30 @@ std::int64_t evaluate(const Program& p, Index e, const Environment& env) {
 
 namespace {
 
-void executeStmt(const Program& p, const Node& n, Environment& env) {
+void executeStmt(const Program& p, const Node& n,
+                 std::span<std::int64_t> vars) {
   if (n.kind == NodeKind::kAssign) {
-    env.set(p.names[static_cast<std::size_t>(n.slot)],
-            evaluate(p, n.lhs, env));
+    vars[static_cast<std::size_t>(n.slot)] = evaluate(p, n.lhs, vars);
   } else if (n.kind == NodeKind::kIf) {
-    for (Index s = evaluate(p, n.lhs, env) != 0 ? n.then : n.orElse;
+    for (Index s = evaluate(p, n.lhs, vars) != 0 ? n.then : n.orElse;
          s != kNone; s = p.nodes[static_cast<std::size_t>(s)].next)
-      executeStmt(p, p.nodes[static_cast<std::size_t>(s)], env);
+      executeStmt(p, p.nodes[static_cast<std::size_t>(s)], vars);
   }
   // kVarDecl: state persists between activations
 }
 
 }  // namespace
 
-void execute(const Program& p, Environment& env) {
+void execute(const Program& p, std::span<std::int64_t> vars) {
   for (const Index s : p.top)
-    executeStmt(p, p.nodes[static_cast<std::size_t>(s)], env);
+    executeStmt(p, p.nodes[static_cast<std::size_t>(s)], vars);
 }
 
-void initializeState(const Program& p, Environment& env) {
+void initializeState(const Program& p, std::span<std::int64_t> vars) {
   for (const Index s : p.top) {
     const Node& n = p.nodes[static_cast<std::size_t>(s)];
     if (n.kind == NodeKind::kVarDecl)
-      env.set(p.names[static_cast<std::size_t>(n.slot)],
-              evaluate(p, n.lhs, env));
+      vars[static_cast<std::size_t>(n.slot)] = evaluate(p, n.lhs, vars);
   }
 }
 

@@ -21,7 +21,7 @@
 //
 // Nesting is bounded, so that neither the parser nor any later recursive
 // walk over a program's nodes (printer, C emitter, interpreter, batch
-// simulator compiler) can exhaust the stack on hostile input.  Every
+// simulator) can exhaust the stack on hostile input.  Every
 // statement, `if` body level, unary or binary operator, operand, and
 // parenthesized group is one level;
 // `a + b + c` nests one level per operator, and an else-if one level per

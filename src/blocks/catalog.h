@@ -13,7 +13,10 @@
 //     emitted when the value changed;
 //   - `tick` is 1 when the activation is a timer tick, else 0;
 //   - sensor behaviors read `env` (bound by the stimulus);
-//   - output-block behaviors write `display` (read by probes).
+//   - output-block behaviors write `display` (read by probes);
+//   - any other name read is declared or assigned somewhere in the
+//     program (BlockType rejects an open program), and every variable
+//     reads 0 until written.
 #ifndef EBLOCKS_BLOCKS_CATALOG_H_
 #define EBLOCKS_BLOCKS_CATALOG_H_
 

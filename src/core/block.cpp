@@ -1,5 +1,6 @@
 #include "core/block.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "behavior/parser.h"
@@ -39,6 +40,16 @@ BlockType::BlockType(std::string name, BlockClass cls,
                                 name_);
 }
 
+namespace {
+
+/// The slot of `p` named `name`, appended when the text never mentions it.
+behavior::Index slotFor(behavior::Program& p, const std::string& name) {
+  const behavior::Index s = behavior::findSlot(p, name);
+  return s != behavior::kNone ? s : p.addName(name);
+}
+
+}  // namespace
+
 void BlockType::parseOnce() const {
   // Nothing may escape the once-callable: an exception thrown out of
   // std::call_once is not portable across standard libraries.  The error
@@ -46,6 +57,33 @@ void BlockType::parseOnce() const {
   std::call_once(parsed_, [this] {
     try {
       program_ = behavior::parse(behavior_);
+      for (const std::string& port : inputs_)
+        slots_.inputs.push_back(slotFor(program_, port));
+      for (const std::string& port : outputs_)
+        slots_.outputs.push_back(slotFor(program_, port));
+      slots_.tick = slotFor(program_, "tick");
+      if (class_ == BlockClass::kSensor) slots_.env = slotFor(program_, "env");
+      // Closure: a simulator writes the slots above, the program the
+      // names it declares or assigns; any other read has no value.
+      std::vector<char> bound(program_.names.size(), 0);
+      const auto bind = [&](behavior::Index s) {
+        if (s != behavior::kNone) bound[static_cast<std::size_t>(s)] = 1;
+      };
+      std::ranges::for_each(slots_.inputs, bind);
+      std::ranges::for_each(slots_.outputs, bind);
+      bind(slots_.tick);
+      bind(slots_.env);
+      for (const behavior::Node& n : program_.nodes)
+        if (n.kind == behavior::NodeKind::kVarDecl ||
+            n.kind == behavior::NodeKind::kAssign)
+          bind(n.slot);
+      for (const behavior::Node& n : program_.nodes)
+        if (n.kind == behavior::NodeKind::kVarRef &&
+            !bound[static_cast<std::size_t>(n.slot)])
+          throw std::invalid_argument(
+              "behavior reads '" +
+              program_.names[static_cast<std::size_t>(n.slot)] +
+              "', which no port, builtin, declaration or assignment binds");
       names_ = behavior::bindNames(program_, inputs_, outputs_);
     } catch (...) {
       parseError_ = std::current_exception();
@@ -62,6 +100,11 @@ const behavior::Program& BlockType::program() const {
 const behavior::NameTable& BlockType::nameTable() const {
   parseOnce();
   return names_;
+}
+
+const BlockType::Slots& BlockType::slots() const {
+  parseOnce();
+  return slots_;
 }
 
 }  // namespace eblocks

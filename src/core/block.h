@@ -78,14 +78,31 @@ class BlockType {
   /// The parsed behavior in its flat form (behavior/ast.h), shared by
   /// every consumer (merge, simulators, canonical hash).  Parsed on the
   /// first call and kept for the type's lifetime, so a malformed type
-  /// stays constructible; thread-safe.  Throws the text's LexError /
-  /// ParseError, on every call.
+  /// stays constructible; thread-safe.  Besides the names the text
+  /// mentions, the program has a slot for every port name, for `tick` and,
+  /// on a sensor, for `env`: the names a simulator writes (see slots()).
+  /// Throws on every call when the text does not parse (its LexError /
+  /// ParseError) or when the program is *open*: when it reads a name that
+  /// is none of those and that it never declares or assigns
+  /// (std::invalid_argument naming that name).
   const behavior::Program& program() const;
 
   /// What each slot of program() denotes for this type's ports, indexed by
   /// slot, resolved with the parse and shared likewise.  Same exceptions as
   /// program().
   const behavior::NameTable& nameTable() const;
+
+  /// The slots of program() that a simulator writes, resolved by name, so a
+  /// name shared by two ports is one slot.
+  struct Slots {
+    std::vector<behavior::Index> inputs;   ///< input port -> slot
+    std::vector<behavior::Index> outputs;  ///< output port -> slot
+    behavior::Index tick = behavior::kNone;
+    behavior::Index env = behavior::kNone;  ///< sensors only
+  };
+  /// Resolved with the parse and shared likewise.  Same exceptions as
+  /// program().
+  const Slots& slots() const;
 
   /// True for blocks with internal state (toggle, trip, delay, pulse...).
   bool sequential() const { return sequential_; }
@@ -106,6 +123,7 @@ class BlockType {
   mutable std::once_flag parsed_;
   mutable behavior::Program program_;
   mutable behavior::NameTable names_;
+  mutable Slots slots_;
   mutable std::exception_ptr parseError_;
 };
 

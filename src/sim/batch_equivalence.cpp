@@ -15,26 +15,6 @@ BatchSimOptions toBatchOptions(const SimOptions& opts) {
   return b;
 }
 
-std::vector<std::string> sortedNames(const Network& net,
-                                     bool (Network::*pred)(BlockId) const) {
-  std::vector<std::string> names;
-  for (BlockId b = 0; b < net.blockCount(); ++b)
-    if ((net.*pred)(b)) names.push_back(net.block(b).name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-/// Output blocks of both networks paired up by instance name.
-std::vector<std::pair<BlockId, BlockId>> pairedOutputs(
-    const Network& reference, const Network& candidate,
-    const std::vector<std::string>& names) {
-  std::vector<std::pair<BlockId, BlockId>> out;
-  out.reserve(names.size());
-  for (const std::string& name : names)
-    out.emplace_back(*reference.findBlock(name), *candidate.findBlock(name));
-  return out;
-}
-
 /// The scalar loop the batch pass must be verdict-identical to.  Also the
 /// fallback when the batch simulator rejects a network or overflows its
 /// event budget.
@@ -99,17 +79,7 @@ std::optional<std::pair<std::size_t, Mismatch>> checkChunk(
 std::optional<std::pair<std::size_t, Mismatch>> checkScriptsIndexed(
     const Network& reference, const Network& candidate,
     std::span<const Stimulus> scripts, SimOptions opts) {
-  const auto refSensors = sortedNames(reference, &Network::isSensor);
-  const auto candSensors = sortedNames(candidate, &Network::isSensor);
-  if (refSensors != candSensors)
-    throw std::invalid_argument(
-        "checkEquivalence: sensor sets differ between networks");
-  const auto refOutputs = sortedNames(reference, &Network::isOutput);
-  const auto candOutputs = sortedNames(candidate, &Network::isOutput);
-  if (refOutputs != candOutputs)
-    throw std::invalid_argument(
-        "checkEquivalence: output sets differ between networks");
-  const auto outputs = pairedOutputs(reference, candidate, refOutputs);
+  const auto outputs = pairOutputs(reference, candidate);
 
   opts.recordTrace = false;  // scalar replays pay no tracing either
   for (std::size_t offset = 0; offset < scripts.size();

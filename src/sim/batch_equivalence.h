@@ -11,9 +11,11 @@
 // The batch pass only *detects* which lanes diverge (or hit a behavior
 // fault); the earliest diverging script is then replayed through the
 // scalar Simulator, which produces today's exact Mismatch report -- field
-// for field what a sequential scalar loop would have returned.  Networks
-// the batch simulator cannot handle (non-closed behavior programs, event
-// budget overflows) transparently fall back to the scalar loop.
+// for field what a sequential scalar loop would have returned.  A chunk
+// whose batch pass throws SimError (an event budget overflow, or a
+// behavior BlockType rejects, which fails both simulators' constructors)
+// falls back to the scalar loop, which then throws or reports exactly as
+// a sequential loop would.
 #ifndef EBLOCKS_SIM_BATCH_EQUIVALENCE_H_
 #define EBLOCKS_SIM_BATCH_EQUIVALENCE_H_
 

@@ -6,7 +6,7 @@
 #include <limits>
 #include <map>
 #include <queue>
-#include <set>
+#include <span>
 #include <string_view>
 #include <tuple>
 #include <unordered_map>
@@ -23,47 +23,10 @@ using behavior::kNone;
 using behavior::NodeKind;
 using behavior::UnaryOp;
 
-// --- compiled (slot-indexed) behavior programs -----------------------------
-//
-// The scalar simulator resolves variable names through a per-block
-// unordered_map on every read and write; at 64 lanes per evaluation that
-// hashing would dominate.  Programs are compiled once into arenas of
-// slot-indexed expressions and statements.
-
-struct CompiledExpr {
-  NodeKind kind = NodeKind::kIntLit;
-  UnaryOp uop = UnaryOp::kNot;
-  BinaryOp bop = BinaryOp::kAdd;
-  int lhs = -1;
-  int rhs = -1;
-  int slot = -1;           // kVarRef
-  std::int64_t lit = 0;    // kIntLit
-};
-
-struct CompiledStmt {
-  NodeKind kind = NodeKind::kAssign;
-  int slot = -1;  // kVarDecl / kAssign target
-  int expr = -1;  // decl init / assign rhs / if condition
-  std::vector<int> thenBody;
-  std::vector<int> elseBody;
-};
-
-struct CompiledProgram {
-  std::vector<CompiledExpr> exprs;
-  std::vector<CompiledStmt> stmts;
-  std::vector<int> top;                         // top-level stmt indices
-  std::vector<std::pair<int, int>> varInits;    // (slot, expr), top level
-  std::unordered_map<std::string, int> slotOf;  // name -> slot
-  int slotCount = 0;
-};
-
-/// Per-block compiled program plus the pre-resolved builtin slots.
+/// What one block runs: its type's shared program and slots.
 struct BlockProgram {
-  CompiledProgram prog;
-  std::vector<int> inSlots;   // input port -> slot
-  std::vector<int> outSlots;  // output port -> slot
-  int tickSlot = -1;
-  int envSlot = -1;  // sensors only
+  const behavior::Program* program = nullptr;
+  const BlockType::Slots* slots = nullptr;
   // Pure truth-table fast path (detectTruthTable): set when the behavior
   // is an exhaustive if-chain over boolean inputs (the catalog's logic
   // gates).  Bit c of ttMinterms is the output for input combination c,
@@ -71,6 +34,10 @@ struct BlockProgram {
   // slot is packed (all lanes 0/1) -- checked per activation.
   bool ttValid = false;
   std::uint64_t ttMinterms = 0;
+
+  const behavior::Node& node(Index i) const {
+    return program->nodes[static_cast<std::size_t>(i)];
+  }
 };
 
 /// Matches the exhaustive if-chain truthTable{2,3}Source emits: 2^N
@@ -78,37 +45,33 @@ struct BlockProgram {
 /// one per input combination, nothing else.  With boolean inputs each
 /// lane matches exactly one branch, so the whole program collapses to a
 /// minterm table evaluated with word-parallel bit ops.
-bool detectTruthTable(const BlockType& type,
-                      const behavior::Program& program,
-                      std::uint64_t* minterms) {
-  const int n = type.inputCount();
-  if (n < 1 || n > 6 || type.outputCount() != 1) return false;
+bool detectTruthTable(const BlockProgram& bp, std::uint64_t* minterms) {
+  const behavior::Program& program = *bp.program;
+  const int n = static_cast<int>(bp.slots->inputs.size());
+  if (n < 1 || n > 6 || bp.slots->outputs.size() != 1) return false;
   const std::size_t combos = std::size_t{1} << n;
   if (program.top.size() != combos) return false;
   // Each slot's input number (the first input of that name), or -1.
   std::vector<int> inputOf(program.names.size(), -1);
-  for (std::size_t s = 0; s < inputOf.size(); ++s)
-    for (int i = n - 1; i >= 0; --i)
-      if (type.inputName(i) == program.names[s]) inputOf[s] = i;
-  const auto node = [&](Index i) -> const behavior::Node& {
-    return program.nodes[static_cast<std::size_t>(i)];
-  };
+  for (int i = n - 1; i >= 0; --i)
+    inputOf[static_cast<std::size_t>(
+        bp.slots->inputs[static_cast<std::size_t>(i)])] = i;
 
   // Flattens an `&&` tree of `input == 0|1` leaves into a combo index.
   const auto flattenCombo = [&](Index ei, std::uint32_t* combo,
                                 std::uint32_t* seenInputs,
                                 auto&& self) -> bool {
-    const behavior::Node& e = node(ei);
+    const behavior::Node& e = bp.node(ei);
     if (e.kind == NodeKind::kBinary && e.bop == BinaryOp::kAnd)
       return self(e.lhs, combo, seenInputs, self) &&
              self(e.rhs, combo, seenInputs, self);
     if (e.kind != NodeKind::kBinary || e.bop != BinaryOp::kEq) return false;
-    if (node(e.lhs).kind != NodeKind::kVarRef ||
-        node(e.rhs).kind != NodeKind::kIntLit)
+    if (bp.node(e.lhs).kind != NodeKind::kVarRef ||
+        bp.node(e.rhs).kind != NodeKind::kIntLit)
       return false;
-    const int input = inputOf[static_cast<std::size_t>(node(e.lhs).slot)];
+    const int input = inputOf[static_cast<std::size_t>(bp.node(e.lhs).slot)];
     if (input < 0) return false;
-    const std::int64_t v = node(e.rhs).value;
+    const std::int64_t v = bp.node(e.rhs).value;
     if (v != 0 && v != 1) return false;
     if ((*seenInputs >> input) & 1u) return false;  // input repeated
     *seenInputs |= std::uint32_t{1} << input;
@@ -118,16 +81,14 @@ bool detectTruthTable(const BlockType& type,
 
   std::uint64_t table = 0, seenCombos = 0;
   for (const Index si : program.top) {
-    const behavior::Node& s = node(si);
+    const behavior::Node& s = bp.node(si);
     if (s.kind != NodeKind::kIf || s.orElse != kNone || s.then == kNone ||
-        node(s.then).next != kNone)
+        bp.node(s.then).next != kNone)
       return false;
-    const behavior::Node& body = node(s.then);
-    if (body.kind != NodeKind::kAssign ||
-        program.names[static_cast<std::size_t>(body.slot)] !=
-            type.outputName(0) ||
-        node(body.lhs).kind != NodeKind::kIntLit ||
-        (node(body.lhs).value != 0 && node(body.lhs).value != 1))
+    const behavior::Node& body = bp.node(s.then);
+    if (body.kind != NodeKind::kAssign || body.slot != bp.slots->outputs[0] ||
+        bp.node(body.lhs).kind != NodeKind::kIntLit ||
+        (bp.node(body.lhs).value != 0 && bp.node(body.lhs).value != 1))
       return false;
     std::uint32_t combo = 0, seenInputs = 0;
     if (!flattenCombo(s.lhs, &combo, &seenInputs, flattenCombo))
@@ -135,7 +96,7 @@ bool detectTruthTable(const BlockType& type,
     if (seenInputs != (std::uint32_t{1} << n) - 1) return false;
     if ((seenCombos >> combo) & 1u) return false;  // combo repeated
     seenCombos |= std::uint64_t{1} << combo;
-    table |= static_cast<std::uint64_t>(node(body.lhs).value) << combo;
+    table |= static_cast<std::uint64_t>(bp.node(body.lhs).value) << combo;
   }
   if (seenCombos != (combos == 64 ? ~std::uint64_t{0}
                                   : (std::uint64_t{1} << combos) - 1))
@@ -143,120 +104,6 @@ bool detectTruthTable(const BlockType& type,
   *minterms = table;
   return true;
 }
-
-class Compiler {
- public:
-  Compiler(const std::string& blockName, const behavior::Program& program)
-      : blockName_(blockName), program_(program) {}
-
-  BlockProgram compile(const BlockType& type) {
-    BlockProgram bp;
-    // Pre-bind the names the simulator binds before the first activation
-    // (ports, tick, env), in a deterministic slot order.
-    for (int p = 0; p < type.inputCount(); ++p)
-      bp.inSlots.push_back(slotFor(type.inputName(p)));
-    for (int p = 0; p < type.outputCount(); ++p)
-      bp.outSlots.push_back(slotFor(type.outputName(p)));
-    bp.tickSlot = slotFor("tick");
-    if (type.blockClass() == BlockClass::kSensor) bp.envSlot = slotFor("env");
-    prebound_ = out_.slotOf;
-
-    for (const Index s : program_.top) {
-      const int idx = compileStmt(s);
-      out_.top.push_back(idx);
-      if (node(s).kind == NodeKind::kVarDecl)
-        out_.varInits.emplace_back(out_.stmts[static_cast<std::size_t>(idx)].slot,
-                                   out_.stmts[static_cast<std::size_t>(idx)].expr);
-    }
-    // Closure check: every name read must be pre-bound, declared, or
-    // assigned somewhere (the c_emitter closure rule, relaxed to include
-    // plain assignments).  The scalar simulator binds dynamically and
-    // would throw EvalError at activation time instead.
-    for (const std::string& name : referenced_)
-      if (!prebound_.contains(name) && !bound_.contains(name))
-        throw SimError("batch: block '" + blockName_ + "': behavior reads '" +
-                       name + "' which is never bound");
-    out_.slotCount = static_cast<int>(out_.slotOf.size());
-    bp.prog = std::move(out_);
-    return bp;
-  }
-
- private:
-  int slotFor(const std::string& name) {
-    const auto it = out_.slotOf.find(name);
-    if (it != out_.slotOf.end()) return it->second;
-    const int slot = static_cast<int>(out_.slotOf.size());
-    out_.slotOf.emplace(name, slot);
-    return slot;
-  }
-
-  const behavior::Node& node(Index i) const {
-    return program_.nodes[static_cast<std::size_t>(i)];
-  }
-  const std::string& name(Index slot) const {
-    return program_.names[static_cast<std::size_t>(slot)];
-  }
-
-  int compileExpr(Index ei) {
-    const behavior::Node& e = node(ei);
-    CompiledExpr ce;
-    ce.kind = e.kind;
-    switch (e.kind) {
-      case NodeKind::kIntLit:
-        ce.lit = e.value;
-        break;
-      case NodeKind::kVarRef:
-        ce.slot = slotFor(name(e.slot));
-        referenced_.insert(name(e.slot));
-        break;
-      case NodeKind::kUnary:
-        ce.uop = e.uop;
-        ce.lhs = compileExpr(e.lhs);
-        break;
-      case NodeKind::kBinary:
-        ce.bop = e.bop;
-        ce.lhs = compileExpr(e.lhs);
-        ce.rhs = compileExpr(e.rhs);
-        break;
-      default:
-        throw SimError("batch: unreachable expression kind");
-    }
-    out_.exprs.push_back(ce);
-    return static_cast<int>(out_.exprs.size()) - 1;
-  }
-
-  int compileStmt(Index si) {
-    const behavior::Node& s = node(si);
-    CompiledStmt cs;
-    cs.kind = s.kind;
-    switch (s.kind) {
-      case NodeKind::kVarDecl:
-      case NodeKind::kAssign:
-        cs.slot = slotFor(name(s.slot));
-        bound_.insert(name(s.slot));
-        cs.expr = compileExpr(s.lhs);
-        break;
-      case NodeKind::kIf:
-        cs.expr = compileExpr(s.lhs);
-        for (Index t = s.then; t != kNone; t = node(t).next)
-          cs.thenBody.push_back(compileStmt(t));
-        for (Index t = s.orElse; t != kNone; t = node(t).next)
-          cs.elseBody.push_back(compileStmt(t));
-        break;
-      default:
-        throw SimError("batch: unreachable statement kind");
-    }
-    out_.stmts.push_back(std::move(cs));
-    return static_cast<int>(out_.stmts.size()) - 1;
-  }
-
-  const std::string& blockName_;
-  const behavior::Program& program_;
-  CompiledProgram out_;
-  std::unordered_map<std::string, int> prebound_;
-  std::set<std::string> referenced_;
-  std::set<std::string> bound_;  // declared or assigned anywhere
-};
 
 /// Expression result: packed word or borrowed wide array (scratch buffer
 /// or environment slot storage; valid until the parent consumes it).
@@ -294,27 +141,25 @@ struct BatchSimulator::Impl {
 
   Impl(const Network& net, BatchSimOptions opts) : net_(&net), opts_(opts) {
     const std::size_t n = net.blockCount();
-    programs_.reserve(n);
-    envs_.resize(n);
+    programs_.resize(n);
+    valueBase_.resize(n + 1, 0);
     outPortBase_.resize(n + 1, 0);
     for (BlockId b = 0; b < n; ++b) {
       const BlockType& t = *net.block(b).type;
-      const behavior::Program* program = nullptr;
+      BlockProgram& bp = programs_[b];
       try {
-        program = &t.program();
+        bp.program = &t.program();
+        bp.slots = &t.slots();
       } catch (const std::exception& e) {
         throw SimError("block '" + net.block(b).name + "' (" + t.name() +
                        "): " + e.what());
       }
-      Compiler compiler(net.block(b).name, *program);
-      programs_.push_back(compiler.compile(t));
-      programs_.back().ttValid =
-          detectTruthTable(t, *program, &programs_.back().ttMinterms);
-      envs_[b].resize(
-          static_cast<std::size_t>(programs_.back().prog.slotCount));
+      bp.ttValid = detectTruthTable(bp, &bp.ttMinterms);
+      valueBase_[b + 1] = valueBase_[b] + bp.program->names.size();
       outPortBase_[b + 1] =
           outPortBase_[b] + static_cast<std::size_t>(t.outputCount());
     }
+    values_.resize(valueBase_[n]);
     lastEmitted_.resize(outPortBase_[n]);
     inBatch_.assign(n, 0);
     reset(kAllLanes);
@@ -335,15 +180,21 @@ struct BatchSimulator::Impl {
     faultLanes_ |= lanes;
   }
 
-  Val evalExpr(const BlockProgram& bp, std::vector<LaneVector>& env, int idx,
+  /// A block's variables: one LaneVector per slot of its program.
+  std::span<LaneVector> vars(BlockId b) {
+    return std::span(values_).subspan(valueBase_[b],
+                                      valueBase_[b + 1] - valueBase_[b]);
+  }
+
+  Val evalExpr(const BlockProgram& bp, std::span<LaneVector> env, Index idx,
                LaneMask mask, int depth) {
-    const CompiledExpr& e = bp.prog.exprs[static_cast<std::size_t>(idx)];
+    const behavior::Node& e = bp.node(idx);
     switch (e.kind) {
       case NodeKind::kIntLit: {
-        if (e.lit == 0 || e.lit == 1)
-          return Val{true, e.lit ? kAllLanes : 0, nullptr};
+        if (e.value == 0 || e.value == 1)
+          return Val{true, e.value ? kAllLanes : 0, nullptr};
         std::int64_t* out = scratch(depth);
-        for (int i = 0; i < kLanes; ++i) out[i] = e.lit;
+        for (int i = 0; i < kLanes; ++i) out[i] = e.value;
         return Val{false, 0, out};
       }
       case NodeKind::kVarRef: {
@@ -368,8 +219,8 @@ struct BatchSimulator::Impl {
     throw SimError("batch: unreachable expression kind");
   }
 
-  Val evalBinary(const BlockProgram& bp, std::vector<LaneVector>& env,
-                 const CompiledExpr& e, LaneMask mask, int depth) {
+  Val evalBinary(const BlockProgram& bp, std::span<LaneVector> env,
+                 const behavior::Node& e, LaneMask mask, int depth) {
     // Short-circuit logical operators evaluate the right side only in the
     // lanes the scalar interpreter would (faults must match per lane).
     if (e.bop == BinaryOp::kAnd) {
@@ -497,28 +348,33 @@ struct BatchSimulator::Impl {
       if ((mask >> i) & 1u) w[i] = v.lane(i);
   }
 
-  void execStmts(const BlockProgram& bp, std::vector<LaneVector>& env,
-                 const std::vector<int>& stmts, LaneMask mask, int depth) {
-    for (const int si : stmts) {
-      const CompiledStmt& s = bp.prog.stmts[static_cast<std::size_t>(si)];
-      switch (s.kind) {
-        case NodeKind::kAssign: {
-          const Val v = evalExpr(bp, env, s.expr, mask, depth);
-          assignSlot(env[static_cast<std::size_t>(s.slot)], v, mask);
-          break;
-        }
-        case NodeKind::kIf: {
-          const LaneMask t =
-              evalExpr(bp, env, s.expr, mask, depth).truthy() & mask;
-          const LaneMask f = mask & ~t;
-          if (t) execStmts(bp, env, s.thenBody, t, depth + 1);
-          if (f) execStmts(bp, env, s.elseBody, f, depth + 1);
-          break;
-        }
-        default:
-          break;  // kVarDecl: state persists between activations
+  void execStmt(const BlockProgram& bp, std::span<LaneVector> env,
+                Index si, LaneMask mask, int depth) {
+    const behavior::Node& s = bp.node(si);
+    switch (s.kind) {
+      case NodeKind::kAssign: {
+        const Val v = evalExpr(bp, env, s.lhs, mask, depth);
+        assignSlot(env[static_cast<std::size_t>(s.slot)], v, mask);
+        break;
       }
+      case NodeKind::kIf: {
+        const LaneMask t =
+            evalExpr(bp, env, s.lhs, mask, depth).truthy() & mask;
+        const LaneMask f = mask & ~t;
+        if (t) execBody(bp, env, s.then, t, depth + 1);
+        if (f) execBody(bp, env, s.orElse, f, depth + 1);
+        break;
+      }
+      default:
+        break;  // kVarDecl: state persists between activations
     }
+  }
+
+  /// Runs an `if` body: the chain of statements from `first` on.
+  void execBody(const BlockProgram& bp, std::span<LaneVector> env,
+                Index first, LaneMask mask, int depth) {
+    for (Index s = first; s != kNone; s = bp.node(s).next)
+      execStmt(bp, env, s, mask, depth);
   }
 
   /// Truth-table fast path: all 64 lanes of a logic gate in a handful of
@@ -527,12 +383,12 @@ struct BatchSimulator::Impl {
   /// sum is the interpreter's result in every lane, and the whole-vector
   /// overwrite is covered by the inactive-lanes-unspecified contract.
   /// Returns false (caller interprets) when any input has widened.
-  bool evalTruthTable(const BlockProgram& bp, std::vector<LaneVector>& env) {
-    const int n = static_cast<int>(bp.inSlots.size());
+  bool evalTruthTable(const BlockProgram& bp, std::span<LaneVector> env) {
+    const int n = static_cast<int>(bp.slots->inputs.size());
     LaneMask in[6];
     for (int i = 0; i < n; ++i) {
-      const LaneVector& v = env[static_cast<std::size_t>(bp.inSlots[
-          static_cast<std::size_t>(i)])];
+      const LaneVector& v = env[static_cast<std::size_t>(
+          bp.slots->inputs[static_cast<std::size_t>(i)])];
       if (!v.packed()) return false;
       in[i] = v.bits();
     }
@@ -543,7 +399,8 @@ struct BatchSimulator::Impl {
       for (int i = 0; i < n; ++i) m &= ((c >> i) & 1u) ? in[i] : ~in[i];
       out |= m;
     }
-    env[static_cast<std::size_t>(bp.outSlots[0])] = LaneVector::fromBits(out);
+    env[static_cast<std::size_t>(bp.slots->outputs[0])] =
+        LaneVector::fromBits(out);
     return true;
   }
 
@@ -552,20 +409,19 @@ struct BatchSimulator::Impl {
   void activate(BlockId b, LaneMask tickLanes) {
     ++activations_;
     const BlockProgram& bp = programs_[b];
-    std::vector<LaneVector>& env = envs_[b];
-    env[static_cast<std::size_t>(bp.tickSlot)] =
+    const std::span<LaneVector> env = vars(b);
+    env[static_cast<std::size_t>(bp.slots->tick)] =
         LaneVector::fromBits(tickLanes);
     if (!bp.ttValid || !evalTruthTable(bp, env))
-      execStmts(bp, env, bp.prog.top, activeMask_, 0);
-    const BlockType& t = *net_->block(b).type;
-    for (int p = 0; p < t.outputCount(); ++p) {
-      const LaneVector& v = env[static_cast<std::size_t>(bp.outSlots[
-          static_cast<std::size_t>(p)])];
-      LaneVector& last =
-          lastEmitted_[outPortBase_[b] + static_cast<std::size_t>(p)];
+      for (const Index s : bp.program->top)
+        execStmt(bp, env, s, activeMask_, 0);
+    for (std::size_t p = 0; p < bp.slots->outputs.size(); ++p) {
+      const LaneVector& v =
+          env[static_cast<std::size_t>(bp.slots->outputs[p])];
+      LaneVector& last = lastEmitted_[outPortBase_[b] + p];
       if (laneDiff(v, last) & activeMask_) {
         last = v;
-        scheduleFanout(b, p, v);
+        scheduleFanout(b, static_cast<int>(p), v);
       }
     }
   }
@@ -601,9 +457,9 @@ struct BatchSimulator::Impl {
       }
       for (const Event& ev : batch_) {  // seq order: later packets win
         ++packetsDelivered_;
-        const BlockProgram& bp = programs_[ev.dst.block];
-        envs_[ev.dst.block][static_cast<std::size_t>(
-            bp.inSlots[ev.dst.port])] = payloads_[ev.payload];
+        vars(ev.dst.block)[static_cast<std::size_t>(
+            programs_[ev.dst.block].slots->inputs[ev.dst.port])] =
+            payloads_[ev.payload];
         if (!inBatch_[ev.dst.block]) {
           inBatch_[ev.dst.block] = 1;
           order_.push_back(ev.dst.block);
@@ -628,13 +484,15 @@ struct BatchSimulator::Impl {
     while (!queue_.empty()) queue_.pop();
     payloads_.clear();
     for (LaneVector& v : lastEmitted_) v = LaneVector();
+    for (LaneVector& v : values_) v = LaneVector();
     for (BlockId b = 0; b < net_->blockCount(); ++b) {
-      std::vector<LaneVector>& env = envs_[b];
-      for (LaneVector& v : env) v = LaneVector();
       const BlockProgram& bp = programs_[b];
-      for (const auto& [slot, expr] : bp.prog.varInits) {
-        const Val v = evalExpr(bp, env, expr, activeMask_, 0);
-        assignSlot(env[static_cast<std::size_t>(slot)], v, kAllLanes);
+      const std::span<LaneVector> env = vars(b);
+      for (const Index s : bp.program->top) {
+        const behavior::Node& decl = bp.node(s);
+        if (decl.kind != NodeKind::kVarDecl) continue;
+        const Val v = evalExpr(bp, env, decl.lhs, activeMask_, 0);
+        assignSlot(env[static_cast<std::size_t>(decl.slot)], v, kAllLanes);
       }
     }
     // Power-up evaluation wave, as in the scalar simulator.
@@ -646,9 +504,8 @@ struct BatchSimulator::Impl {
     if (!net_->isSensor(sensor))
       throw SimError("setSensor: block '" + net_->block(sensor).name +
                      "' is not a sensor");
-    const BlockProgram& bp = programs_[sensor];
-    envs_[sensor][static_cast<std::size_t>(bp.envSlot)].mergeFrom(
-        values, lanes & activeMask_);
+    vars(sensor)[static_cast<std::size_t>(programs_[sensor].slots->env)]
+        .mergeFrom(values, lanes & activeMask_);
     activate(sensor, 0);
   }
 
@@ -674,18 +531,19 @@ struct BatchSimulator::Impl {
 
   const LaneVector& probeLanes(BlockId block, const std::string& var) const {
     static const LaneVector kZero;
-    const auto it = programs_[block].prog.slotOf.find(var);
-    if (it == programs_[block].prog.slotOf.end()) return kZero;
-    return envs_[block][static_cast<std::size_t>(it->second)];
+    const Index s = behavior::findSlot(*programs_[block].program, var);
+    if (s == kNone) return kZero;
+    return values_[valueBase_[block] + static_cast<std::size_t>(s)];
   }
 
   const Network* net_;
   BatchSimOptions opts_;
   LaneMask activeMask_ = kAllLanes;
-  std::vector<BlockProgram> programs_;          // per block
-  std::vector<std::vector<LaneVector>> envs_;   // per block, per slot
-  std::vector<LaneVector> lastEmitted_;         // per (block, port), flat
-  std::vector<std::size_t> outPortBase_;        // block -> index into flat
+  std::vector<BlockProgram> programs_;     // per block
+  std::vector<LaneVector> values_;         // per (block, slot), flat
+  std::vector<std::size_t> valueBase_;     // block -> index into values_
+  std::vector<LaneVector> lastEmitted_;    // per (block, port), flat
+  std::vector<std::size_t> outPortBase_;   // block -> index into flat
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::vector<LaneVector> payloads_;  // in-flight packet snapshots
   std::vector<std::unique_ptr<std::array<std::int64_t, kLanes>>> scratch_;

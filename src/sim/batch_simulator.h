@@ -18,21 +18,15 @@
 //      activation is spurious therefore re-derive their current state.
 //
 // Divergent control flow (`if` arms taken by some lanes only) is executed
-// SIMT-style under a lane mask; assignments merge masked.  Behavior
-// programs are compiled once into slot-indexed form -- no name hashing on
-// the hot path.  Behavior faults (division by zero) are recorded per lane
-// in faultedLanes() instead of throwing: a faulted lane's values are
-// unspecified from that point on and must be replayed through the scalar
-// Simulator (sim/batch_equivalence.cpp does exactly that); other lanes
-// are unaffected.
-//
-// Unlike the scalar simulator, construction requires programs to be
-// *closed*: every name read must be an input/output port, `tick`, a
-// sensor's `env`, or a variable declared or assigned somewhere in the
-// program (the same closure rule codegen/c_emitter enforces).  The scalar
-// simulator binds names dynamically on first write; all catalog and
-// merged-program behaviors satisfy the static rule.  SimError is thrown
-// otherwise -- callers fall back to the scalar path.
+// SIMT-style under a lane mask; assignments merge masked.  Like the scalar
+// simulator, it walks each type's shared program (BlockType::program)
+// with one value per slot, writing ports, `tick` and `env` through the
+// type's slots() -- no name lookup on the hot path.  Behavior faults
+// (division by zero or overflow) are recorded per lane in faultedLanes()
+// instead of throwing: a faulted lane's values are unspecified from that
+// point on and must be replayed through the scalar Simulator
+// (sim/batch_equivalence.cpp does exactly that); other lanes are
+// unaffected.
 #ifndef EBLOCKS_SIM_BATCH_SIMULATOR_H_
 #define EBLOCKS_SIM_BATCH_SIMULATOR_H_
 
@@ -85,9 +79,10 @@ BatchScript packStimuli(const Network& net,
 
 class BatchSimulator {
  public:
-  /// Compiles every block's behavior into lane-parallel slot form.
-  /// Throws SimError on unparsable or non-closed behaviors (see file
-  /// comment).  The network must outlive the simulator.
+  /// Resolves every block's shared behavior program and its slots up
+  /// front; throws SimError naming the block on a behavior that does not
+  /// parse or is open (BlockType::program), like the scalar simulator.
+  /// The network must outlive the simulator.
   explicit BatchSimulator(const Network& net, BatchSimOptions opts = {});
   ~BatchSimulator();
   BatchSimulator(BatchSimulator&&) noexcept;
@@ -124,7 +119,8 @@ class BatchSimulator {
   /// All lanes of an output block's display variable.
   const LaneVector& outputLanes(BlockId outputBlock) const;
 
-  /// Reads any variable of any block (all lanes 0 if never bound).
+  /// Reads any variable of any block (all lanes 0 if never written, or if
+  /// the block's program has no such name).
   const LaneVector& probeLanes(BlockId block, const std::string& var) const;
   std::int64_t probe(BlockId block, const std::string& var, int lane) const;
 

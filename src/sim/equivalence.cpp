@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 namespace eblocks::sim {
 
@@ -13,16 +14,41 @@ std::string Mismatch::describe() const {
 
 namespace {
 
-std::vector<std::string> sortedNames(const Network& net,
-                                     bool (Network::*pred)(BlockId) const) {
-  std::vector<std::string> names;
+using Named = std::pair<std::string_view, BlockId>;
+
+/// Every block of `net` that `pred` selects, by name.
+std::vector<Named> byName(const Network& net,
+                          bool (Network::*pred)(BlockId) const) {
+  std::vector<Named> out;
   for (BlockId b = 0; b < net.blockCount(); ++b)
-    if ((net.*pred)(b)) names.push_back(net.block(b).name);
-  std::sort(names.begin(), names.end());
-  return names;
+    if ((net.*pred)(b)) out.emplace_back(net.block(b).name, b);
+  std::ranges::sort(out);
+  return out;
+}
+
+bool sameNames(const std::vector<Named>& a, const std::vector<Named>& b) {
+  return std::ranges::equal(a, b, {}, &Named::first, &Named::first);
 }
 
 }  // namespace
+
+std::vector<std::pair<BlockId, BlockId>> pairOutputs(
+    const Network& reference, const Network& candidate) {
+  if (!sameNames(byName(reference, &Network::isSensor),
+                 byName(candidate, &Network::isSensor)))
+    throw std::invalid_argument(
+        "checkEquivalence: sensor sets differ between networks");
+  const auto ref = byName(reference, &Network::isOutput);
+  const auto cand = byName(candidate, &Network::isOutput);
+  if (!sameNames(ref, cand))
+    throw std::invalid_argument(
+        "checkEquivalence: output sets differ between networks");
+  std::vector<std::pair<BlockId, BlockId>> out;
+  out.reserve(ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    out.emplace_back(ref[i].second, cand[i].second);
+  return out;
+}
 
 std::optional<Mismatch> checkEquivalence(const Network& reference,
                                          const Network& candidate,
@@ -30,17 +56,7 @@ std::optional<Mismatch> checkEquivalence(const Network& reference,
                                          SimOptions opts) {
   // Equivalence runs never read the trace; don't pay for recording it.
   opts.recordTrace = false;
-  const auto refSensors = sortedNames(reference, &Network::isSensor);
-  const auto candSensors = sortedNames(candidate, &Network::isSensor);
-  if (refSensors != candSensors)
-    throw std::invalid_argument(
-        "checkEquivalence: sensor sets differ between networks");
-  const auto refOutputs = sortedNames(reference, &Network::isOutput);
-  const auto candOutputs = sortedNames(candidate, &Network::isOutput);
-  if (refOutputs != candOutputs)
-    throw std::invalid_argument(
-        "checkEquivalence: output sets differ between networks");
-
+  const auto outputs = pairOutputs(reference, candidate);
   Simulator refSim(reference, opts);
   Simulator candSim(candidate, opts);
   const auto& steps = script.steps();
@@ -55,10 +71,10 @@ std::optional<Mismatch> checkEquivalence(const Network& reference,
       refSim.tick();
       candSim.tick();
     }
-    for (const std::string& out : refOutputs) {
-      const std::int64_t e = refSim.outputValue(out);
-      const std::int64_t a = candSim.outputValue(out);
-      if (e != a) return Mismatch{i, out, e, a};
+    for (const auto& [refOut, candOut] : outputs) {
+      const std::int64_t e = refSim.outputValue(refOut);
+      const std::int64_t a = candSim.outputValue(candOut);
+      if (e != a) return Mismatch{i, reference.block(refOut).name, e, a};
     }
   }
   return std::nullopt;

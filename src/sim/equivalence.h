@@ -9,6 +9,8 @@
 
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/stimulus.h"
 
@@ -22,6 +24,13 @@ struct Mismatch {
   std::int64_t actual = 0;    ///< value in the network under test
   std::string describe() const;
 };
+
+/// The output blocks of both networks paired up by instance name, in name
+/// order: the outputs every checker compares.  Throws
+/// std::invalid_argument when the networks' sensor or output name sets
+/// differ.
+std::vector<std::pair<BlockId, BlockId>> pairOutputs(const Network& reference,
+                                                     const Network& candidate);
 
 /// Runs `script` against both networks and compares all output blocks at
 /// every step boundary.  Returns the first mismatch, or nullopt when the

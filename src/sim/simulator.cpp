@@ -2,25 +2,32 @@
 
 #include <tuple>
 
+#include "behavior/interpreter.h"
+
 namespace eblocks::sim {
 
 Simulator::Simulator(const Network& net, SimOptions opts)
     : net_(&net), opts_(opts) {
   const std::size_t n = net.blockCount();
-  programs_.reserve(n);
-  envs_.resize(n);
+  blocks_.reserve(n);
   outPortBase_.resize(n + 1, 0);
+  std::size_t values = 0;
   for (BlockId b = 0; b < n; ++b) {
     const BlockType& t = *net.block(b).type;
     try {
-      programs_.push_back(&t.program());
+      blocks_.push_back({&t.program(), &t.slots(), values, behavior::kNone});
     } catch (const std::exception& e) {
       throw SimError("block '" + net.block(b).name + "' (" + t.name() +
                      "): " + e.what());
     }
+    BlockRun& r = blocks_.back();
+    if (t.blockClass() == BlockClass::kOutput)
+      r.display = behavior::findSlot(*r.program, "display");
+    values += r.program->names.size();
     outPortBase_[b + 1] =
         outPortBase_[b] + static_cast<std::size_t>(t.outputCount());
   }
+  values_.resize(values);
   lastEmitted_.assign(outPortBase_[n], 0);
   reset();
 }
@@ -33,18 +40,11 @@ void Simulator::reset() {
   trace_.clear();
   while (!queue_.empty()) queue_.pop();
   for (std::int64_t& v : lastEmitted_) v = 0;
-  for (BlockId b = 0; b < net_->blockCount(); ++b) {
-    const BlockType& t = *net_->block(b).type;
-    behavior::Environment env;
-    // Bind ports and builtins to 0 before state init so initializers may
-    // reference them.
-    for (int p = 0; p < t.inputCount(); ++p) env.set(t.inputName(p), 0);
-    for (int p = 0; p < t.outputCount(); ++p) env.set(t.outputName(p), 0);
-    env.set("tick", 0);
-    if (t.blockClass() == BlockClass::kSensor) env.set("env", 0);
-    behavior::initializeState(*programs_[b], env);
-    envs_[b] = std::move(env);
-  }
+  // Ports, builtins and state read 0 until written; state initializers
+  // may read them.
+  for (std::int64_t& v : values_) v = 0;
+  for (BlockId b = 0; b < net_->blockCount(); ++b)
+    behavior::initializeState(*blocks_[b].program, vars(b));
   // Power-up evaluation wave: evaluate every block once so constant
   // outputs (e.g. an inverter of a low input) propagate.
   for (BlockId b = 0; b < net_->blockCount(); ++b) activate(b, false);
@@ -55,7 +55,7 @@ void Simulator::setSensor(BlockId sensor, std::int64_t value) {
   if (!net_->isSensor(sensor))
     throw SimError("setSensor: block '" + net_->block(sensor).name +
                    "' is not a sensor");
-  envs_[sensor].set("env", value);
+  vars(sensor)[static_cast<std::size_t>(blocks_[sensor].slots->env)] = value;
   activate(sensor, false);
 }
 
@@ -85,7 +85,10 @@ std::int64_t Simulator::outputValue(BlockId outputBlock) const {
   if (!net_->isOutput(outputBlock))
     throw SimError("outputValue: block '" + net_->block(outputBlock).name +
                    "' is not an output block");
-  return probe(outputBlock, "display");
+  const BlockRun& r = blocks_[outputBlock];
+  return r.display == behavior::kNone
+             ? 0
+             : values_[r.base + static_cast<std::size_t>(r.display)];
 }
 
 std::int64_t Simulator::outputValue(const std::string& name) const {
@@ -95,35 +98,35 @@ std::int64_t Simulator::outputValue(const std::string& name) const {
 }
 
 std::int64_t Simulator::probe(BlockId block, const std::string& var) const {
-  const behavior::Environment& env = envs_.at(block);
-  return env.has(var) ? env.get(var) : 0;
+  const BlockRun& r = blocks_.at(block);
+  const behavior::Index s = behavior::findSlot(*r.program, var);
+  return s == behavior::kNone ? 0
+                              : values_[r.base + static_cast<std::size_t>(s)];
 }
 
 void Simulator::activate(BlockId b, bool isTick) {
   ++activations_;
-  behavior::Environment& env = envs_[b];
-  env.set("tick", isTick ? 1 : 0);
-  const BlockType& t = *net_->block(b).type;
-  const bool traceBlock =
-      opts_.recordTrace && t.blockClass() == BlockClass::kOutput;
+  const BlockRun& r = blocks_[b];
+  const std::span<std::int64_t> v = vars(b);
+  v[static_cast<std::size_t>(r.slots->tick)] = isTick ? 1 : 0;
+  const bool traceBlock = opts_.recordTrace && r.display != behavior::kNone;
   const std::int64_t displayBefore =
-      traceBlock && env.has("display") ? env.get("display") : 0;
+      traceBlock ? v[static_cast<std::size_t>(r.display)] : 0;
   try {
-    behavior::execute(*programs_[b], env);
+    behavior::execute(*r.program, v);
   } catch (const behavior::EvalError& e) {
     throw SimError("block '" + net_->block(b).name + "': " + e.what());
   }
-  for (int p = 0; p < t.outputCount(); ++p) {
-    const std::int64_t v = env.get(t.outputName(p));
-    std::int64_t& last = lastEmitted_[outPortBase_[b] + static_cast<std::size_t>(p)];
-    if (v != last) {
-      last = v;
-      scheduleFanout(b, p, v);
+  for (std::size_t p = 0; p < r.slots->outputs.size(); ++p) {
+    const std::int64_t value = v[static_cast<std::size_t>(r.slots->outputs[p])];
+    std::int64_t& last = lastEmitted_[outPortBase_[b] + p];
+    if (value != last) {
+      last = value;
+      scheduleFanout(b, static_cast<int>(p), value);
     }
   }
   if (traceBlock) {
-    const std::int64_t displayAfter =
-        env.has("display") ? env.get("display") : 0;
+    const std::int64_t displayAfter = v[static_cast<std::size_t>(r.display)];
     if (displayAfter != displayBefore)
       trace_.push_back(TraceEntry{now_, b, displayAfter});
   }
@@ -160,8 +163,8 @@ void Simulator::processEventsUntilQuiet() {
     }
     for (const Event& ev : batch) {  // seq order: later packets win a port
       ++packetsDelivered_;
-      const BlockType& type = *net_->block(ev.dst.block).type;
-      envs_[ev.dst.block].set(type.inputName(ev.dst.port), ev.value);
+      vars(ev.dst.block)[static_cast<std::size_t>(
+          blocks_[ev.dst.block].slots->inputs[ev.dst.port])] = ev.value;
       if (!inBatch[ev.dst.block]) {
         inBatch[ev.dst.block] = 1;
         order.push_back(ev.dst.block);

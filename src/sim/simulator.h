@@ -24,11 +24,11 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "behavior/ast.h"
-#include "behavior/interpreter.h"
 #include "core/network.h"
 
 namespace eblocks::sim {
@@ -57,8 +57,9 @@ class SimError : public std::runtime_error {
 class Simulator {
  public:
   /// Resolves every block's shared behavior program (BlockType::program)
-  /// up front; throws SimError naming the block on invalid behavior
-  /// source.  The network must outlive the simulator.
+  /// and its slots up front; throws SimError naming the block on a
+  /// behavior that does not parse or is open.  The network must outlive
+  /// the simulator.
   explicit Simulator(const Network& net, SimOptions opts = {});
 
   /// Resets all state: re-initializes state variables, sets sensor
@@ -86,7 +87,8 @@ class Simulator {
   std::int64_t outputValue(BlockId outputBlock) const;
   std::int64_t outputValue(const std::string& name) const;
 
-  /// Reads any variable of any block (0 if never bound).
+  /// Reads any variable of any block (0 if never written, or if the
+  /// block's program has no such name).
   std::int64_t probe(BlockId block, const std::string& var) const;
 
   /// Called after every block activation (program already executed,
@@ -115,16 +117,28 @@ class Simulator {
     }
   };
 
+  /// What a block runs: its type's shared program and slots, and where
+  /// its variables start in values_.
+  struct BlockRun {
+    const behavior::Program* program;
+    const BlockType::Slots* slots;
+    std::size_t base;          // index of its slot 0 in values_
+    behavior::Index display;   // output blocks: `display`, else kNone
+  };
+
+  std::span<std::int64_t> vars(BlockId b) {
+    return {values_.data() + blocks_[b].base, blocks_[b].program->names.size()};
+  }
   void activate(BlockId b, bool isTick);
   void scheduleFanout(BlockId b, int port, std::int64_t value);
   void processEventsUntilQuiet();
 
   const Network* net_;
   SimOptions opts_;
-  std::vector<const behavior::Program*> programs_;  // per block, shared
-  std::vector<behavior::Environment> envs_;         // per block
-  std::vector<std::int64_t> lastEmitted_;           // per (block, port), flat
-  std::vector<std::size_t> outPortBase_;            // block -> index into flat
+  std::vector<BlockRun> blocks_;           // per block
+  std::vector<std::int64_t> values_;       // per (block, slot), flat
+  std::vector<std::int64_t> lastEmitted_;  // per (block, port), flat
+  std::vector<std::size_t> outPortBase_;   // block -> index into flat
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::uint64_t now_ = 0;
   std::uint64_t seq_ = 0;

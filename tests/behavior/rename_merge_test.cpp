@@ -138,16 +138,17 @@ TEST(Merge, MergedProgramExecutesLikeSequence) {
   // merge, driving in0 must update both in one activation.
   const auto& cat = blocks::defaultCatalog();
   const codegen::MergedProgram m = mergeChain({cat.toggle(), cat.toggle()});
-  Environment env;
-  env.set("in0", 0);
-  env.set("tick", 0);
-  initializeState(m.program, env);
+  std::vector<std::int64_t> vars(m.program.names.size(), 0);
+  const auto var = [&](const char* name) -> std::int64_t& {
+    return vars.at(static_cast<std::size_t>(findSlot(m.program, name)));
+  };
+  initializeState(m.program, vars);
   auto pulse = [&] {
-    env.set("in0", 1);
-    execute(m.program, env);
-    env.set("in0", 0);
-    execute(m.program, env);
-    return env.get("out0");
+    var("in0") = 1;
+    execute(m.program, vars);
+    var("in0") = 0;
+    execute(m.program, vars);
+    return var("out0");
   };
   // t1 toggles on every press; t2 toggles on every rising edge of t1's
   // output, i.e. every second press.

@@ -3,48 +3,54 @@
 // contract but without packets).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "behavior/interpreter.h"
-#include "behavior/parser.h"
 #include "blocks/catalog.h"
 
 namespace eblocks::blocks {
 namespace {
 
-/// Interpreter harness for a single block type.
+/// Interpreter harness for a single block type: runs the type's shared
+/// program on one slot-value array, through the type's slots.
 class BlockHarness {
  public:
   explicit BlockHarness(const BlockTypePtr& type)
-      : type_(type), program_(behavior::parse(type->behaviorSource())) {
-    for (int i = 0; i < type_->inputCount(); ++i)
-      env_.set(type_->inputName(i), 0);
-    for (int i = 0; i < type_->outputCount(); ++i)
-      env_.set(type_->outputName(i), 0);
-    env_.set("tick", 0);
-    if (type_->blockClass() == BlockClass::kSensor) env_.set("env", 0);
-    behavior::initializeState(program_, env_);
+      : type_(type),
+        program_(type->program()),
+        slots_(type->slots()),
+        vars_(program_.names.size(), 0) {
+    behavior::initializeState(program_, vars_);
   }
 
-  void in(const std::string& port, std::int64_t v) { env_.set(port, v); }
+  void in(const std::string& port, std::int64_t v) { var(port) = v; }
 
-  std::int64_t eval() {
-    env_.set("tick", 0);
-    behavior::execute(program_, env_);
-    return type_->outputCount() > 0 ? env_.get(type_->outputName(0)) : 0;
+  std::int64_t eval() { return run(0); }
+  std::int64_t tick() { return run(1); }
+
+  std::int64_t out(int port = 0) {
+    return vars_.at(static_cast<std::size_t>(
+        slots_.outputs.at(static_cast<std::size_t>(port))));
   }
-
-  std::int64_t tick() {
-    env_.set("tick", 1);
-    behavior::execute(program_, env_);
-    return type_->outputCount() > 0 ? env_.get(type_->outputName(0)) : 0;
+  std::int64_t& var(const std::string& name) {
+    const behavior::Index s = behavior::findSlot(program_, name);
+    EXPECT_NE(s, behavior::kNone) << name;
+    return vars_.at(static_cast<std::size_t>(s));
   }
-
-  std::int64_t out(int port = 0) { return env_.get(type_->outputName(port)); }
-  std::int64_t var(const std::string& name) { return env_.get(name); }
 
  private:
+  std::int64_t run(std::int64_t tick) {
+    vars_[static_cast<std::size_t>(slots_.tick)] = tick;
+    behavior::execute(program_, vars_);
+    return type_->outputCount() > 0 ? out() : 0;
+  }
+
   BlockTypePtr type_;
-  behavior::Program program_;
-  behavior::Environment env_;
+  const behavior::Program& program_;
+  const BlockType::Slots& slots_;
+  std::vector<std::int64_t> vars_;
 };
 
 TEST(Semantics, SensorForwardsEnv) {

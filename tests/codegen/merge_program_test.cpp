@@ -23,6 +23,18 @@ struct Fixture {
   }
 };
 
+/// One value per slot of a merged program, all 0, used by name.
+struct Vars {
+  explicit Vars(const behavior::Program& p)
+      : program(&p), values(p.names.size(), 0) {}
+  std::int64_t& operator[](const char* name) {
+    return values.at(
+        static_cast<std::size_t>(behavior::findSlot(*program, name)));
+  }
+  const behavior::Program* program;
+  std::vector<std::int64_t> values;
+};
+
 /// s -> inv -> tog -> led, partition {inv, tog}.
 Fixture chainFixture() {
   const auto& cat = defaultCatalog();
@@ -54,15 +66,12 @@ TEST(MergeProgram, ChainPortShapes) {
 TEST(MergeProgram, ChainBehavesLikeOriginal) {
   const Fixture f = chainFixture();
   const MergedProgram m = f.merge();
-  behavior::Environment env;
-  env.set("in0", 0);
-  env.set("out0", 0);
-  env.set("tick", 0);
-  behavior::initializeState(m.program, env);
+  Vars vars(m.program);
+  behavior::initializeState(m.program, vars.values);
   auto activate = [&](std::int64_t v) {
-    env.set("in0", v);
-    behavior::execute(m.program, env);
-    return env.get("out0");
+    vars["in0"] = v;
+    behavior::execute(m.program, vars.values);
+    return vars["out0"];
   };
   // Input low -> inverter high: toggle sees a rising edge at power-on once
   // the wire goes high.
@@ -107,17 +116,14 @@ TEST(MergeProgram, TwoStateBlocksDontCollide) {
   p.set(t2);
   const MergedProgram m =
       mergePartitionProgram(net, p, computeLevels(net), CountingMode::kEdges);
-  behavior::Environment env;
-  env.set("in0", 0);
-  env.set("out0", 0);
-  env.set("tick", 0);
-  behavior::initializeState(m.program, env);
+  Vars vars(m.program);
+  behavior::initializeState(m.program, vars.values);
   auto press = [&] {
-    env.set("in0", 1);
-    behavior::execute(m.program, env);
-    env.set("in0", 0);
-    behavior::execute(m.program, env);
-    return env.get("out0");
+    vars["in0"] = 1;
+    behavior::execute(m.program, vars.values);
+    vars["in0"] = 0;
+    behavior::execute(m.program, vars.values);
+    return vars["out0"];
   };
   EXPECT_EQ(press(), 1);
   EXPECT_EQ(press(), 1);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <latch>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,7 +93,7 @@ TEST(BlockProgram, NameTableBindsPortsStateAndTick) {
   const auto type = std::make_shared<const BlockType>(
       "t", BlockClass::kCompute, std::vector<std::string>{"a", "x"},
       std::vector<std::string>{"x"},
-      "var q = 0;\nvar a = 1;\nvar r = 2;\nx = a + q + r + tick + env;\n");
+      "var q = 0;\nvar a = 1;\nvar r = 2;\nx = a + q + r + tick;\n");
   using Kind = behavior::NameBinding::Kind;
   const behavior::Program& program = type->program();
   const behavior::NameTable& bindings = type->nameTable();
@@ -109,9 +110,70 @@ TEST(BlockProgram, NameTableBindsPortsStateAndTick) {
   EXPECT_EQ(binding("q").stateOrdinal, 0);
   EXPECT_EQ(binding("r").stateOrdinal, 1);  // `var a` takes no ordinal
   EXPECT_EQ(binding("tick").kind, Kind::kTick);
-  EXPECT_EQ(binding("env").kind, Kind::kLocal);
-  EXPECT_EQ(binding("env").stateOrdinal, -1);
-  EXPECT_EQ(program.names.size(), 6u);
+  EXPECT_EQ(program.names.size(), 5u);
+
+  // A sensor's `env` is a slot of its own, bound to no port.
+  const auto sensor = std::make_shared<const BlockType>(
+      "s", BlockClass::kSensor, std::vector<std::string>{},
+      std::vector<std::string>{"out"}, "out = env;\n");
+  const behavior::Index env = sensor->slots().env;
+  ASSERT_NE(env, behavior::kNone);
+  EXPECT_EQ(sensor->program().names[static_cast<std::size_t>(env)], "env");
+  EXPECT_EQ(sensor->nameTable()[static_cast<std::size_t>(env)].kind,
+            Kind::kLocal);
+  EXPECT_EQ(sensor->nameTable()[static_cast<std::size_t>(env)].stateOrdinal,
+            -1);
+}
+
+TEST(BlockProgram, SlotsCoverEveryNameASimulatorWrites) {
+  // Ports, `tick` and a sensor's `env` get a slot even where the text never
+  // mentions them, after the text's own names; a name two ports share is
+  // one slot.
+  const auto type = std::make_shared<const BlockType>(
+      "t", BlockClass::kCompute, std::vector<std::string>{"a", "b"},
+      std::vector<std::string>{"b", "c"}, "c = a;\n");
+  const behavior::Program& program = type->program();
+  EXPECT_EQ(program.names,
+            (std::vector<std::string>{"c", "a", "b", "tick"}));
+  const BlockType::Slots& slots = type->slots();
+  EXPECT_EQ(slots.inputs, (std::vector<behavior::Index>{1, 2}));
+  EXPECT_EQ(slots.outputs, (std::vector<behavior::Index>{2, 0}));
+  EXPECT_EQ(slots.tick, 3);
+  EXPECT_EQ(slots.env, behavior::kNone);
+  EXPECT_EQ(type->nameTable().size(), 4u);
+  EXPECT_EQ(behavior::toSource(program), "c = a;\n");  // prints the text
+
+  const auto sensor = std::make_shared<const BlockType>(
+      "s", BlockClass::kSensor, std::vector<std::string>{},
+      std::vector<std::string>{"out"}, "out = 1;\n");
+  EXPECT_EQ(sensor->program().names,
+            (std::vector<std::string>{"out", "tick", "env"}));
+  EXPECT_EQ(sensor->slots().env, 2);
+}
+
+TEST(BlockProgram, OpenProgramThrowsOnEveryCall) {
+  // A read of a name that no port, builtin, declaration or assignment
+  // binds is rejected with the parse, like a parse error: the type stays
+  // constructible, and every accessor throws, naming the name.
+  const BlockTypePtr open = computeType("out = a + mystery;\n");
+  for (int call = 0; call < 2; ++call) {
+    try {
+      (void)open->program();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'mystery'"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)open->nameTable(), std::invalid_argument);
+  EXPECT_THROW((void)open->slots(), std::invalid_argument);
+  // `env` is bound on sensors only.
+  EXPECT_THROW((void)computeType("out = env;\n")->program(),
+               std::invalid_argument);
+  // Assigned anywhere is bound everywhere, even where a read comes first.
+  EXPECT_NO_THROW(
+      (void)computeType("out = m;\nif (a) { m = 1; }\n")->program());
+  EXPECT_NO_THROW((void)computeType("out = a + tick;\n")->program());
 }
 
 }  // namespace

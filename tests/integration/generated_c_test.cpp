@@ -72,13 +72,12 @@ std::string runGeneratedC(const std::string& cSource,
 /// Interpreter reference for the same command script.
 std::string runInterpreter(const codegen::MergedProgram& merged,
                            const std::string& script) {
-  behavior::Environment env;
-  for (int i = 0; i < merged.inputCount(); ++i)
-    env.set("in" + std::to_string(i), 0);
-  for (int i = 0; i < merged.outputCount(); ++i)
-    env.set("out" + std::to_string(i), 0);
-  env.set("tick", 0);
-  behavior::initializeState(merged.program, env);
+  const behavior::Program& p = merged.program;
+  std::vector<std::int64_t> vars(p.names.size(), 0);
+  const auto var = [&](const std::string& name) -> std::int64_t& {
+    return vars.at(static_cast<std::size_t>(behavior::findSlot(p, name)));
+  };
+  behavior::initializeState(p, vars);
   std::istringstream in(script);
   std::ostringstream out;
   std::string cmd;
@@ -86,19 +85,19 @@ std::string runInterpreter(const codegen::MergedProgram& merged,
     if (cmd == "set") {
       int port, value;
       in >> port >> value;
-      env.set("in" + std::to_string(port), value);
-      env.set("tick", 0);
+      var("in" + std::to_string(port)) = value;
+      var("tick") = 0;
     } else if (cmd == "tick") {
       // Mirror the harness: tick pass followed by cascade pass.
-      env.set("tick", 1);
-      behavior::execute(merged.program, env);
-      env.set("tick", 0);
+      var("tick") = 1;
+      behavior::execute(p, vars);
+      var("tick") = 0;
     } else {  // eval
-      env.set("tick", 0);
+      var("tick") = 0;
     }
-    behavior::execute(merged.program, env);
+    behavior::execute(p, vars);
     for (int k = 0; k < merged.outputCount(); ++k)
-      out << env.get("out" + std::to_string(k))
+      out << var("out" + std::to_string(k))
           << (k + 1 == merged.outputCount() ? '\n' : ' ');
     if (merged.outputCount() == 0) out << '\n';
   }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "blocks/catalog.h"
@@ -184,9 +187,9 @@ TEST(BatchEquivalence, BehaviorFaultsPropagateLikeScalar) {
 }
 
 TEST(BatchEquivalence, FallsBackToScalarOnOpenPrograms) {
-  // The batch simulator rejects non-closed programs at construction; the
-  // checker must then produce the scalar loop's outcome (here: the scalar
-  // activation error).
+  // BlockType rejects non-closed programs, so both simulators throw at
+  // construction; the batch checker falls back to the scalar loop, which
+  // throws the same SimError -- the verdict of a sequential scalar loop.
   const auto& cat = defaultCatalog();
   const auto open = std::make_shared<BlockType>(
       "open", BlockClass::kCompute, std::vector<std::string>{"a"},
@@ -205,6 +208,43 @@ TEST(BatchEquivalence, FallsBackToScalarOnOpenPrograms) {
   std::vector<Stimulus> scripts;
   scripts.push_back(Stimulus{}.set("s", 1));
   EXPECT_THROW(checkEquivalence(a, b, scripts[0]), SimError);
+  EXPECT_THROW(batchCheckEquivalence(a, b, scripts), SimError);
+}
+
+TEST(BatchEquivalence, DivisionOverflowThrowsLikeScalar) {
+  // INT64_MIN / -1 faults the batch lane as "division overflow"; its
+  // scalar replay must throw the same way rather than trap.
+  const auto& cat = defaultCatalog();
+  const auto divider = std::make_shared<BlockType>(
+      "divider", BlockClass::kCompute,
+      std::vector<std::string>{"num", "den"}, std::vector<std::string>{"out"},
+      "var s = 0;\nif (den != 0) { s = num / den; }\nout = s;");
+  auto build = [&] {
+    Network net;
+    const BlockId n = net.addBlock("n", cat.button());
+    const BlockId d = net.addBlock("d", cat.button());
+    const BlockId g = net.addBlock("g", divider);
+    const BlockId o = net.addBlock("o", cat.led());
+    net.connect(n, 0, g, 0);
+    net.connect(d, 0, g, 1);
+    net.connect(g, 0, o, 0);
+    return net;
+  };
+  const Network a = build();
+  const Network b = build();
+  std::vector<Stimulus> scripts;
+  scripts.push_back(Stimulus{}.set("d", 2).set("n", 9));  // clean lane
+  scripts.push_back(Stimulus{}.set("d", -1).set(
+      "n", std::numeric_limits<std::int64_t>::min()));
+  EXPECT_FALSE(checkEquivalence(a, b, scripts[0]).has_value());
+  try {
+    checkEquivalence(a, b, scripts[1]);
+    ADD_FAILURE() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("division overflow"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW(batchCheckEquivalence(a, b, scripts), SimError);
 }
 

@@ -153,9 +153,9 @@ TEST(BatchSimulator, DivisionFaultsAreQuarantinedPerLane) {
 }
 
 TEST(BatchSimulator, RejectsOpenPrograms) {
-  // Reads a name that is never a port, builtin, or assigned variable; the
-  // scalar simulator would throw at activation, the batch simulator at
-  // construction so callers can fall back.
+  // Reads a name that is never a port, builtin, or assigned variable:
+  // BlockType::program() rejects it, so both simulators throw at
+  // construction, naming the block.
   const auto& cat = defaultCatalog();
   const auto open = std::make_shared<BlockType>(
       "open", BlockClass::kCompute, std::vector<std::string>{"a"},
@@ -166,7 +166,14 @@ TEST(BatchSimulator, RejectsOpenPrograms) {
   const BlockId o = net.addBlock("o", cat.led());
   net.connect(s, 0, g, 0);
   net.connect(g, 0, o, 0);
-  EXPECT_THROW(BatchSimulator{net}, SimError);
+  try {
+    BatchSimulator batch(net);
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("block 'g'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Simulator{net}, SimError);
 }
 
 TEST(BatchSimulator, PackStimuliValidates) {

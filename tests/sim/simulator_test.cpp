@@ -203,6 +203,45 @@ TEST(Simulator, InvalidBehaviorReportsBlockName) {
   }
 }
 
+TEST(Simulator, OpenBehaviorReportsBlockName) {
+  // A program that reads a name nothing binds fails at construction, not
+  // at the first activation that reads it.
+  const auto& cat = defaultCatalog();
+  auto open = std::make_shared<const BlockType>(
+      "open_type", BlockClass::kCompute, std::vector<std::string>{"a"},
+      std::vector<std::string>{"out"}, "if (a) { out = mystery; }");
+  Network net;
+  const BlockId s = net.addBlock("s", cat.button());
+  const BlockId g = net.addBlock("unbound", open);
+  net.connect(s, 0, g, 0);
+  try {
+    Simulator simulator(net);
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'unbound'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'mystery'"), std::string::npos) << what;
+  }
+}
+
+TEST(Simulator, UnwrittenNameReadsZero) {
+  // `late` is assigned after it is read: the first activation reads 0.
+  const auto& cat = defaultCatalog();
+  auto late = std::make_shared<const BlockType>(
+      "late", BlockClass::kCompute, std::vector<std::string>{"a"},
+      std::vector<std::string>{"out"}, "out = late + a;\nlate = 10;");
+  Network net;
+  const BlockId s = net.addBlock("s", cat.button());
+  const BlockId g = net.addBlock("g", late);
+  const BlockId o = net.addBlock("o", cat.led());
+  net.connect(s, 0, g, 0);
+  net.connect(g, 0, o, 0);
+  Simulator simulator(net);  // power-up activation: out = 0 + 0
+  EXPECT_EQ(simulator.probe(g, "late"), 10);
+  simulator.apply("s", 1);
+  EXPECT_EQ(simulator.outputValue(o), 11);
+}
+
 TEST(Simulator, Figure5PodiumTimerRuns) {
   const Network net = designs::figure5();
   Simulator simulator(net);
