@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "behavior/printer.h"
+#include "io/binary.h"
 
 namespace eblocks::cache {
 
@@ -26,12 +27,7 @@ std::uint64_t combine(std::uint64_t seed, std::uint64_t v) {
 }
 
 std::uint64_t hashString(std::string_view s, std::uint64_t seed = 0) {
-  std::uint64_t h = 0xcbf29ce484222325ull ^ seed;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return mix(h);
+  return mix(io::fnv1a64(s, io::kFnvBasis ^ seed));
 }
 
 /// The type's behavior program with its interface and state canonically

@@ -22,9 +22,16 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kRecordSuffix = ".eblk";
-// Temp files carry this marker so a crashed writer's leftovers are swept
-// at the next open instead of shadowing real records.
+// A temp file is its record's path plus `.tmpN`; the marker lets a
+// crashed writer's leftovers be swept at the next open instead of
+// shadowing real records.
 constexpr const char* kTmpMarker = ".eblk.tmp";
+
+/// A record's file name: its solution key in hex plus the suffix -- the
+/// only place a key becomes text.
+std::string fileName(const Hash128& structure, std::uint64_t fp) {
+  return toHex(solutionKey(structure, fp)) + kRecordSuffix;
+}
 
 /// A stored run must be one a fresh run on the stored design
 /// reproduces, so only completed runs of deterministic strategies
@@ -175,51 +182,34 @@ SolutionStore::SolutionStore(StoreOptions options)
   }
 }
 
-std::string SolutionStore::pathFor(const std::string& keyHex) const {
-  return (fs::path(options_.directory) / (keyHex + kRecordSuffix)).string();
+std::string SolutionStore::pathFor(const Key& key) const {
+  return (fs::path(options_.directory) / fileName(key.first, key.second))
+      .string();
 }
 
-std::string SolutionStore::loadBlob(const std::string& keyHex,
-                                   const Entry& e) const {
-  if (options_.directory.empty()) return e.blob;
-  return readFile(pathFor(keyHex));
-}
-
-void SolutionStore::addEntry(const std::string& keyHex, Entry e) {
+void SolutionStore::addEntry(const Key& key, Entry e) {
   bytes_ += e.bytes;
-  byStructure_[e.structure].push_back(keyHex);
-  const auto it = entries_.emplace(keyHex, std::move(e)).first;
+  const auto it = entries_.emplace(key, std::move(e)).first;
   recency_.push_front(&it->first);
   it->second.recency = recency_.begin();
+  while (bytes_ > options_.maxBytes) {
+    drop(entries_.find(*recency_.back()));
+    ++stats_.evictions;
+  }
 }
 
 void SolutionStore::touch(Entry& e) {
   recency_.splice(recency_.begin(), recency_, e.recency);
 }
 
-void SolutionStore::dropEntry(const std::string& keyHex, bool deleteFile) {
-  const auto it = entries_.find(keyHex);
-  if (it == entries_.end()) return;
+void SolutionStore::drop(Index::iterator it) {
   bytes_ -= it->second.bytes;
-  const auto bit = byStructure_.find(it->second.structure);
-  if (bit != byStructure_.end()) {
-    std::erase(bit->second, keyHex);
-    if (bit->second.empty()) byStructure_.erase(bit);
-  }
-  if (deleteFile && !options_.directory.empty()) {
+  if (!options_.directory.empty()) {
     std::error_code ec;
-    fs::remove(pathFor(keyHex), ec);
+    fs::remove(pathFor(it->first), ec);
   }
   recency_.erase(it->second.recency);
   entries_.erase(it);
-}
-
-void SolutionStore::evictToBudget() {
-  while (bytes_ > options_.maxBytes && !recency_.empty()) {
-    const std::string victim = *recency_.back();
-    dropEntry(victim, /*deleteFile=*/true);
-    ++stats_.evictions;
-  }
 }
 
 void SolutionStore::indexDirectory() {
@@ -238,22 +228,46 @@ void SolutionStore::indexDirectory() {
     try {
       io::BinaryReader r(blob, io::SectionTag::kSolutionRecord);
       const RecordFields f = decodePrefix(r);
-      const std::string keyHex = toHex(solutionKey(f.structure, f.fp));
       // A record renamed away from its content key can never be found
       // again by pathFor(); treat the mismatch like any other damage.
       // Records of an older layout land here too: the key folds in the
       // layout revision.
-      if (keyHex + kRecordSuffix != fname)
+      if (fileName(f.structure, f.fp) != fname)
         throw io::BinaryError("solution record: file name != content key");
-      addEntry(keyHex, Entry{f.structure, f.spec, f.requireConvex,
-                             blob.size(), "", {}});
+      addEntry(Key{f.structure, f.fp},
+               Entry{f.spec, f.requireConvex, kNodeBytes + blob.size(), "",
+                     {}});
     } catch (const io::BinaryError&) {
       ++stats_.corrupt;
       std::error_code rec;
       fs::remove(p, rec);
     }
   }
-  evictToBudget();
+}
+
+std::optional<partition::PartitionRun> SolutionStore::placedRecord(
+    Index::iterator it, const CanonicalForm& form,
+    const partition::PartitionProblem& problem, bool requireConvex) {
+  const bool inMemory = options_.directory.empty();
+  const std::string fromDisk = inMemory ? "" : readFile(pathFor(it->first));
+  Record rec;
+  try {
+    rec = decodeRecord(inMemory ? it->second.blob : fromDisk);
+    // The file may have rotted since it was indexed; its content must
+    // still derive the key it is filed under.
+    if (Key{rec.fields.structure, rec.fields.fp} != it->first)
+      throw io::BinaryError("solution record: content key drifted");
+  } catch (const io::BinaryError&) {
+    ++stats_.corrupt;
+    drop(it);
+    return std::nullopt;
+  }
+  std::optional<partition::Partitioning> result =
+      placed(rec.run.result, form, problem, requireConvex);
+  if (!result) return std::nullopt;
+  touch(it->second);
+  rec.run.result = std::move(*result);
+  return std::move(rec.run);
 }
 
 std::optional<partition::PartitionRun> SolutionStore::lookup(
@@ -261,40 +275,18 @@ std::optional<partition::PartitionRun> SolutionStore::lookup(
     const partition::ProgBlockSpec& spec,
     const partition::EngineOptions& engine) {
   const CanonicalForm form = canonicalForm(net);
-  const std::uint64_t fp = optionsFingerprint(algorithm, spec, engine);
-  const std::string keyHex = toHex(solutionKey(form.structure, fp));
+  const Key key{form.structure, optionsFingerprint(algorithm, spec, engine)};
 
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(keyHex);
-  if (it == entries_.end()) {
+  const auto it = entries_.find(key);
+  std::optional<partition::PartitionRun> run;
+  if (it != entries_.end())
+    run = placedRecord(it, form, partition::PartitionProblem(net, spec),
+                       engine.requireConvex);
+  if (run)
+    ++stats_.hits;
+  else
     ++stats_.misses;
-    return std::nullopt;
-  }
-  const std::string blob = loadBlob(keyHex, it->second);
-  Record rec;
-  try {
-    rec = decodeRecord(blob);
-    // The file may have rotted since it was indexed; its content must
-    // still derive the key it is filed under.
-    if (toHex(solutionKey(rec.fields.structure, rec.fields.fp)) != keyHex)
-      throw io::BinaryError("solution record: content key drifted");
-  } catch (const io::BinaryError&) {
-    ++stats_.corrupt;
-    dropEntry(keyHex, /*deleteFile=*/true);
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  const partition::PartitionProblem problem(net, spec);
-  std::optional<partition::Partitioning> result =
-      placed(rec.run.result, form, problem, engine.requireConvex);
-  if (!result) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  touch(it->second);
-  ++stats_.hits;
-  partition::PartitionRun run = std::move(rec.run);
-  run.result = std::move(*result);
   return run;
 }
 
@@ -304,18 +296,20 @@ std::optional<partition::Partitioning> SolutionStore::nearMiss(
   const CanonicalForm form = canonicalForm(net);
 
   std::lock_guard<std::mutex> lock(mu_);
-  const auto bit = byStructure_.find(form.structure);
-  if (bit == byStructure_.end()) return std::nullopt;
+  // The structure's key range, in fingerprint order.
+  auto it = entries_.lower_bound(Key{form.structure, 0});
+  const auto inRange = [&] {
+    return it != entries_.end() && it->first.first == form.structure;
+  };
+  if (!inRange()) return std::nullopt;
 
   const partition::PartitionProblem problem(net, spec);
   std::optional<partition::Partitioning> best;
   int bestCost = std::numeric_limits<int>::max();
-  // dropEntry() below mutates the byStructure_ vector; iterate a copy.
-  const std::vector<std::string> candidates = bit->second;
-  for (const std::string& keyHex : candidates) {
-    const auto it = entries_.find(keyHex);
-    if (it == entries_.end()) continue;
-    Entry& e = it->second;
+  while (inRange()) {
+    // Step past the candidate first: placedRecord() may drop it.
+    const auto candidate = it++;
+    const Entry& e = candidate->second;
     // Compatibility: a partitioning valid under a tighter port budget
     // stays valid under a looser one (same counting rules); convexity
     // must be at least as strict as the request demands.
@@ -324,36 +318,26 @@ std::optional<partition::Partitioning> SolutionStore::nearMiss(
       continue;
     if (engine.requireConvex && !e.requireConvex) continue;
 
-    const std::string blob = loadBlob(keyHex, e);
-    Record rec;
-    try {
-      rec = decodeRecord(blob);
-    } catch (const io::BinaryError&) {
-      ++stats_.corrupt;
-      dropEntry(keyHex, /*deleteFile=*/true);
-      continue;
-    }
-    std::optional<partition::Partitioning> result =
-        placed(rec.run.result, form, problem, engine.requireConvex);
-    if (!result) continue;
-    touch(e);
-    const int cost = result->totalAfter(problem.innerCount());
+    std::optional<partition::PartitionRun> run =
+        placedRecord(candidate, form, problem, engine.requireConvex);
+    if (!run) continue;
+    const int cost = run->result.totalAfter(problem.innerCount());
     if (cost < bestCost) {
       bestCost = cost;
-      best = std::move(*result);
+      best = std::move(run->result);
     }
   }
   if (best) ++stats_.warmStarts;
   return best;
 }
 
-bool SolutionStore::writeRecordFile(const std::string& keyHex,
+bool SolutionStore::writeRecordFile(const Key& key,
                                     const std::string& blob) {
   namespace fp = core::failpoint;
   const fs::path dir(options_.directory);
+  const fs::path final = pathFor(key);
   const fs::path tmp =
-      dir / (keyHex + kTmpMarker + std::to_string(++tmpCounter_));
-  const fs::path final = dir / (keyHex + kRecordSuffix);
+      final.string() + ".tmp" + std::to_string(++tmpCounter_);
 
   const int fd = ::open(tmp.c_str(),
                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -448,28 +432,29 @@ void SolutionStore::insert(const Network& net, std::string_view algorithm,
   const RecordFields f{form.structure,
                        optionsFingerprint(algorithm, spec, engine), spec,
                        engine.requireConvex};
-  const std::string keyHex = toHex(solutionKey(f.structure, f.fp));
-  const std::string blob = encodeRecord(f, stored);
-  if (blob.size() > options_.maxBytes) return;
+  const Key key{f.structure, f.fp};
+  std::string blob = encodeRecord(f, stored);
+  const std::uint64_t charge = kNodeBytes + blob.size();
+  if (charge > options_.maxBytes) return;
 
   std::lock_guard<std::mutex> lock(mu_);
-  const auto existing = entries_.find(keyHex);
+  const auto existing = entries_.find(key);
   if (existing != entries_.end()) {
     // Keep the record already stored under this key; just refresh LRU.
     touch(existing->second);
     return;
   }
-  if (!options_.directory.empty() && !writeRecordFile(keyHex, blob)) {
+  const bool inMemory = options_.directory.empty();
+  if (!inMemory && !writeRecordFile(key, blob)) {
     // Degraded-to-miss: the run is simply not cached.  The tmp file is
     // already unlinked, so the next indexDirectory() sweep has nothing
     // to misread.
     ++stats_.writeFailures;
     return;
   }
-  addEntry(keyHex, Entry{f.structure, spec, f.requireConvex, blob.size(),
-                         options_.directory.empty() ? blob : "", {}});
+  addEntry(key, Entry{spec, f.requireConvex, charge,
+                      inMemory ? std::move(blob) : std::string(), {}});
   ++stats_.inserts;
-  evictToBudget();
 }
 
 StoreStats SolutionStore::stats() const {

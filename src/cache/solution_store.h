@@ -31,9 +31,16 @@
 // counted, dropped, and treated as misses, never trusted and never
 // fatal; so are records of an older layout, whose keys (the layout
 // revision is folded into solutionKey) no longer match their file
-// names.  A byte-budget LRU cap (StoreOptions::maxBytes) bounds the
-// directory; least-recently-used records are deleted first, in O(1)
-// each.
+// names.  A byte-budget LRU cap (StoreOptions::maxBytes) bounds what the
+// store holds; least-recently-used records are deleted first.
+//
+// One index serves both paths: an ordered map keyed by value on
+// (structure hash, options fingerprint).  A lookup finds its key; the
+// key range of one structure is that design's set of near-miss
+// candidates.  Each record costs the index one map node and one
+// recency-list node, and the budget charges a record those nodes plus
+// its encoded bytes, so maxBytes bounds the heap an in-memory store
+// holds (docs/caching.md has the measured figures).
 //
 // Every public method is thread-safe (one internal mutex; the tests
 // hammer a single store from 8 threads under TSan).  An empty directory
@@ -54,7 +61,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "cache/canonical_hash.h"
 #include "core/network.h"
@@ -68,7 +75,9 @@ struct StoreOptions {
   /// Record directory; created if missing.  "" = in-memory only.
   std::string directory;
   /// Byte budget across all records; least-recently-used records are
-  /// evicted (and their files deleted) to stay under it.
+  /// evicted (and their files deleted) to stay under it.  A record is
+  /// charged its encoded size plus its index nodes (SolutionStore::
+  /// kNodeBytes); one whose charge alone exceeds the budget is not stored.
   std::uint64_t maxBytes = 256ull << 20;
 };
 
@@ -122,37 +131,52 @@ class SolutionStore {
   const std::string& directory() const { return options_.directory; }
 
  private:
+  /// (structure hash, options fingerprint).  Ordered structure first, so
+  /// one structure's records are one contiguous key range.
+  using Key = std::pair<Hash128, std::uint64_t>;
   struct Entry {
-    Hash128 structure;            ///< for near-miss grouping
     partition::ProgBlockSpec spec;
     bool requireConvex = false;
-    std::uint64_t bytes = 0;
+    std::uint64_t bytes = 0;      ///< charged: kNodeBytes + record size
     std::string blob;             ///< in-memory stores only
-    std::list<const std::string*>::iterator recency;  ///< into recency_
+    std::list<const Key*>::iterator recency;  ///< into recency_
   };
+  using Index = std::map<Key, Entry>;
+  /// What the index holds for one record beside its encoded bytes: its
+  /// map node (three links and a color word before the key and Entry)
+  /// and its recency-list node (two links before a key pointer).
+  static constexpr std::uint64_t kNodeBytes =
+      4 * sizeof(void*) + sizeof(Index::value_type) + 2 * sizeof(void*) +
+      sizeof(const Key*);
 
-  std::string pathFor(const std::string& keyHex) const;
-  /// Reads a record blob; empty on failure (the decode then fails and the
-  /// caller drops the entry).
-  std::string loadBlob(const std::string& keyHex, const Entry& e) const;
+  std::string pathFor(const Key& key) const;
   /// Durable atomic write: tmp file + fsync + rename.  False on any IO
   /// failure (the tmp file is unlinked; caller counts a writeFailure).
-  bool writeRecordFile(const std::string& keyHex, const std::string& blob);
-  /// Indexes a record as the most recently used.
-  void addEntry(const std::string& keyHex, Entry e);
+  bool writeRecordFile(const Key& key, const std::string& blob);
+  /// Indexes a record as the most recently used, then evicts the least
+  /// recently used ones until the store is back within its budget.
+  void addEntry(const Key& key, Entry e);
   /// Marks a record as the most recently used.
   void touch(Entry& e);
-  void dropEntry(const std::string& keyHex, bool deleteFile);
-  void evictToBudget();
+  /// Unindexes a record and deletes its file.
+  void drop(Index::iterator it);
   void indexDirectory();
+  /// The shared read step of lookup() and nearMiss(): reads the record
+  /// filed under `it`, decodes it, checks that its content derives the
+  /// key it is filed under, and places it onto the request.  A record
+  /// that fails to read, decode or match is counted corrupt, dropped,
+  /// and nullopt; one that does not place is nullopt; one that does is
+  /// touched.
+  std::optional<partition::PartitionRun> placedRecord(
+      Index::iterator it, const CanonicalForm& form,
+      const partition::PartitionProblem& problem, bool requireConvex);
 
   StoreOptions options_;
   mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;  // keyHex -> record
-  std::map<Hash128, std::vector<std::string>> byStructure_;
+  Index entries_;
   /// Keys of entries_, most recently used first: a use splices its key to
   /// the front and eviction pops the back -- never a scan of the index.
-  std::list<const std::string*> recency_;
+  std::list<const Key*> recency_;
   std::uint64_t bytes_ = 0;
   std::uint64_t tmpCounter_ = 0;
   StoreStats stats_;

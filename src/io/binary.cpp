@@ -17,15 +17,6 @@ namespace {
 constexpr std::size_t kHeaderSize = 16;   // magic + version + tag + pad + len
 constexpr std::size_t kTrailerSize = 8;   // FNV-1a-64 checksum
 
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 void putU16(std::string& out, std::uint16_t v) {
   out.push_back(static_cast<char>(v & 0xff));
   out.push_back(static_cast<char>(v >> 8));
@@ -422,10 +413,12 @@ BitSet readBitSet(BinaryReader& r, std::uint64_t universe) {
     throw BinaryError("binary: partition member count exceeds universe");
   std::uint64_t at = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
+    // The first member is absolute, each later one a positive gap; both
+    // are checked against the universe before the add, which cannot wrap.
     const std::uint64_t delta = r.varint();
-    at = i == 0 ? delta : at + delta;
-    if (at >= universe || (i > 0 && delta == 0))
+    if (i == 0 ? delta >= universe : delta == 0 || delta >= universe - at)
       throw BinaryError("binary: partition member out of range");
+    at = i == 0 ? delta : at + delta;
     s.set(at);
   }
   return s;
@@ -484,6 +477,13 @@ partition::PartitionRun readPartitionRunBinary(std::string_view frame) {
   const std::uint64_t count = r.varint();
   if (count > universe && count > 0)
     throw BinaryError("binary: more partitions than universe blocks");
+  // Each partition takes at least its member-count byte, so `count` is
+  // bounded by the payload before the word product is formed.
+  if (universe > kMaxRunUniverse || count > r.remaining() ||
+      count * ((universe + 63) / 64) > kMaxRunWords)
+    throw BinaryError("binary: partitions exceed the decoder's bounds (" +
+                      std::to_string(count) + " over a universe of " +
+                      std::to_string(universe) + ")");
   run.result.partitions.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i)
     run.result.partitions.push_back(readBitSet(r, universe));

@@ -64,6 +64,20 @@ inline constexpr std::uint32_t kBinaryMagic = 0x4B4C4245u;  // "EBLK"
 inline constexpr std::uint16_t kBinaryVersion = 1;
 inline constexpr std::uint16_t kBinaryMinVersion = 1;
 
+/// FNV-1a-64 of `bytes`, starting from `basis`: the frame checksum (with
+/// the standard offset basis), and the string hash the cache's canonical
+/// hash and the daemon's replay key build on.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+inline std::uint64_t fnv1a64(std::string_view bytes,
+                             std::uint64_t basis = kFnvBasis) {
+  std::uint64_t h = basis;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 /// What a frame's payload encodes.  Tags 4-8 are the synthesis daemon's
 /// wire messages (src/server/protocol.h encodes and decodes them; the
 /// frame discipline -- magic, version window, length, checksum -- is
@@ -144,7 +158,15 @@ Network readNetworkBinary(std::string_view frame);
 /// member lists over the block universe, metrics and worker counters).
 std::string writePartitionRunBinary(const partition::PartitionRun& run);
 
-/// Decodes a PartitionRun frame.  Throws BinaryError on malformation.
+/// What one run frame may make the decoder allocate: a block universe of
+/// at most kMaxRunUniverse blocks, and at most kMaxRunWords 64-bit BitSet
+/// words over all its partitions together.  The largest design built here
+/// has under 2,000 blocks.
+inline constexpr std::uint64_t kMaxRunUniverse = 1ull << 24;
+inline constexpr std::uint64_t kMaxRunWords = 1ull << 20;
+
+/// Decodes a PartitionRun frame.  Throws BinaryError on malformation,
+/// including a frame outside the bounds above.
 partition::PartitionRun readPartitionRunBinary(std::string_view frame);
 
 // --- text <-> binary converters ------------------------------------------

@@ -23,7 +23,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 
+#include "cache/canonical_hash.h"
 #include "core/network.h"
 #include "server/protocol.h"
 
@@ -55,8 +57,8 @@ struct Job {
   /// enters the idempotent-replay table so a retry can collect it).
   bool orphaned = false;
   /// Content key for the idempotent-replay table, computed at admission
-  /// ("" when the table is disabled); loop thread + executor read-only.
-  std::string idemKey;
+  /// (none when the table is disabled); loop thread + executor read-only.
+  std::optional<cache::Hash128> idemKey;
   std::chrono::steady_clock::time_point acceptedAt{};
 };
 

@@ -25,15 +25,6 @@ std::uint64_t mixIn(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Content key for the idempotent-replay table: a hash of the *exact
 /// request bytes* modulo the client-chosen id -- the network frame
 /// verbatim, plus every option knob (including the ones the PR 8
@@ -47,8 +38,8 @@ std::uint64_t fnv1a64(std::string_view bytes) {
 /// names.  A retrying client resends the identical frame bytes, so
 /// exact-bytes keying still serves the lost-reply scenario it exists
 /// for.
-std::string idempotencyKey(const SynthRequest& request) {
-  std::uint64_t fp = fnv1a64(request.algorithm);
+cache::Hash128 idempotencyKey(const SynthRequest& request) {
+  std::uint64_t fp = io::fnv1a64(request.algorithm);
   fp = mixIn(fp, static_cast<std::uint64_t>(request.inputs));
   fp = mixIn(fp, static_cast<std::uint64_t>(request.outputs));
   std::uint64_t limitBits = 0;
@@ -58,8 +49,7 @@ std::string idempotencyKey(const SynthRequest& request) {
   fp = mixIn(fp, static_cast<std::uint64_t>(request.threads));
   fp = mixIn(fp, request.prune ? 1u : 0u);
   fp = mixIn(fp, request.useCache ? 3u : 2u);
-  const cache::Hash128 key{fnv1a64(request.networkFrame), fp};
-  return cache::toHex(key);
+  return cache::Hash128{io::fnv1a64(request.networkFrame), fp};
 }
 
 }  // namespace
@@ -232,7 +222,7 @@ void Server::handleRequest(std::uint64_t conn, std::string_view frame) {
   }
   if (options_.idempotencyBytes > 0) {
     job->idemKey = idempotencyKey(request);
-    if (const SynthResponse* done = findRemembered(job->idemKey)) {
+    if (const SynthResponse* done = findRemembered(*job->idemKey)) {
       // A retry of a request this server already completed (typically
       // because the first reply was lost to a dropped connection):
       // replay the stored response under the incoming id.  Byte-for-byte
@@ -367,23 +357,21 @@ void Server::finishJob(const std::shared_ptr<Job>& job, std::string reply,
   // Remember every completed response -- orphaned ones included: the
   // client whose connection died mid-job is exactly the one that will
   // retry, and the table is what turns that retry into a replay.
-  if (response) rememberResponse(job->idemKey, *response);
+  if (response && job->idemKey) rememberResponse(*job->idemKey, *response);
   if (!job->orphaned) loop_.send(job->conn, std::move(reply));
   maybeFinishDrain();
 }
 
-const SynthResponse* Server::findRemembered(const std::string& key) {
-  if (key.empty()) return nullptr;
+const SynthResponse* Server::findRemembered(const cache::Hash128& key) {
   const auto it = remembered_.find(key);
   if (it == remembered_.end()) return nullptr;
   recency_.splice(recency_.begin(), recency_, it->second);
   return &it->second->response;
 }
 
-void Server::rememberResponse(const std::string& key,
+void Server::rememberResponse(const cache::Hash128& key,
                               const SynthResponse& response) {
-  if (key.empty() || options_.idempotencyBytes == 0) return;
-  const std::uint64_t bytes = sizeof(RememberedResponse) +
+  const std::uint64_t bytes = kRememberedNodeBytes +
                               response.networkFrame.size() +
                               response.runFrame.size() +
                               response.degradedTier.size();
@@ -396,14 +384,12 @@ void Server::rememberResponse(const std::string& key,
   }
   while (!recency_.empty() &&
          rememberedBytes_ + bytes > options_.idempotencyBytes) {
-    const RememberedResponse& oldest = recency_.back();
-    rememberedBytes_ -= oldest.bytes;
-    remembered_.erase(remembered_.find(*oldest.key));
+    rememberedBytes_ -= recency_.back().bytes;
+    remembered_.erase(recency_.back().key);
     recency_.pop_back();
   }
-  recency_.push_front(RememberedResponse{nullptr, response, bytes});
-  const auto indexed = remembered_.emplace(key, recency_.begin()).first;
-  recency_.front().key = &indexed->first;
+  recency_.push_front(RememberedResponse{key, response, bytes});
+  remembered_.emplace(key, recency_.begin());
   rememberedBytes_ += bytes;
 }
 

@@ -82,6 +82,8 @@ struct ServerOptions {
   /// rename-invariant structure hash -- isomorphic designs synthesize
   /// to differently-named networks and must not replay each other),
   /// works for every algorithm including `ladder`, and never persists.
+  /// Each reply is charged its strings plus its two table nodes, so the
+  /// budget bounds what the table holds.
   std::uint64_t idempotencyBytes = 32ull << 20;
 };
 
@@ -148,9 +150,9 @@ class Server {
   void maybeFinishDrain();
   void executorMain();
   /// Loop-thread only: completed-response table bookkeeping.
-  void rememberResponse(const std::string& key,
+  void rememberResponse(const cache::Hash128& key,
                         const SynthResponse& response);
-  const SynthResponse* findRemembered(const std::string& key);
+  const SynthResponse* findRemembered(const cache::Hash128& key);
 
   ServerOptions options_;
   EventLoop loop_;
@@ -172,12 +174,19 @@ class Server {
   /// `remembered_` indexes them by key, so a replay splices its entry to
   /// the front and eviction pops the back -- never a scan of the table.
   struct RememberedResponse {
-    const std::string* key = nullptr;  ///< the owning index entry's key
+    cache::Hash128 key;
     SynthResponse response;
-    std::uint64_t bytes = 0;
+    std::uint64_t bytes = 0;  ///< charged: kRememberedNodeBytes + strings
   };
   std::list<RememberedResponse> recency_;
-  std::map<std::string, std::list<RememberedResponse>::iterator> remembered_;
+  std::map<cache::Hash128, std::list<RememberedResponse>::iterator>
+      remembered_;
+  /// What the table holds for one reply beside its strings' bytes: its
+  /// map node (three links and a color word before the key and a list
+  /// iterator) and its list node (two links before the entry).
+  static constexpr std::uint64_t kRememberedNodeBytes =
+      4 * sizeof(void*) + sizeof(decltype(remembered_)::value_type) +
+      2 * sizeof(void*) + sizeof(RememberedResponse);
   std::uint64_t rememberedBytes_ = 0;
 
   mutable std::mutex statsMu_;

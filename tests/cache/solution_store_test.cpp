@@ -507,6 +507,29 @@ TEST(SolutionStore, EvictsLeastRecentlyUsedWhenOverBudget) {
   EXPECT_FALSE(store.lookup(b, "paredown", {}, {}).has_value());
 }
 
+TEST(SolutionStore, ReopenedAtItsOwnTotalBytesEvictsNothing) {
+  // Opening charges each record what inserting it did, so a budget equal
+  // to the store's own total holds every record.
+  const std::string dir = freshDir("reopen_budget");
+  std::uint64_t total = 0;
+  std::size_t records = 0;
+  {
+    SolutionStore store{StoreOptions{dir}};
+    for (const auto& e : designs::designLibrary())
+      store.insert(e.network, "paredown", {}, {},
+                   runFor(e.network, "paredown"));
+    total = store.totalBytes();
+    records = store.recordCount();
+  }
+  StoreOptions exact{dir};
+  exact.maxBytes = total;
+  SolutionStore reopened{exact};
+  EXPECT_EQ(reopened.stats().evictions, 0u);
+  EXPECT_EQ(reopened.recordCount(), records);
+  EXPECT_EQ(reopened.totalBytes(), total);
+  fs::remove_all(dir);
+}
+
 // --- concurrency ------------------------------------------------------------------
 
 TEST(SolutionStore, EightThreadsHammerOneStore) {

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "designs/library.h"
 #include "io/netlist.h"
@@ -44,18 +45,9 @@ std::string readFileOrEmpty(const std::string& path) {
   return ss.str();
 }
 
-// Same digest as the production writer; lets tests tamper with a frame
-// and then re-seal it, so the damage under test (and not the checksum)
+// Recomputes the trailer with the production digest, so a test can
+// tamper with a frame and the damage under test (and not the checksum)
 // is what the reader rejects.
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::string resealed(std::string frame) {
   const std::uint64_t h = fnv1a64(
       std::string_view(frame).substr(0, frame.size() - 8));
@@ -206,6 +198,55 @@ TEST(BinaryRejection, EverySingleBitFlipThrowsOnPartitionRun) {
     EXPECT_THROW(readPartitionRunBinary(damaged), BinaryError)
         << "bit " << bit << " flipped undetected";
   }
+}
+
+/// A run frame over `universe` blocks whose partitions carry the given
+/// member varints verbatim: the first absolute, then gaps.
+std::string craftedRun(
+    std::uint64_t universe,
+    const std::vector<std::vector<std::uint64_t>>& partitions) {
+  BinaryWriter w;
+  w.str("paredown");
+  w.varint(universe);
+  w.varint(partitions.size());
+  for (const std::vector<std::uint64_t>& members : partitions) {
+    w.varint(members.size());
+    for (const std::uint64_t m : members) w.varint(m);
+  }
+  w.f64(0.0);
+  w.u8(0);
+  for (int i = 0; i < 4; ++i) w.varint(0);  // explored, pruned, workers
+  return w.finish(SectionTag::kPartitionRun);
+}
+
+TEST(BinaryRejection, HostileRunUniversesThrow) {
+  // 2^64 - 1 once wrapped BitSet's word count to 0 (a write past an empty
+  // vector); 2^52 asked for 2^46 words and threw std::bad_alloc.
+  for (const std::uint64_t universe :
+       {~std::uint64_t{0}, std::uint64_t{1} << 52, kMaxRunUniverse + 1})
+    EXPECT_THROW(readPartitionRunBinary(craftedRun(universe, {{1000}})),
+                 BinaryError)
+        << universe;
+  // At both bounds the frame decodes; one partition more exceeds the
+  // word budget.
+  const std::uint64_t fits = kMaxRunWords / ((kMaxRunUniverse + 63) / 64);
+  const std::vector<std::vector<std::uint64_t>> atBound(fits, {1000});
+  const partition::PartitionRun run =
+      readPartitionRunBinary(craftedRun(kMaxRunUniverse, atBound));
+  ASSERT_EQ(run.result.partitions.size(), fits);
+  EXPECT_EQ(run.result.partitions[0].toVector(),
+            std::vector<std::uint32_t>{1000});
+  std::vector<std::vector<std::uint64_t>> past = atBound;
+  past.push_back({1000});
+  EXPECT_THROW(readPartitionRunBinary(craftedRun(kMaxRunUniverse, past)),
+               BinaryError);
+}
+
+TEST(BinaryRejection, MemberGapsThatWrapThrow) {
+  // Members {50, 50 + (2^64 - 40)}: the gap wraps to member 10, below its
+  // predecessor, inside a universe of 100.
+  EXPECT_THROW(readPartitionRunBinary(craftedRun(100, {{50, ~0ull - 39}})),
+               BinaryError);
 }
 
 TEST(BinaryRejection, WrongMagicThrows) {

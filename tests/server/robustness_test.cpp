@@ -96,11 +96,13 @@ TEST(Robustness, IdempotencyTableEvictsTheLeastRecentlyUsedReply) {
   };
   const synth::SynthResult local =
       testutil::localSynthesize(net, request(0, 1));
-  // One table entry: the stored response plus its key pointer and byte
-  // count, and the reply's frames.
+  // One table entry: its map node (three links and a color word before
+  // the key and a list iterator), its list node (two links before the
+  // key, the stored response and its byte count), and the reply's frames.
   const std::uint64_t entry =
-      sizeof(SynthResponse) + 2 * sizeof(std::uint64_t) +
-      io::writeNetworkBinary(local.network).size() +
+      4 * sizeof(void*) + sizeof(cache::Hash128) + sizeof(void*) +
+      2 * sizeof(void*) + sizeof(cache::Hash128) + sizeof(SynthResponse) +
+      sizeof(std::uint64_t) + io::writeNetworkBinary(local.network).size() +
       io::writePartitionRunBinary(local.run).size();
   ServerOptions options = quickOptions(1, 4);
   options.idempotencyBytes = 3 * entry + entry / 2;
