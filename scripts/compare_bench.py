@@ -8,12 +8,15 @@ compiler, and an `info` map (wall times, rates, speedups) that is never
 compared.  This script merges one or more current output files and, for
 every baseline record, requires each exact value to appear in the
 current record's exact map with the same number.  Every difference --
-changed, missing, or moved to info -- prints one GitHub-annotation
-warning naming the bench, workload, value, old and new.
+changed, missing, or moved to info -- prints one GitHub-annotation error
+naming the bench, workload, value, old and new.
 
-Differences WARN, they do not fail the build (exit 0): a legitimate
-algorithm change ships its own baseline update.  Only malformed input, a
-duplicate record, or a file of another schema exits non-zero.
+Exit status: 0 when every exact value matches; 1 when any differs or is
+missing, so CI fails until a deliberate algorithm change ships its own
+baseline update; other non-zero codes for malformed input, a duplicate
+record, or a file of another schema.  A workload the baseline lacks is
+only a note.  --merged-out is written before the comparison, so the
+regeneration recipe in docs/benchmarks.md works while values differ.
 
 Usage:
   scripts/compare_bench.py --baseline bench/baselines/BENCH_partition.json \
@@ -72,25 +75,25 @@ def main():
             f.write("\n")
         print(f"merged {len(merged)} records -> {args.merged_out}")
 
-    compared = warnings = 0
+    compared = differences = 0
     for (bench, workload), base in sorted(baseline.items()):
         exact = current.get((bench, workload), {}).get("exact", {})
         for name, old in sorted(base["exact"].items()):
             compared += 1
             new = exact.get(name, "missing")
             if new != old:
-                print(f"::warning::bench {bench} workload '{workload}' exact "
+                print(f"::error::bench {bench} workload '{workload}' exact "
                       f"value '{name}': {old} -> {new}. If intentional, "
                       f"regenerate bench/baselines/ (see docs/benchmarks.md).")
-                warnings += 1
+                differences += 1
 
     for key in sorted(set(current) - set(baseline)):
         print(f"note: new workload {key} not in the baseline; add it by "
               f"regenerating bench/baselines/")
 
     print(f"compare_bench: {compared} exact values compared, "
-          f"{warnings} warning(s)")
-    return 0
+          f"{differences} difference(s)")
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

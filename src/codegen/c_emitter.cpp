@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 namespace eblocks::codegen {
@@ -19,20 +18,6 @@ using behavior::Node;
 using behavior::NodeKind;
 using behavior::UnaryOp;
 
-/// k when `name` is `stem` followed by k in [0, count), spelled the way
-/// std::to_string spells it; otherwise -1.
-int portNumber(std::string_view name, std::string_view stem, int count) {
-  if (!name.starts_with(stem)) return -1;
-  name.remove_prefix(stem.size());
-  int k = -1;
-  const auto [end, ec] =
-      std::from_chars(name.data(), name.data() + name.size(), k);
-  if (ec != std::errc{} || end != name.data() + name.size() || k < 0 ||
-      k >= count || (name.size() > 1 && name.front() == '0'))
-    return -1;
-  return k;
-}
-
 class Emitter {
  public:
   Emitter(const MergedProgram& merged, const CEmitOptions& options)
@@ -41,8 +26,8 @@ class Emitter {
         prefix_(options.symbolPrefix),
         macro_(upper(options.symbolPrefix)),
         options_(options) {
-    // Each slot's C lvalue, resolved once per unit: tick first, then
-    // state variables, then the ports in<k> and out<k>.
+    // Each slot's C lvalue, resolved once per unit: state variables,
+    // then the ports the merge recorded, then tick.
     lvalues_.assign(program_.names.size(), LValue{});
     for (const Index s : program_.top)
       if (node(s).kind == NodeKind::kVarDecl) {
@@ -50,18 +35,16 @@ class Emitter {
             LValue::Kind::kState;
         hasState_ = true;
       }
-    for (std::size_t s = 0; s < lvalues_.size(); ++s) {
-      const std::string& name = program_.names[s];
-      LValue& lv = lvalues_[s];
-      if (name == "tick") {
-        lv.kind = LValue::Kind::kTick;
-      } else if (lv.kind == LValue::Kind::kUnknown) {
-        const int in = portNumber(name, "in", merged.inputCount());
-        const int out = portNumber(name, "out", merged.outputCount());
-        if (in >= 0) lv = {LValue::Kind::kInput, in};
-        if (out >= 0) lv = {LValue::Kind::kOutput, out};
-      }
-    }
+    const auto ports = [&](const std::vector<Index>& slots,
+                           LValue::Kind kind) {
+      for (std::size_t k = 0; k < slots.size(); ++k)
+        lvalues_[static_cast<std::size_t>(slots[k])] = {
+            kind, static_cast<int>(k)};
+    };
+    ports(merged.inputSlots, LValue::Kind::kInput);
+    ports(merged.outputSlots, LValue::Kind::kOutput);
+    for (std::size_t s = 0; s < lvalues_.size(); ++s)
+      if (program_.names[s] == "tick") lvalues_[s].kind = LValue::Kind::kTick;
   }
 
   std::string run() {

@@ -124,6 +124,7 @@ MergedProgram mergePartitionProgram(const Network& net,
   inputSlot.reserve(inputs);
   portOfSource.reserve(inputs);
   merged.inputEdges.reserve(inputs);
+  merged.inputSlots.reserve(inputs);
   partition.forEach([&](std::size_t bi) {
     const BlockId b = static_cast<BlockId>(bi);
     for (int p = 0; p < net.block(b).type->inputCount(); ++p) {
@@ -148,6 +149,7 @@ MergedProgram mergePartitionProgram(const Network& net,
           "in", static_cast<unsigned>(merged.inputEdges.size())));
       portOfSource.emplace_back(driver.from, port);
       merged.inputEdges.push_back({driver});
+      merged.inputSlots.push_back(port);
       inputSlot.emplace_back(driver.to, port);
     }
   });
@@ -237,8 +239,10 @@ MergedProgram mergePartitionProgram(const Network& net,
   }
 
   // --- re-export wires on the programmable outputs -------------------------
+  merged.outputSlots.reserve(merged.outputEdges.size());
   for (int k = 0; k < merged.outputCount(); ++k) {
     const Index port = out.addName(numbered("out", static_cast<unsigned>(k)));
+    merged.outputSlots.push_back(port);
     body.push_back(assign(
         port,
         ref(wireSlot(merged.outputSources[static_cast<std::size_t>(k)]))));

@@ -42,14 +42,18 @@ struct MergedProgram {
 
   /// Input ports in order (in0, in1, ...).  inputEdges[k] lists the
   /// original connections served by port k: exactly one in kEdges mode;
-  /// one or more (same external source) in kSignals mode.
+  /// one or more (same external source) in kSignals mode.  inputSlots[k]
+  /// is the program slot that names port k.
   std::vector<std::vector<Connection>> inputEdges;
+  std::vector<behavior::Index> inputSlots;
 
   /// Output ports in order (out0, ...).  outputEdges[k] lists the original
-  /// boundary-crossing connections re-driven by port k, and
-  /// outputSources[k] is the internal endpoint whose wire feeds it.
+  /// boundary-crossing connections re-driven by port k,
+  /// outputSources[k] is the internal endpoint whose wire feeds it, and
+  /// outputSlots[k] is the program slot that names it.
   std::vector<std::vector<Connection>> outputEdges;
   std::vector<Endpoint> outputSources;
+  std::vector<behavior::Index> outputSlots;
 
   /// Members in evaluation (level) order, for reports.
   std::vector<BlockId> members;

@@ -5,12 +5,13 @@
 namespace eblocks::partition {
 
 CompactGraph::CompactGraph(const Network& net)
+    : CompactGraph(net, net.innerSet()) {}
+
+CompactGraph::CompactGraph(const Network& net, const BitSet& universe)
     : blockCount_(net.blockCount()),
       inOff_(net.blockCount() + 1, 0),
       outOff_(net.blockCount() + 1, 0),
-      endpointBase_(net.blockCount(), 0),
-      innerIndex_(net.blockCount(), -1),
-      nonInner_(net.blockCount()) {
+      endpointBase_(net.blockCount(), 0) {
   // Endpoint ids: one per (block, output port), assigned in (block,
   // port) order -- deterministic and O(1) to look up.
   for (BlockId b = 0; b < blockCount_; ++b) {
@@ -42,8 +43,20 @@ CompactGraph::CompactGraph(const Network& net)
       *out++ = {c.to.block, endpointId(c.from)};
   }
 
+  indexUniverse(universe);
+}
+
+CompactGraph::CompactGraph(const CompactGraph& whole, const BitSet& universe)
+    : CompactGraph(whole) {
+  indexUniverse(universe);
+}
+
+void CompactGraph::indexUniverse(const BitSet& universe) {
+  inner_.clear();
+  innerIndex_.assign(blockCount_, -1);
+  nonInner_ = BitSet(blockCount_);
   for (BlockId b = 0; b < blockCount_; ++b) {
-    if (net.isInner(b)) {
+    if (universe.test(b)) {
       innerIndex_[b] = static_cast<std::int32_t>(inner_.size());
       inner_.push_back(b);
     } else {

@@ -20,10 +20,14 @@
 //   - The dense endpoint index maps every (block, output port) pair to a
 //     small integer, so refcount tables become plain arrays indexed by
 //     arc.endpoint -- zero hashing (see port_counter.h).
-//   - Inner blocks are additionally reindexed to a contiguous 0..N-1
-//     universe (innerIndex/innerBlocks) so per-inner-block search tables
-//     (e.g. the irreducible-I/O floors in exhaustive.cpp) are dense and
-//     indexable by search depth instead of by global block id.
+//   - The blocks a search may place -- the *universe*, by default every
+//     inner block -- are additionally reindexed to a contiguous 0..N-1
+//     range (innerIndex/innerBlocks) so per-block search tables (e.g.
+//     the irreducible-I/O floors in exhaustive.cpp) are dense and
+//     indexable by search depth instead of by global block id.  A
+//     sub-search (LNS's pocket repair, greedy's PareDown fallback) passes
+//     a smaller universe; every block outside it is then as fixed as a
+//     sensor, and the ports it uses are counted by the same code.
 //
 // The view is read-only and never outlives its Network; it copies what
 // it needs, so the Network itself is not referenced after construction.
@@ -52,7 +56,13 @@ struct CompactArc {
 
 class CompactGraph {
  public:
+  /// The view over every inner block of `net`.
   explicit CompactGraph(const Network& net);
+  /// The view over `universe`, a set over `net`'s blocks (PartitionProblem
+  /// checks that it holds inner blocks only).
+  CompactGraph(const Network& net, const BitSet& universe);
+  /// `whole`'s arcs and endpoint ids, copied, over another universe.
+  CompactGraph(const CompactGraph& whole, const BitSet& universe);
 
   std::size_t blockCount() const { return blockCount_; }
 
@@ -82,19 +92,22 @@ class CompactGraph {
     return endpointBase_[e.block] + e.port;
   }
 
-  // --- the contiguous inner universe ---------------------------------
+  // --- the contiguous universe ---------------------------------------
   std::size_t innerCount() const { return inner_.size(); }
-  /// Inner blocks ascending by id; position in this vector is the
+  /// Universe blocks ascending by id; position in this vector is the
   /// block's dense inner index.
   const std::vector<BlockId>& innerBlocks() const { return inner_; }
-  /// Dense inner index of `b`, or -1 when `b` is not inner.
+  /// Dense inner index of `b`, or -1 when `b` is outside the universe.
   std::int32_t innerIndex(BlockId b) const { return innerIndex_[b]; }
   bool isInner(BlockId b) const { return innerIndex_[b] >= 0; }
-  /// All non-inner blocks as a BitSet -- the frozen-set root of the
-  /// branch-and-bound's admissible bound (they can never join a bin).
+  /// Every block outside the universe as a BitSet -- the frozen-set root
+  /// of the branch-and-bound's admissible bound (they can never join a
+  /// bin).
   const BitSet& nonInnerSet() const { return nonInner_; }
 
  private:
+  void indexUniverse(const BitSet& universe);
+
   std::size_t blockCount_ = 0;
   std::size_t endpointCount_ = 0;
   // In-arcs of all blocks, then out-arcs of all blocks, in one array:

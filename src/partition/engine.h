@@ -44,7 +44,8 @@ struct EngineOptions {
   /// thread, 1 = serial.  Completed searches return identical results at
   /// every thread count; only timed-out runs are scheduling-dependent.
   int threads = 0;
-  /// Require convex partitions (classical DAG covering; see validity.h).
+  /// Require convex partitions (classical DAG covering; see
+  /// VerifyOptions::requireConvex in verify.h).
   /// A plain-problem rule: the multi-type strategies ignore it.
   bool requireConvex = false;
   /// Exhaustive strategies seed their branch-and-bound with the PareDown

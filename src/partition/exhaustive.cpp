@@ -15,6 +15,7 @@
 #include "partition/multitype.h"
 #include "partition/port_counter.h"
 #include "partition/validity.h"
+#include "partition/verify.h"
 #include "partition/work_steal.h"
 
 namespace eblocks::partition {
@@ -49,8 +50,8 @@ struct Bin {
   Bin(const CompactGraph& graph, CountingMode mode, const BitSet* frozen)
       : counter(graph, mode, BorderTracking::kOff, frozen) {}
   PortCounter counter;
-  int fixedIn = 0;   // irreducible inputs (edges from non-inner blocks)
-  int fixedOut = 0;  // irreducible outputs (edges to non-inner blocks)
+  int fixedIn = 0;   // irreducible inputs (edges from outside the universe)
+  int fixedOut = 0;  // irreducible outputs (edges to outside the universe)
 };
 
 // The plain search (Section 4.1) and the multi-type search (Section 6)
@@ -84,8 +85,9 @@ class PlainCost {
   bool binnable(const IoCount& own) const { return fits(own, spec_); }
 
   /// The irreducible-I/O child filter (edge counting only): a block's
-  /// edges to non-inner blocks can never be internalized, so a bin whose
-  /// non-inner I/O alone would exceed the budget leads to no valid leaf.
+  /// edges to blocks outside the universe can never be internalized, so
+  /// a bin whose such I/O alone would exceed the budget leads to no valid
+  /// leaf.
   bool canJoin(const Bin& bin, int in, int out) const {
     return !(edgesMode_ && (bin.fixedIn + in > spec_.inputs ||
                             bin.fixedOut + out > spec_.outputs));
@@ -194,36 +196,36 @@ class TypedCost {
 /// Immutable per-search configuration shared by every worker.
 template <typename Policy>
 struct SearchContext {
-  SearchContext(Policy p, const Network& net, const CompactGraph& g,
-                CountingMode m, const ExhaustiveOptions& o)
+  SearchContext(Policy p, const CompactGraph& g, CountingMode m,
+                const ExhaustiveOptions& o)
       : policy(std::move(p)),
         graph(g),
         mode(m),
         inner(g.innerBlocks()),
         options(o),
         deadline(deadlineFor(o.timeLimitSeconds)) {
-    // Pre-compute each inner block's irreducible connection counts
-    // (edges to non-inner neighbors can never be internalized), indexed
-    // by the block's dense inner rank -- the search always knows the
-    // rank (its depth), so no per-block-id table is needed.
+    // Pre-compute each universe block's irreducible connection counts
+    // (edges to blocks outside the universe can never be internalized),
+    // indexed by the block's dense inner rank -- the search always knows
+    // the rank (its depth), so no per-block-id table is needed.
     fixedIn.resize(inner.size(), 0);
     fixedOut.resize(inner.size(), 0);
     for (std::size_t i = 0; i < inner.size(); ++i) {
-      for (const CompactArc& a : graph.inArcs(inner[i]))
-        if (!graph.isInner(a.neighbor)) ++fixedIn[i];
-      for (const CompactArc& a : graph.outArcs(inner[i]))
-        if (!graph.isInner(a.neighbor)) ++fixedOut[i];
+      const IoCount edges =
+          irreducibleBlockIo(graph, inner[i], CountingMode::kEdges);
+      fixedIn[i] = edges.inputs;
+      fixedOut[i] = edges.outputs;
     }
     if (o.pruningBound) {
       // The admissible-bound layer's static half: the frozen-set root
-      // (non-inner blocks can never join any bin) and the unbinnable
-      // suffix floor -- a block whose own mode-aware irreducible I/O
-      // fits no bin stays uncovered in every valid completion, paying
-      // the policy's uncovered-block cost.
+      // (blocks outside the universe can never join any bin) and the
+      // unbinnable suffix floor -- a block whose own mode-aware
+      // irreducible I/O fits no bin stays uncovered in every valid
+      // completion, paying the policy's uncovered-block cost.
       baseFrozen = graph.nonInnerSet();
       suffixFloor.assign(inner.size() + 1, 0);
       for (std::size_t i = inner.size(); i-- > 0;) {
-        const IoCount own = irreducibleBlockIo(net, inner[i], mode);
+        const IoCount own = irreducibleBlockIo(graph, inner[i], mode);
         suffixFloor[i] = suffixFloor[i + 1] +
                          (policy.binnable(own) ? 0 : policy.blockCost());
       }
@@ -682,26 +684,18 @@ int resolveSearchThreads(int threads) {
 PartitionRun exhaustiveSearch(const PartitionProblem& problem,
                               const ExhaustiveOptions& options) {
   const auto start = Clock::now();
-  SearchContext<PlainCost> ctx(PlainCost(problem, options),
-                               problem.network(), problem.graph(),
+  SearchContext<PlainCost> ctx(PlainCost(problem, options), problem.graph(),
                                problem.spec().mode, options);
 
   // Trust but verify: only use a seed that is actually feasible -- every
   // partition valid on its own AND all pairwise disjoint (overlap would
   // understate totalAfter and over-tighten the bound) -- and carries no
   // option choices, which the plain problem does not have.
-  bool seeded = options.seed && options.seed->optionIndex.empty();
-  if (seeded) {
-    BitSet seen = problem.network().emptySet();
-    for (const BitSet& p : options.seed->partitions) {
-      if (!isValidPartition(problem, p, options.requireConvex))
-        seeded = false;
-      p.forEach([&](std::size_t b) {
-        if (seen.test(b)) seeded = false;
-        seen.set(b);
-      });
-    }
-  }
+  const bool seeded =
+      options.seed &&
+      verifyPartitioning(problem, *options.seed,
+                         {.requireConvex = options.requireConvex})
+          .empty();
   const int n = problem.innerCount();
   PartitionRun out =
       branchAndBound(ctx, n, seeded ? &*options.seed : nullptr,
@@ -720,8 +714,8 @@ PartitionRun multiTypeExhaustive(const Network& net,
   const CompactGraph graph(net);
   const int n = static_cast<int>(graph.innerCount());
   const MilliCostModel milli = toMilliCosts(model, n);
-  SearchContext<TypedCost> ctx(TypedCost(model, milli), net, graph,
-                               model.mode, options);
+  SearchContext<TypedCost> ctx(TypedCost(model, milli), graph, model.mode,
+                               options);
 
   const bool seeded =
       options.seed &&

@@ -2,7 +2,9 @@
 // (Section 4.1).
 //
 // The search space is every combination of the n inner blocks into up to n
-// programmable blocks, where a combination need not use every block.  As
+// programmable blocks, where a combination need not use every block.  (A
+// sub-problem's n blocks are its universe, problem.h; "non-inner" below
+// then means every block outside it.)  As
 // in the paper we prune symmetric branches: all empty programmable blocks
 // are indistinguishable, so opening "a new bin" is a single choice.  We
 // additionally apply two sound prunings that do not affect optimality:
@@ -58,15 +60,16 @@ struct ExhaustiveOptions {
   double timeLimitSeconds = 0.0;
   /// Require every partition to be convex (the classical DAG-covering
   /// constraint).  Off by default: the packet protocol keeps non-convex
-  /// replacements behaviorally equivalent (see validity.h), and PareDown
-  /// itself can produce non-convex partitions in later rounds.  A
-  /// plain-problem rule: multiTypeExhaustive ignores it.
+  /// replacements behaviorally equivalent (see VerifyOptions in
+  /// verify.h), and PareDown itself can produce non-convex partitions in
+  /// later rounds.  A plain-problem rule: multiTypeExhaustive ignores it.
   bool requireConvex = false;
   /// Seed the branch-and-bound with a known solution (commonly PareDown's).
   /// Purely an accelerator: never changes the optimum found.  A seed that
-  /// fails verification is ignored: the plain search wants valid,
-  /// disjoint partitions and no optionIndex, the multi-type search one
-  /// its verifyPartitioning overload (multitype.h) accepts.
+  /// fails verification is ignored: the plain search wants one its
+  /// problem's verifyPartitioning (verify.h, under this requireConvex)
+  /// accepts, the multi-type search one its verifyPartitioning overload
+  /// (multitype.h) accepts.
   std::optional<Partitioning> seed;
   /// Abort after (approximately) this many explored nodes, returning the
   /// best solution so far with run.timedOut = true -- the LNS repair

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 #include <vector>
 
 #include "partition/paredown.h"
@@ -80,14 +81,13 @@ PartitionRun greedySeed(const PartitionProblem& problem) {
     }
   }
 
-  // Fallback: PareDown over the residual only.  BFS growth accepts the
-  // first neighbor that fits with no look-ahead, so it tends to strand
-  // blocks whose edges needed internalizing in a specific order;
-  // border-paring handles exactly those.
+  // Fallback: PareDown over the residual only, as a sub-problem.  BFS
+  // growth accepts the first neighbor that fits with no look-ahead, so it
+  // tends to strand blocks whose edges needed internalizing in a specific
+  // order; border-paring handles exactly those.
   if (unassigned.any()) {
-    PareDownOptions fallback;
-    fallback.restrictTo = unassigned;
-    const PartitionRun pared = pareDown(problem, fallback);
+    const PartitionRun pared =
+        pareDown(PartitionProblem(problem, std::move(unassigned)));
     run.explored += pared.explored;
     for (const BitSet& p : pared.result.partitions)
       run.result.partitions.push_back(p);

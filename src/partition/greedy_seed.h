@@ -5,10 +5,11 @@
 // in near-linear time: BFS cluster growth under the bin I/O caps (grow a
 // cluster from each unassigned seed by probing frontier neighbors with an
 // incremental PortCounter, keeping every neighbor that still fits),
-// followed by a PareDown fallback restricted to whatever the growth phase
-// left uncovered -- PareDown's border-paring ordering is much better than
-// BFS at carving valid partitions out of awkward leftovers, and running
-// it on the residual only keeps the fallback cheap.
+// followed by a PareDown fallback on the sub-problem of whatever the
+// growth phase left uncovered (a PartitionProblem whose universe is the
+// residual; see problem.h) -- PareDown's border-paring ordering is much
+// better than BFS at carving valid partitions out of awkward leftovers,
+// and running it on the residual only keeps the fallback cheap.
 //
 // The result is always a valid partitioning (verifyPartitioning-clean) in
 // both counting modes; quality is deliberately traded for speed -- the FM

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string>
 #include <vector>
 
-#include "blocks/catalog.h"
 #include "partition/exhaustive.h"
 
 namespace eblocks::partition {
@@ -27,58 +25,6 @@ struct Rng {
   std::uint32_t below(std::uint32_t n) { return next() % n; }
 };
 
-/// The stub subnetwork a pocket is repaired in, plus the id mapping back
-/// to the full network.
-struct PocketProblem {
-  Network net{"lns_pocket"};
-  std::vector<BlockId> subToFull;          // inner (pocket) blocks only
-  std::vector<std::int32_t> fullToSub;     // -1 for non-pocket blocks
-};
-
-/// Lifts `pocket` (full-network ids) into a stub subnetwork whose port
-/// counting matches the original in both modes (see the header comment).
-PocketProblem liftPocket(const Network& net, const CompactGraph& graph,
-                         const std::vector<BlockId>& pocket) {
-  PocketProblem out;
-  out.fullToSub.assign(net.blockCount(), -1);
-  for (const BlockId b : pocket) {
-    const Block& block = net.block(b);
-    const BlockId sub = out.net.addBlock(block.name, block.type);
-    out.fullToSub[b] = static_cast<std::int32_t>(sub);
-    out.subToFull.push_back(b);
-  }
-  const blocks::Catalog& catalog = blocks::defaultCatalog();
-  // One stub sensor per distinct outside source endpoint, addressed by
-  // the full graph's dense endpoint id.
-  std::vector<std::int32_t> stubFor(graph.endpointCount(), -1);
-  int stubs = 0;
-  for (const BlockId b : pocket) {
-    const BlockId sub =
-        static_cast<BlockId>(out.fullToSub[b]);
-    for (const Connection& c : net.inputsOf(b)) {
-      const std::int32_t srcSub = out.fullToSub[c.from.block];
-      if (srcSub >= 0) {
-        out.net.connect(static_cast<BlockId>(srcSub), c.from.port, sub,
-                        c.to.port);
-        continue;
-      }
-      const std::uint32_t e = graph.endpointId(c.from);
-      if (stubFor[e] < 0) {
-        stubFor[e] = static_cast<std::int32_t>(out.net.addBlock(
-            "__lns_in_" + std::to_string(stubs++), catalog.button()));
-      }
-      out.net.connect(static_cast<BlockId>(stubFor[e]), 0, sub, c.to.port);
-    }
-    for (const Connection& c : net.outputsOf(b)) {
-      if (out.fullToSub[c.to.block] >= 0) continue;  // mirrored above
-      const BlockId led = out.net.addBlock(
-          "__lns_out_" + std::to_string(stubs++), catalog.led());
-      out.net.connect(sub, c.from.port, led, 0);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 PartitionRun lnsSearch(const PartitionProblem& problem,
@@ -91,7 +37,6 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
                         std::chrono::duration<double>(
                             options.timeLimitSeconds))
           : Clock::time_point::max();
-  const Network& net = problem.network();
   const CompactGraph& graph = problem.graph();
   const int innerCount = problem.innerCount();
 
@@ -105,9 +50,10 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
   Rng rng(options.rngSeed);
 
   int stall = 0;
-  std::vector<std::int32_t> binOf(net.blockCount());
-  std::vector<BlockId> pocket, queue, uncovered;
-  BitSet inPocket(net.blockCount());
+  std::vector<std::int32_t> binOf(graph.blockCount());
+  // The pocket's blocks in absorption order, which the BFS also walks.
+  std::vector<BlockId> pocket, uncovered;
+  BitSet inPocket(graph.blockCount());
   for (int round = 0; options.maxRounds == 0 || round < options.maxRounds;
        ++round) {
     if (Clock::now() > deadline ||
@@ -135,7 +81,6 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
             : problem.innerBlocks()[rng.below(
                   static_cast<std::uint32_t>(innerCount))];
     pocket.clear();
-    queue.clear();
     inPocket.clear();
     const auto absorb = [&](BlockId b) {
       // Whole-bin granularity keeps the untouched remainder a valid
@@ -144,7 +89,6 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
         if (inPocket.test(m)) return;
         inPocket.set(m);
         pocket.push_back(m);
-        queue.push_back(m);
       };
       if (binOf[b] >= 0)
         run.result.partitions[binOf[b]].forEach(
@@ -155,10 +99,10 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
     absorb(startBlock);
     std::size_t head = 0;
     const auto expand = [&] {
-      for (; head < queue.size() &&
+      for (; head < pocket.size() &&
              static_cast<int>(pocket.size()) < pocketSize;
            ++head) {
-        const BlockId x = queue[head];
+        const BlockId x = pocket[head];
         const auto visit = [&](BlockId nb) {
           if (static_cast<int>(pocket.size()) < pocketSize &&
               graph.isInner(nb) && !inPocket.test(nb))
@@ -182,12 +126,11 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
       ++stall;
       continue;
     }
-    std::sort(pocket.begin(), pocket.end());
 
-    // Repair: exact search on the lifted pocket, seeded with what the
-    // destroy removed, clipped by the node budget and the deadline.
-    PocketProblem sub = liftPocket(net, graph, pocket);
-    const PartitionProblem subProblem(sub.net, problem.spec());
+    // Repair: exact search on the pocket as a sub-problem of the whole
+    // problem, seeded with what the destroy removed, clipped by the node
+    // budget and the deadline.
+    const PartitionProblem subProblem(problem, inPocket);
     ExhaustiveOptions repair;
     repair.threads = 1;
     repair.nodeBudget = options.repairNodeBudget;
@@ -206,16 +149,10 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
       repair.timeLimitSeconds = remaining;
     }
     Partitioning seed;
-    int pocketBins = 0;
-    for (const BitSet& p : run.result.partitions) {
-      if (!inPocket.test(p.findFirst())) continue;
-      ++pocketBins;
-      BitSet mapped = sub.net.emptySet();
-      p.forEach([&](std::size_t b) {
-        mapped.set(static_cast<std::size_t>(sub.fullToSub[b]));
-      });
-      seed.partitions.push_back(std::move(mapped));
-    }
+    for (const BitSet& p : run.result.partitions)
+      if (inPocket.test(p.findFirst())) seed.partitions.push_back(p);
+    const int pocketBlocks = static_cast<int>(pocket.size());
+    const int before = seed.totalAfter(pocketBlocks);
     repair.seed = std::move(seed);
     const PartitionRun repaired = exhaustiveSearch(subProblem, repair);
     run.explored += repaired.explored;
@@ -224,25 +161,11 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
     // Accept strict improvements of the paper's objective.  The repair
     // was seeded with the destroyed pocket solution, so it can never
     // come back worse -- only equal (stall) or better.
-    int pocketCoveredBefore = 0;
-    for (const BitSet& p : run.result.partitions)
-      if (inPocket.test(p.findFirst()))
-        pocketCoveredBefore += static_cast<int>(p.count());
-    const int before = pocketBins + static_cast<int>(pocket.size()) -
-                       pocketCoveredBefore;
-    const int after = repaired.result.totalAfter(
-        static_cast<int>(sub.subToFull.size()));
-    if (after < before) {
+    if (repaired.result.totalAfter(pocketBlocks) < before) {
       std::vector<BitSet> next;
       for (const BitSet& p : run.result.partitions)
         if (!inPocket.test(p.findFirst())) next.push_back(p);
-      for (const BitSet& p : repaired.result.partitions) {
-        BitSet mapped = net.emptySet();
-        p.forEach([&](std::size_t b) {
-          mapped.set(sub.subToFull[b]);
-        });
-        next.push_back(std::move(mapped));
-      }
+      for (const BitSet& p : repaired.result.partitions) next.push_back(p);
       std::sort(next.begin(), next.end(),
                 [](const BitSet& a, const BitSet& b) {
                   return a.findFirst() < b.findFirst();
@@ -252,7 +175,7 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
     } else {
       ++stall;
     }
-    if (static_cast<int>(pocket.size()) == innerCount && repaired.optimal) {
+    if (pocketBlocks == innerCount && repaired.optimal) {
       // The round was a completed exact search of the whole design.
       run.optimal = true;
       break;

@@ -9,23 +9,19 @@
 // and the rest of the solution is untouched by construction.
 //
 // The pocket is then re-solved with the existing branch-and-bound as the
-// repair oracle.  The pocket is lifted into a stub subnetwork that
-// reproduces its port-counting environment exactly, in both modes:
-//   - one stub sensor per distinct outside source endpoint feeding the
-//     pocket, wired per original connection (kEdges sees the same
-//     crossing-connection counts; kSignals the same distinct sources);
-//   - one stub output block per boundary out-connection (kEdges exact;
-//     kSignals collapses to distinct member endpoints, as the original
-//     outside consumers would);
-//   - pocket-internal connections mirrored verbatim.
-// Outside blocks can never join a pocket bin, so treating them as
-// non-inner stubs is exact, not an approximation: any repair of the stub
-// problem scores identically when mapped back.  The repair search runs
-// serially, seeded with the current pocket solution and clipped by
-// ExhaustiveOptions::nodeBudget, so a round costs bounded, deterministic
-// work and can never return worse than what it destroyed; strictly
-// better pocket solutions are accepted (monotone descent on the paper's
-// objective).
+// repair oracle, as a sub-problem of the whole problem: a PartitionProblem
+// derived from it whose universe is the pocket (problem.h), so a round
+// copies the CSR arcs and levels instead of rebuilding them from the
+// network.  Blocks outside the pocket
+// can never join a pocket bin, so the search treats them like sensors and
+// counts their connections as ports with the same code as the whole
+// search, in both counting modes; a repair therefore scores exactly what
+// it would in the full solution, and its partitions are already in the
+// network's block ids.  The repair search runs serially, seeded with the
+// current pocket solution and clipped by ExhaustiveOptions::nodeBudget,
+// so a round costs bounded, deterministic work and can never return worse
+// than what it destroyed; strictly better pocket solutions are accepted
+// (monotone descent on the paper's objective).
 //
 // Anytime contract: lnsSearch honors a wall-clock deadline, stops early
 // after a stall streak, and returns the best solution found.  A round

@@ -120,7 +120,7 @@ PartitionRun pareDown(const PartitionProblem& problem,
   const ProgBlockSpec& spec = problem.spec();
   PartitionRun run = pare(
       problem.network(), problem.graph(), problem.levels(), spec.mode,
-      options.restrictTo ? *options.restrictTo : problem.innerSet(), options,
+      problem.innerSet(), options,
       [&](const PortCounter& candidate, Partitioning& out) {
         if (!fits(candidate.io(), spec)) return false;
         // A single fitting block is dropped: replacing one pre-defined

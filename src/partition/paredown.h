@@ -16,7 +16,6 @@
 #define EBLOCKS_PARTITION_PAREDOWN_H_
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "partition/problem.h"
@@ -48,17 +47,12 @@ struct PareDownOptions {
   /// O(n^2): every round retires at least one block); set this flag to get
   /// the literal behavior.
   bool strictFigure4 = false;
-
-  /// Pare down only this subset of the problem's inner blocks (the
-  /// default is all of them).  greedy_seed.cpp uses this to run PareDown
-  /// on the residual its cluster growth left uncovered, without paying
-  /// for -- or disturbing -- the blocks already assigned.  Must be a
-  /// subset of `problem.innerSet()` over the same universe.
-  std::optional<BitSet> restrictTo;
 };
 
-/// Runs PareDown.  Deterministic: ties beyond the paper's three criteria
-/// resolve to the lowest block id.
+/// Runs PareDown over the problem's universe (problem.innerSet(); a
+/// sub-problem pares only its own blocks, as greedy_seed.cpp does with
+/// the residual its cluster growth left uncovered).  Deterministic: ties
+/// beyond the paper's three criteria resolve to the lowest block id.
 PartitionRun pareDown(const PartitionProblem& problem,
                       const PareDownOptions& options = {});
 

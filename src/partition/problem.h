@@ -29,11 +29,27 @@ struct ProgBlockSpec {
   CountingMode mode = CountingMode::kEdges;
 };
 
-/// An analyzed problem instance: the network plus precomputed inner-block
-/// universe and levels.  The network must outlive the problem.
+/// An analyzed problem instance: the network, the universe of blocks a
+/// search may place, and precomputed levels.  The network must outlive
+/// the problem.
+///
+/// The universe defaults to every inner block.  A sub-problem names a
+/// subset of them -- LNS repairs a pocket, greedy pares its leftovers --
+/// and is solved by the whole problem's own code: every block outside the
+/// universe stays put, like a sensor, and its connections count as ports.
 class PartitionProblem {
  public:
   PartitionProblem(const Network& net, ProgBlockSpec spec);
+  /// Throws std::invalid_argument unless `universe` is a set over `net`'s
+  /// blocks holding inner blocks only.
+  PartitionProblem(const Network& net, ProgBlockSpec spec, BitSet universe);
+  /// The sub-problem of `whole` over `universe`: `whole`'s network, spec
+  /// and levels, and its CSR arcs copied rather than rebuilt.  Rebuilding
+  /// walks the whole network (levels take a topological sort), which
+  /// would dominate a search that re-solves a few blocks of a large
+  /// network at a time, such as LNS's pocket repair.  Throws like the
+  /// constructor above.
+  PartitionProblem(const PartitionProblem& whole, BitSet universe);
 
   const Network& network() const { return *net_; }
   const ProgBlockSpec& spec() const { return spec_; }
@@ -43,10 +59,13 @@ class PartitionProblem {
   /// bound bin share one copy.
   const CompactGraph& graph() const { return graph_; }
 
-  /// Inner blocks: the replaceable pre-defined compute blocks.
-  const std::vector<BlockId>& innerBlocks() const { return inner_; }
-  const BitSet& innerSet() const { return innerSet_; }
-  int innerCount() const { return static_cast<int>(inner_.size()); }
+  /// The universe: the replaceable pre-defined compute blocks this
+  /// problem may place, ascending by id.
+  const std::vector<BlockId>& innerBlocks() const {
+    return graph_.innerBlocks();
+  }
+  const BitSet& innerSet() const { return universe_; }
+  int innerCount() const { return static_cast<int>(graph_.innerCount()); }
 
   /// Level of every block (max distance from any sensor); the PareDown
   /// removal tiebreak and the code generator both use this.
@@ -55,9 +74,8 @@ class PartitionProblem {
  private:
   const Network* net_;
   ProgBlockSpec spec_;
+  BitSet universe_;
   CompactGraph graph_;
-  std::vector<BlockId> inner_;
-  BitSet innerSet_;
   std::vector<int> levels_;
 };
 

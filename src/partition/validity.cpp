@@ -1,39 +1,36 @@
 #include "partition/validity.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace eblocks::partition {
 
-IoCount irreducibleBlockIo(const Network& net, BlockId b,
+IoCount irreducibleBlockIo(const CompactGraph& graph, BlockId b,
                            CountingMode mode) {
   IoCount io;
   if (mode == CountingMode::kEdges) {
-    for (const Connection& c : net.inputsOf(b))
-      if (!net.isInner(c.from.block)) ++io.inputs;
-    for (const Connection& c : net.outputsOf(b))
-      if (!net.isInner(c.to.block)) ++io.outputs;
+    for (const CompactArc& a : graph.inArcs(b))
+      if (!graph.isInner(a.neighbor)) ++io.inputs;
+    for (const CompactArc& a : graph.outArcs(b))
+      if (!graph.isInner(a.neighbor)) ++io.outputs;
     return io;
   }
-  // kSignals: distinct non-inner source endpoints feeding b (each is a
+  // kSignals: distinct outside source endpoints feeding b (each is a
   // separate external signal no bin can merge or internalize), and b's
-  // own output endpoints with at least one non-inner consumer (each
+  // own output endpoints with at least one outside consumer (each
   // occupies one port of any bin containing b, forever).
-  std::vector<std::uint64_t> srcs;
-  for (const Connection& c : net.inputsOf(b))
-    if (!net.isInner(c.from.block))
-      srcs.push_back((static_cast<std::uint64_t>(c.from.block) << 16) |
-                     c.from.port);
-  std::sort(srcs.begin(), srcs.end());
-  io.inputs = static_cast<int>(
-      std::unique(srcs.begin(), srcs.end()) - srcs.begin());
-  std::vector<std::uint64_t> ports;
-  for (const Connection& c : net.outputsOf(b))
-    if (!net.isInner(c.to.block))
-      ports.push_back(c.from.port);
-  std::sort(ports.begin(), ports.end());
-  io.outputs = static_cast<int>(
-      std::unique(ports.begin(), ports.end()) - ports.begin());
+  const auto distinct = [&](std::span<const CompactArc> arcs) {
+    std::vector<std::uint32_t> ends;
+    for (const CompactArc& a : arcs)
+      if (!graph.isInner(a.neighbor)) ends.push_back(a.endpoint);
+    std::sort(ends.begin(), ends.end());
+    return static_cast<int>(std::unique(ends.begin(), ends.end()) -
+                            ends.begin());
+  };
+  io.inputs = distinct(graph.inArcs(b));
+  io.outputs = distinct(graph.outArcs(b));
   return io;
 }
 
@@ -43,20 +40,6 @@ bool fitsProgrammable(const Network& net, const BitSet& members,
   // incremental algorithms keep a PortCounter instead and test its io()
   // with fits() directly.
   return fits(countIo(net, members, spec.mode), spec);
-}
-
-bool isValidPartition(const PartitionProblem& problem, const BitSet& members,
-                      bool requireConvex) {
-  if (members.count() < 2) return false;
-  bool allInner = true;
-  members.forEach([&](std::size_t b) {
-    if (!problem.network().isInner(static_cast<BlockId>(b))) allInner = false;
-  });
-  if (!allInner) return false;
-  if (!fitsProgrammable(problem.network(), members, problem.spec()))
-    return false;
-  if (requireConvex && !isConvex(problem.network(), members)) return false;
-  return true;
 }
 
 }  // namespace eblocks::partition

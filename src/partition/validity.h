@@ -17,31 +17,18 @@ inline bool fits(const IoCount& io, const ProgBlockSpec& spec) {
 /// (inputs <= spec.inputs and outputs <= spec.outputs, under spec.mode).
 /// Note: a single-node subgraph can fit yet still be an *invalid
 /// partition*; that rule (|P| >= 2) is enforced by the algorithms and by
-/// verifyPartitioning, not here.
+/// verifyPartitioning (verify.h), not here.
 bool fitsProgrammable(const Network& net, const BitSet& members,
                       const ProgBlockSpec& spec);
 
 /// The irreducible I/O block `b` contributes to *any* bin containing it:
 /// its connections (kEdges) or distinct signals (kSignals) to and from
-/// non-inner blocks, which no member set can ever internalize.  A block
-/// whose own irreducible I/O exceeds the port budget can be a member of
-/// no feasible bin -- the static floor of the branch-and-bound's
-/// admissible pruning bound (see exhaustive.h).
-IoCount irreducibleBlockIo(const Network& net, BlockId b, CountingMode mode);
-
-/// Full subgraph validity as required of a final partition: fits, has at
-/// least two members, all members inner, and (optionally) convex.
-///
-/// Convexity is NOT required by default.  The paper never imposes it, and
-/// in the eBlocks packet model a non-convex replacement stays behaviorally
-/// equivalent: when a path leaves the partition and re-enters, the merged
-/// block is simply re-activated by the returning packet, and emit-on-change
-/// makes the interim evaluation idempotent.  (The classical DAG-covering
-/// convexity constraint guards clocked combinational cycles, which do not
-/// exist here.)  Pass `requireConvex = true` for the classical formulation;
-/// the ablation bench compares both.
-bool isValidPartition(const PartitionProblem& problem, const BitSet& members,
-                      bool requireConvex = false);
+/// blocks outside `graph`'s universe, which no member set can ever
+/// internalize.  A block whose own irreducible I/O exceeds the port
+/// budget can be a member of no feasible bin -- the static floor of the
+/// branch-and-bound's admissible pruning bound (see exhaustive.h).
+IoCount irreducibleBlockIo(const CompactGraph& graph, BlockId b,
+                           CountingMode mode);
 
 }  // namespace eblocks::partition
 

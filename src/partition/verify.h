@@ -13,16 +13,24 @@
 namespace eblocks::partition {
 
 struct VerifyOptions {
-  /// Convexity is informational, not required (see validity.h).
+  /// Convexity is NOT required by default.  The paper never imposes it,
+  /// and in the eBlocks packet model a non-convex replacement stays
+  /// behaviorally equivalent: when a path leaves the partition and
+  /// re-enters, the merged block is simply re-activated by the returning
+  /// packet, and emit-on-change makes the interim evaluation idempotent.
+  /// (The classical DAG-covering convexity constraint guards clocked
+  /// combinational cycles, which do not exist here.)  Set it for the
+  /// classical formulation; the ablation bench compares both.
   bool requireConvex = false;
 };
 
 /// Returns human-readable constraint violations; empty means valid.
-/// Checks: members are inner blocks; partitions are pairwise disjoint;
-/// every partition has >= 2 members and fits the programmable block; and
-/// (optionally) every partition is convex; and no option index is set
-/// (those belong to the multi-type problem, whose overload of this
-/// function is in multitype.h).
+/// Checks: members lie in the problem's universe (innerSet(), by default
+/// every inner block); partitions are pairwise disjoint; every partition
+/// has >= 2 members and fits the programmable block; (optionally) every
+/// partition is convex; and no option index is set (those belong to the
+/// multi-type problem, whose overload of this function is in
+/// multitype.h).
 std::vector<std::string> verifyPartitioning(const PartitionProblem& problem,
                                             const Partitioning& partitioning,
                                             const VerifyOptions& options = {});

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
+#include <variant>
 
 #include "core/failpoint.h"
 
@@ -230,20 +232,13 @@ std::optional<ServerMessage> Client::nextMessage(int timeoutMs,
   const std::optional<std::string> frame = nextFrame(timeoutMs, error);
   if (!frame) return std::nullopt;
   const FrameHeader header = *peekFrameHeader(*frame);
-  ServerMessage msg;
   switch (header.tag) {
     case io::SectionTag::kServerResponse:
-      msg.kind = ServerMessage::Kind::kResponse;
-      msg.response = decodeResponse(*frame);
-      return msg;
+      return decodeResponse(*frame);
     case io::SectionTag::kServerProgress:
-      msg.kind = ServerMessage::Kind::kProgress;
-      msg.progress = decodeProgress(*frame);
-      return msg;
+      return decodeProgress(*frame);
     case io::SectionTag::kServerError:
-      msg.kind = ServerMessage::Kind::kError;
-      msg.error = decodeError(*frame);
-      return msg;
+      return decodeError(*frame);
     default:
       throw ProtocolError("protocol: unexpected frame tag " +
                           std::to_string(static_cast<int>(header.tag)) +
@@ -267,24 +262,23 @@ CallResult Client::call(const SynthRequest& request, int timeoutMs) {
       if (left <= 0) return result;
       waitMs = static_cast<int>(left);
     }
-    const std::optional<ServerMessage> msg = nextMessage(waitMs);
+    std::optional<ServerMessage> msg = nextMessage(waitMs);
     if (!msg) return result;  // timeout or connection loss
-    switch (msg->kind) {
-      case ServerMessage::Kind::kResponse:
-        if (msg->response.id != request.id) continue;
-        result.response = msg->response;
-        return result;
-      case ServerMessage::Kind::kProgress:
-        if (msg->progress.id == request.id)
-          result.progress.push_back(msg->progress);
-        continue;
-      case ServerMessage::Kind::kError:
-        // id 0 errors (unattributable, e.g. bad frame) end the call too:
-        // the server is about to close the connection.
-        if (msg->error.id != request.id && msg->error.id != 0) continue;
-        result.error = msg->error;
-        return result;
+    if (auto* response = std::get_if<SynthResponse>(&*msg)) {
+      if (response->id != request.id) continue;
+      result.response = std::move(*response);
+      return result;
     }
+    if (const auto* tick = std::get_if<Progress>(&*msg)) {
+      if (tick->id == request.id) result.progress.push_back(*tick);
+      continue;
+    }
+    ErrorReply& error = std::get<ErrorReply>(*msg);
+    // id 0 errors (unattributable, e.g. bad frame) end the call too: the
+    // server is about to close the connection.
+    if (error.id != request.id && error.id != 0) continue;
+    result.error = std::move(error);
+    return result;
   }
 }
 

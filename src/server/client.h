@@ -26,20 +26,16 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "server/protocol.h"
 
 namespace eblocks::server {
 
-/// One decoded server-to-client frame.
-struct ServerMessage {
-  enum class Kind { kResponse, kProgress, kError };
-  Kind kind = Kind::kError;
-  SynthResponse response;  ///< valid when kind == kResponse
-  Progress progress;       ///< valid when kind == kProgress
-  ErrorReply error;        ///< valid when kind == kError
-};
+/// One decoded server-to-client frame: a response, a progress tick, or
+/// an error reply.
+using ServerMessage = std::variant<SynthResponse, Progress, ErrorReply>;
 
 /// The outcome of one request: exactly one of `response` / `error` is
 /// set (per the protocol's one-reply contract), plus any progress ticks
@@ -104,8 +100,9 @@ class Client {
   std::optional<std::string> nextFrame(int timeoutMs,
                                        std::string* error = nullptr);
 
-  /// nextFrame + tag dispatch + payload decode.  Throws ProtocolError
-  /// on a frame that decodes to no known server message.
+  /// nextFrame + tag dispatch + payload decode into the message's
+  /// alternative.  Throws ProtocolError on a frame that decodes to no
+  /// known server message.
   std::optional<ServerMessage> nextMessage(int timeoutMs,
                                            std::string* error = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "behavior/parser.h"
@@ -73,11 +74,17 @@ TEST(CEmitter, SkeletonAndHarnessAreOptIn) {
 
 TEST(CEmitter, UnknownNameThrows) {
   // `mystery` is neither declared, nor a port, nor tick; `in0` is not a
-  // port of a block with no inputs.
+  // port of a block with no inputs.  `out0`, where present, is the one
+  // output port.
   for (const char* source : {"mystery = 1;", "out0 = in0;"}) {
     MergedProgram m;
     m.program = behavior::parse(source);
-    m.outputEdges.resize(1);
+    const auto out0 = std::ranges::find(m.program.names, "out0");
+    if (out0 != m.program.names.end()) {
+      m.outputEdges.resize(1);
+      m.outputSlots.push_back(
+          static_cast<behavior::Index>(out0 - m.program.names.begin()));
+    }
     try {
       (void)emitC(m);
       ADD_FAILURE() << source;

@@ -46,7 +46,7 @@ TEST_P(PartitionProperties, BorderRemovalPreservesConvexity) {
   // (paths between inner blocks run through inner blocks only), and
   // removing a border block keeps a convex candidate convex.  Later rounds
   // start from punctured leftovers and may legitimately go non-convex,
-  // which the packet protocol tolerates (validity.h); behavioral safety of
+  // which the packet protocol tolerates (verify.h); behavioral safety of
   // those partitions is covered by the synthesis equivalence fuzz tests.
   BitSet candidate = net.innerSet();
   if (candidate.none()) return;

@@ -4,6 +4,7 @@
 
 #include "blocks/catalog.h"
 #include "designs/library.h"
+#include "partition/verify.h"
 
 namespace eblocks::partition {
 namespace {
@@ -18,6 +19,15 @@ BitSet setOf(const Network& net, std::initializer_list<BlockId> ids) {
   BitSet s = net.emptySet();
   for (BlockId b : ids) s.set(b);
   return s;
+}
+
+/// True when `members` on its own is a valid partitioning of `problem`.
+bool validAlone(const PartitionProblem& problem, const BitSet& members,
+                bool requireConvex = false) {
+  Partitioning p;
+  p.partitions.push_back(members);
+  return verifyPartitioning(problem, p, {.requireConvex = requireConvex})
+      .empty();
 }
 
 TEST(Validity, FitsRespectsSpecLimits) {
@@ -37,15 +47,15 @@ TEST(Validity, FullInnerSetNeedsThreeOutputs) {
 TEST(Validity, SingleBlockPartitionRejectedByFullCheck) {
   const Network net = designs::figure5();
   const PartitionProblem problem(net, ProgBlockSpec{});
-  EXPECT_FALSE(isValidPartition(problem, setOf(net, {N(7)})));
-  EXPECT_TRUE(isValidPartition(problem, setOf(net, {N(6), N(8), N(9)})));
+  EXPECT_FALSE(validAlone(problem, setOf(net, {N(7)})));
+  EXPECT_TRUE(validAlone(problem, setOf(net, {N(6), N(8), N(9)})));
 }
 
 TEST(Validity, NonInnerMembersRejected) {
   const Network net = designs::figure5();
   const PartitionProblem problem(net, ProgBlockSpec{});
   // Include the sensor (id 0): invalid regardless of fit.
-  EXPECT_FALSE(isValidPartition(problem, setOf(net, {0, N(2)})));
+  EXPECT_FALSE(validAlone(problem, setOf(net, {0, N(2)})));
 }
 
 TEST(Validity, NonConvexRejectedUnlessRelaxed) {
@@ -53,11 +63,11 @@ TEST(Validity, NonConvexRejectedUnlessRelaxed) {
   const PartitionProblem problem(net, ProgBlockSpec{});
   // {2,3}: path 2 -> 4 -> 3 leaves and re-enters.
   const BitSet p = setOf(net, {N(2), N(3)});
-  EXPECT_FALSE(isValidPartition(problem, p, /*requireConvex=*/true));
+  EXPECT_FALSE(validAlone(problem, p, /*requireConvex=*/true));
   // Relaxing convexity: fit still fails or passes purely on I/O.
   const IoCount io = countIo(net, p, CountingMode::kEdges);
   const bool fits = io.inputs <= 2 && io.outputs <= 2;
-  EXPECT_EQ(isValidPartition(problem, p, /*requireConvex=*/false), fits);
+  EXPECT_EQ(validAlone(problem, p, /*requireConvex=*/false), fits);
 }
 
 TEST(Validity, SignalsModeCountsSharedFanoutOnce) {

@@ -159,8 +159,8 @@ TEST(WarmStart, OverlappingSeedIsRejected) {
   cold.threads = 1;
   const PartitionRun baseline = exhaustiveSearch(problem, cold);
 
-  // Copies of one valid partition: each passes isValidPartition on its
-  // own, together they cover the same blocks repeatedly.  Stack enough
+  // Copies of one valid partition: each passes verifyPartitioning on
+  // its own, together they cover the same blocks repeatedly.  Stack enough
   // that the double-counted cost undercuts the true optimum -- a trusted
   // seed would then prune every real solution and be returned verbatim.
   const PartitionRun greedy = greedySeed(problem);

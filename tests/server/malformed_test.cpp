@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 
 #include "blocks/catalog.h"
 #include "designs/library.h"
@@ -45,8 +46,8 @@ class MalformedInput : public ::testing::Test {
     ASSERT_TRUE(client.sendFrame(bytes, &error)) << error;
     const auto msg = client.nextMessage(30000, &error);
     ASSERT_TRUE(msg) << error;
-    ASSERT_EQ(msg->kind, ServerMessage::Kind::kError);
-    EXPECT_EQ(msg->error.code, ErrorCode::kBadFrame);
+    ASSERT_TRUE(std::holds_alternative<ErrorReply>(*msg));
+    EXPECT_EQ(std::get<ErrorReply>(*msg).code, ErrorCode::kBadFrame);
     // After the error flushes, the server closes.
     EXPECT_FALSE(client.nextFrame(30000, &error));
     EXPECT_EQ(error, "connection closed by server");
@@ -131,9 +132,10 @@ TEST_F(MalformedInput, DripFedFrameStillAssembles) {
   for (;;) {
     const auto msg = client.nextMessage(30000, &error);
     ASSERT_TRUE(msg) << error;
-    if (msg->kind == ServerMessage::Kind::kProgress) continue;
-    ASSERT_EQ(msg->kind, ServerMessage::Kind::kResponse);
-    testutil::expectBitIdentical(net, request, msg->response);
+    if (std::holds_alternative<Progress>(*msg)) continue;
+    ASSERT_TRUE(std::holds_alternative<SynthResponse>(*msg));
+    testutil::expectBitIdentical(net, request,
+                                 std::get<SynthResponse>(*msg));
     break;
   }
 }
@@ -191,13 +193,13 @@ TEST(MalformedBehavior, TooDeepNestingGetsSynthFailedNotACrash) {
       do {
         msg = client.nextMessage(30000, &error);
         ASSERT_TRUE(msg) << error;
-      } while (msg->kind == ServerMessage::Kind::kProgress);
-      ASSERT_EQ(msg->kind, ServerMessage::Kind::kError);
-      EXPECT_EQ(msg->error.id, request.id);
-      EXPECT_EQ(msg->error.code, ErrorCode::kSynthFailed);
-      EXPECT_NE(msg->error.message.find("nesting deeper than"),
-                std::string::npos)
-          << msg->error.message;
+      } while (std::holds_alternative<Progress>(*msg));
+      ASSERT_TRUE(std::holds_alternative<ErrorReply>(*msg));
+      const ErrorReply& reply = std::get<ErrorReply>(*msg);
+      EXPECT_EQ(reply.id, request.id);
+      EXPECT_EQ(reply.code, ErrorCode::kSynthFailed);
+      EXPECT_NE(reply.message.find("nesting deeper than"), std::string::npos)
+          << reply.message;
       // Exactly one reply: nothing else arrives for this request.
       EXPECT_FALSE(client.nextMessage(200, &error));
     }
@@ -250,11 +252,12 @@ TEST_F(MalformedInput, HugeCatalogTypeInTheNetworkGetsOneBadRequest) {
   ASSERT_TRUE(client.sendFrame(encodeRequest(request), &error)) << error;
   const auto msg = client.nextMessage(30000, &error);
   ASSERT_TRUE(msg) << error;
-  ASSERT_EQ(msg->kind, ServerMessage::Kind::kError);
-  EXPECT_EQ(msg->error.id, request.id);
-  EXPECT_EQ(msg->error.code, ErrorCode::kBadRequest);
-  EXPECT_NE(msg->error.message.find("prog_20000000x1"), std::string::npos)
-      << msg->error.message;
+  ASSERT_TRUE(std::holds_alternative<ErrorReply>(*msg));
+  const ErrorReply& reply = std::get<ErrorReply>(*msg);
+  EXPECT_EQ(reply.id, request.id);
+  EXPECT_EQ(reply.code, ErrorCode::kBadRequest);
+  EXPECT_NE(reply.message.find("prog_20000000x1"), std::string::npos)
+      << reply.message;
   // Exactly one reply: nothing else arrives for this request.
   EXPECT_FALSE(client.nextMessage(200, &error));
   EXPECT_EQ(blocks::defaultCatalog().names().size(), typesBefore);

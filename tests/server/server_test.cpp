@@ -12,6 +12,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "designs/library.h"
@@ -150,13 +151,13 @@ TEST(Server, MultiplexesRequestsOnOneConnection) {
   for (int got = 0; got < 3;) {
     const auto msg = client.nextMessage(kCallTimeoutMs, &error);
     ASSERT_TRUE(msg) << error;
-    if (msg->kind != ServerMessage::Kind::kResponse) continue;
-    ASSERT_GE(msg->response.id, 1u);
-    ASSERT_LE(msg->response.id, 3u);
-    EXPECT_FALSE(seen[msg->response.id]) << "duplicate reply";
-    seen[msg->response.id] = true;
-    expectBitIdentical(net, paredownRequest(msg->response.id, net),
-                       msg->response);
+    if (!std::holds_alternative<SynthResponse>(*msg)) continue;
+    const SynthResponse& response = std::get<SynthResponse>(*msg);
+    ASSERT_GE(response.id, 1u);
+    ASSERT_LE(response.id, 3u);
+    EXPECT_FALSE(seen[response.id]) << "duplicate reply";
+    seen[response.id] = true;
+    expectBitIdentical(net, paredownRequest(response.id, net), response);
     ++got;
   }
 }
@@ -208,12 +209,12 @@ TEST(Server, BackpressureRejectsButNeverDropsAccepted) {
   while (burstAnswered < 6) {
     const auto msg = burst.nextMessage(kCallTimeoutMs, &error);
     ASSERT_TRUE(msg) << error;
-    if (msg->kind == ServerMessage::Kind::kError) {
-      ASSERT_EQ(msg->error.code, ErrorCode::kOverloaded);
-      EXPECT_GT(msg->error.retryAfterMs, 0u);
+    if (const auto* reply = std::get_if<ErrorReply>(&*msg)) {
+      ASSERT_EQ(reply->code, ErrorCode::kOverloaded);
+      EXPECT_GT(reply->retryAfterMs, 0u);
       ++burstRejected;
       ++burstAnswered;
-    } else if (msg->kind == ServerMessage::Kind::kResponse) {
+    } else if (std::holds_alternative<SynthResponse>(*msg)) {
       ++burstAnswered;
     }
   }
@@ -256,17 +257,17 @@ TEST(Server, CancelRunningJobRepliesCancelled) {
   for (;;) {
     const auto msg = client.nextMessage(kCallTimeoutMs, &error);
     ASSERT_TRUE(msg) << error;
-    ASSERT_EQ(msg->kind, ServerMessage::Kind::kProgress);
-    if (msg->progress.state == Progress::State::kRunning) break;
+    ASSERT_TRUE(std::holds_alternative<Progress>(*msg));
+    if (std::get<Progress>(*msg).state == Progress::State::kRunning) break;
   }
   const auto cancelledAt = std::chrono::steady_clock::now();
   ASSERT_TRUE(client.cancelRequest(1));
   for (;;) {
     const auto msg = client.nextMessage(kCallTimeoutMs, &error);
     ASSERT_TRUE(msg) << error;
-    if (msg->kind == ServerMessage::Kind::kProgress) continue;
-    ASSERT_EQ(msg->kind, ServerMessage::Kind::kError);
-    EXPECT_EQ(msg->error.code, ErrorCode::kCancelled);
+    if (std::holds_alternative<Progress>(*msg)) continue;
+    ASSERT_TRUE(std::holds_alternative<ErrorReply>(*msg));
+    EXPECT_EQ(std::get<ErrorReply>(*msg).code, ErrorCode::kCancelled);
     break;
   }
   // Far below the 120 s limit: the flag rode the timeout plumbing.
@@ -290,12 +291,12 @@ TEST(Server, CancelQueuedJobRepliesImmediately) {
   while (!sawCancelled2 || !sawResponse1) {
     const auto msg = client.nextMessage(kCallTimeoutMs, &error);
     ASSERT_TRUE(msg) << error;
-    if (msg->kind == ServerMessage::Kind::kError) {
-      EXPECT_EQ(msg->error.id, 2u);
-      EXPECT_EQ(msg->error.code, ErrorCode::kCancelled);
+    if (const auto* reply = std::get_if<ErrorReply>(&*msg)) {
+      EXPECT_EQ(reply->id, 2u);
+      EXPECT_EQ(reply->code, ErrorCode::kCancelled);
       sawCancelled2 = true;
-    } else if (msg->kind == ServerMessage::Kind::kResponse) {
-      EXPECT_EQ(msg->response.id, 1u);
+    } else if (const auto* response = std::get_if<SynthResponse>(&*msg)) {
+      EXPECT_EQ(response->id, 1u);
       sawResponse1 = true;
     }
   }
@@ -311,8 +312,8 @@ TEST(Server, CancelUnknownIdRejected) {
   ASSERT_TRUE(client.cancelRequest(99));
   const auto msg = client.nextMessage(kCallTimeoutMs, &error);
   ASSERT_TRUE(msg) << error;
-  ASSERT_EQ(msg->kind, ServerMessage::Kind::kError);
-  EXPECT_EQ(msg->error.code, ErrorCode::kUnknownRequest);
+  ASSERT_TRUE(std::holds_alternative<ErrorReply>(*msg));
+  EXPECT_EQ(std::get<ErrorReply>(*msg).code, ErrorCode::kUnknownRequest);
 }
 
 TEST(Server, DuplicateRequestIdRejected) {
@@ -329,11 +330,11 @@ TEST(Server, DuplicateRequestIdRejected) {
   while (!sawDuplicate || !sawResponse) {
     const auto msg = client.nextMessage(kCallTimeoutMs, &error);
     ASSERT_TRUE(msg) << error;
-    if (msg->kind == ServerMessage::Kind::kError) {
-      EXPECT_EQ(msg->error.code, ErrorCode::kDuplicateRequest);
+    if (const auto* reply = std::get_if<ErrorReply>(&*msg)) {
+      EXPECT_EQ(reply->code, ErrorCode::kDuplicateRequest);
       sawDuplicate = true;
-    } else if (msg->kind == ServerMessage::Kind::kResponse) {
-      EXPECT_EQ(msg->response.id, 7u);
+    } else if (const auto* response = std::get_if<SynthResponse>(&*msg)) {
+      EXPECT_EQ(response->id, 7u);
       sawResponse = true;
     }
   }
@@ -458,8 +459,8 @@ TEST(Server, GracefulDrainFlushesInFlightReplies) {
   for (;;) {
     const auto msg = client.nextMessage(kCallTimeoutMs, &error);
     if (!msg) break;  // server closed the connection after the flush
-    if (msg->kind == ServerMessage::Kind::kResponse) {
-      EXPECT_EQ(msg->response.id, 1u);
+    if (const auto* response = std::get_if<SynthResponse>(&*msg)) {
+      EXPECT_EQ(response->id, 1u);
       sawReply = true;
     }
   }
@@ -489,12 +490,13 @@ TEST(Server, DrainingRejectsNewRequestsWithShuttingDown) {
   for (;;) {
     const auto msg = client.nextMessage(kCallTimeoutMs, &error);
     if (!msg) break;  // connection closed once the drain finished
-    if (msg->kind != ServerMessage::Kind::kError) continue;
-    if (msg->error.code == ErrorCode::kShuttingDown) {
+    const auto* reply = std::get_if<ErrorReply>(&*msg);
+    if (!reply) continue;
+    if (reply->code == ErrorCode::kShuttingDown) {
       sawShuttingDown = true;
       ASSERT_TRUE(client.cancelRequest(1));
     }
-    if (msg->error.code == ErrorCode::kCancelled) sawCancelled = true;
+    if (reply->code == ErrorCode::kCancelled) sawCancelled = true;
   }
   stopper.join();
   EXPECT_TRUE(sawShuttingDown);
