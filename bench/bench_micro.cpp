@@ -165,7 +165,8 @@ void BM_PortCounterMoves(benchmark::State& state, CountingMode mode,
   BitSet frozen(net.blockCount());
   for (BlockId b = 0; b < net.blockCount(); ++b)
     if (!net.isInner(b)) frozen.set(b);
-  partition::PortCounter counter(net, mode, partition::BorderTracking::kOff,
+  const partition::CompactGraph graph(net, net.innerSet());
+  partition::PortCounter counter(graph, mode, partition::BorderTracking::kOff,
                                  withFrozen ? &frozen : nullptr);
   for (auto _ : state) {
     runWalk(counter, walk);
@@ -232,7 +233,8 @@ bool runMoveWorkload(const char* name, int inner, CountingMode mode,
   BitSet frozen(net.blockCount());
   for (BlockId b = 0; b < net.blockCount(); ++b)
     if (!net.isInner(b)) frozen.set(b);
-  partition::PortCounter counter(net, mode, partition::BorderTracking::kOff,
+  const partition::CompactGraph graph(net, net.innerSet());
+  partition::PortCounter counter(graph, mode, partition::BorderTracking::kOff,
                                  withFrozen ? &frozen : nullptr);
   // Warm up one full pass so every internal buffer reaches steady-state
   // capacity, then time (and allocation-count) a second identical pass.

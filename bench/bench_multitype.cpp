@@ -21,7 +21,8 @@ double averageCost(int inner, int designs, const ProgCostModel& model) {
         {.innerBlocks = inner,
          .seed = static_cast<std::uint32_t>(41 * inner + d)});
     const int n = static_cast<int>(net.innerBlocks().size());
-    const PartitionRun run = multiTypePareDown(net, model);
+    const PartitionRun run =
+        multiTypePareDown(PartitionProblem(net, ProgBlockSpec{}), model);
     total += toMilliCosts(model, n).totalCost(run.result, n) / 1000.0;
   }
   return total / designs;

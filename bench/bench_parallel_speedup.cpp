@@ -260,16 +260,17 @@ int main(int argc, char** argv) {
                      partition::ProgBlockOption{"prog_2x3", 2, 3, 2.0}};
     const auto net = randgen::randomNetwork({.innerBlocks = 12,
                                              .seed = 20260726});
+    const partition::PartitionProblem problem(net, {});
     const int n = static_cast<int>(net.innerBlocks().size());
     partition::ExhaustiveOptions serialOptions;
     serialOptions.threads = 1;
     serialOptions.timeLimitSeconds = limit;
     const auto serial =
-        partition::multiTypeExhaustive(net, model, serialOptions);
+        partition::multiTypeExhaustive(problem, model, serialOptions);
     partition::ExhaustiveOptions parallelOptions = serialOptions;
     parallelOptions.threads = threads;
     const auto parallel =
-        partition::multiTypeExhaustive(net, model, parallelOptions);
+        partition::multiTypeExhaustive(problem, model, parallelOptions);
     const bool same = identicalRuns(serial, parallel);
     allIdentical = allIdentical && same;
     std::printf("\nmulti-type @12 inner: serial %.4fs, parallel %.4fs "

@@ -1,6 +1,5 @@
 #include "core/network.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -101,23 +100,15 @@ BitSet Network::innerSet() const {
 std::vector<BlockId> Network::topoOrder() const {
   std::vector<int> indeg(blocks_.size(), 0);
   for (const Connection& c : connections_) ++indeg[c.to.block];
-  std::vector<BlockId> ready;
-  for (BlockId id = 0; id < blocks_.size(); ++id)
-    if (indeg[id] == 0) ready.push_back(id);
-  // Process lowest id first for deterministic order.
+  // Kahn's algorithm with the output as its own FIFO: `order` holds every
+  // block found ready, and the blocks before `head` are expanded.
   std::vector<BlockId> order;
   order.reserve(blocks_.size());
-  while (!ready.empty()) {
-    std::pop_heap(ready.begin(), ready.end(), std::greater<>{});
-    const BlockId u = ready.back();
-    ready.pop_back();
-    order.push_back(u);
-    for (const Connection& c : out_[u])
-      if (--indeg[c.to.block] == 0) {
-        ready.push_back(c.to.block);
-        std::push_heap(ready.begin(), ready.end(), std::greater<>{});
-      }
-  }
+  for (BlockId id = 0; id < blocks_.size(); ++id)
+    if (indeg[id] == 0) order.push_back(id);
+  for (std::size_t head = 0; head < order.size(); ++head)
+    for (const Connection& c : out_[order[head]])
+      if (--indeg[c.to.block] == 0) order.push_back(c.to.block);
   if (order.size() != blocks_.size())
     throw CycleError("network '" + name_ + "' contains a cycle");
   return order;

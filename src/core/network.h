@@ -79,7 +79,8 @@ class Network {
   BitSet innerSet() const;
 
   // --- structure ----------------------------------------------------------
-  /// Blocks in a topological order (sources first).  Throws CycleError.
+  /// Blocks in a topological order (sources first, then breadth-first
+  /// from them; no caller depends on which order).  Throws CycleError.
   std::vector<BlockId> topoOrder() const;
 
   /// True if the connection graph contains no directed cycle.

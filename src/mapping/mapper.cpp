@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "core/deadline.h"
+
 namespace eblocks::mapping {
 
 namespace {
@@ -14,13 +16,7 @@ class Backtracker {
       : net_(logical),
         topo_(topo),
         options_(options),
-        deadline_(options.timeLimitSeconds > 0
-                      ? std::chrono::steady_clock::now() +
-                            std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(
-                                    options.timeLimitSeconds))
-                      : std::chrono::steady_clock::time_point::max()) {}
+        deadline_(deadlineAfter(options.timeLimitSeconds)) {}
 
   MapResult run() {
     MapResult result;  // kInfeasible unless the search says otherwise

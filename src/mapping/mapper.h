@@ -24,7 +24,8 @@ struct MappingOptions {
   /// Pre-assigned placements (typically sensors and output devices, which
   /// are physically installed at known nodes).
   std::map<BlockId, PhysId> pinned;
-  /// Wall-clock budget; 0 disables.
+  /// Wall-clock budget; <= 0, NaN, or >= 1e9 disables it
+  /// (deadlineAfter in core/deadline.h).
   double timeLimitSeconds = 0.0;
 };
 

@@ -4,9 +4,6 @@
 
 namespace eblocks::partition {
 
-CompactGraph::CompactGraph(const Network& net)
-    : CompactGraph(net, net.innerSet()) {}
-
 CompactGraph::CompactGraph(const Network& net, const BitSet& universe)
     : blockCount_(net.blockCount()),
       inOff_(net.blockCount() + 1, 0),

@@ -1,6 +1,9 @@
 // The flat search-kernel view of a Network: an immutable CSR adjacency
-// plus a dense endpoint index, built once per search (or per run) and
-// shared by every PortCounter probing that network.
+// plus a dense endpoint index.  PartitionProblem builds and owns the one
+// view of its network (problem.cpp is the only place that builds one
+// from a Network; a sub-problem copies its whole problem's arcs), and
+// every search, plain or multi-type, and every PortCounter it creates
+// walk that view.
 //
 // Why it exists: a branch-and-bound move walks the touched block's
 // neighborhood.  Through Network that walk goes vector<vector<Connection>>
@@ -56,10 +59,9 @@ struct CompactArc {
 
 class CompactGraph {
  public:
-  /// The view over every inner block of `net`.
-  explicit CompactGraph(const Network& net);
   /// The view over `universe`, a set over `net`'s blocks (PartitionProblem
-  /// checks that it holds inner blocks only).
+  /// checks that it holds inner blocks only; the whole problem's universe
+  /// is net.innerSet()).
   CompactGraph(const Network& net, const BitSet& universe);
   /// `whole`'s arcs and endpoint ids, copied, over another universe.
   CompactGraph(const CompactGraph& whole, const BitSet& universe);

@@ -62,30 +62,32 @@ PartitionRun runLns(const PartitionProblem& problem,
   return out;
 }
 
-PartitionRun runTypedPareDown(const Network& net, const ProgCostModel& model,
+PartitionRun runTypedPareDown(const PartitionProblem& problem,
+                              const ProgCostModel& model,
                               const EngineOptions&) {
-  return multiTypePareDown(net, model);
+  return multiTypePareDown(problem, model);
 }
 
-PartitionRun runTypedExhaustive(const Network& net,
+PartitionRun runTypedExhaustive(const PartitionProblem& problem,
                                 const ProgCostModel& model,
                                 const EngineOptions& options) {
   ExhaustiveOptions ex = toExhaustiveOptions(options);
-  if (options.seedFromPareDown) ex.seed = multiTypePareDown(net, model).result;
+  if (options.seedFromPareDown)
+    ex.seed = multiTypePareDown(problem, model).result;
   if (options.initialIncumbent) {
-    const int n = static_cast<int>(net.innerBlocks().size());
+    const int n = problem.innerCount();
     const MilliCostModel milli = toMilliCosts(model, n);
     keepCheaperSeed(
         ex.seed, *options.initialIncumbent,
         [&](const Partitioning& p) { return milli.totalCost(p, n); });
   }
-  return multiTypeExhaustive(net, model, ex);
+  return multiTypeExhaustive(problem, model, ex);
 }
 
-PartitionRun runTypedFm(const Network& net, const ProgCostModel& model,
-                        const EngineOptions&) {
-  const PartitionRun seed = multiTypePareDown(net, model);
-  PartitionRun refined = multiTypeFmRefine(net, model, seed.result);
+PartitionRun runTypedFm(const PartitionProblem& problem,
+                        const ProgCostModel& model, const EngineOptions&) {
+  const PartitionRun seed = multiTypePareDown(problem, model);
+  PartitionRun refined = multiTypeFmRefine(problem, model, seed.result);
   refined.explored += seed.explored;
   refined.seconds += seed.seconds;
   return refined;
@@ -177,7 +179,8 @@ PartitionRun runPartitioner(std::string_view name,
   return strategy->run(problem, options);
 }
 
-PartitionRun runPartitioner(std::string_view name, const Network& net,
+PartitionRun runPartitioner(std::string_view name,
+                            const PartitionProblem& problem,
                             const ProgCostModel& model,
                             const EngineOptions& options) {
   const Strategy* strategy = findStrategy(name);
@@ -187,7 +190,7 @@ PartitionRun runPartitioner(std::string_view name, const Network& net,
         "' (registered: " +
         joinNames([](const Strategy& s) { return s.runTyped != nullptr; }) +
         ")");
-  return strategy->runTyped(net, model, options);
+  return strategy->runTyped(problem, model, options);
 }
 
 }  // namespace eblocks::partition

@@ -1,15 +1,14 @@
 // The partition engine: one constant table of every partitioning
 // strategy.
 //
-// The four partitioners grew up behind two incompatible call conventions
-// (free functions over PartitionProblem for the plain problem, free
-// functions over Network+ProgCostModel for the multi-type one), so adding
-// an algorithm meant touching the synthesizer's enum, the shell's parser,
-// and every bench by hand.  The engine replaces that with a name-keyed
-// table: `synthesize()`, the shell, and the daemon select by name, and
-// engine-level options (time limit, threads, seeding) apply uniformly.
-// Both problems share one result type (Partitioning, whose optionIndex
-// the multi-type strategies fill in) and one run record (PartitionRun).
+// Every strategy takes the PartitionProblem it solves -- the graph, the
+// levels, the universe of blocks it may place, and the counting mode;
+// a multi-type strategy takes a ProgCostModel beside it.  The table is
+// name-keyed: `synthesize()`, the shell, and the daemon select by name,
+// and engine-level options (time limit, threads, seeding) apply
+// uniformly.  Both problems share one result type (Partitioning, whose
+// optionIndex the multi-type strategies fill in) and one run record
+// (PartitionRun).
 //
 // Strategies -- plain: aggregation, exhaustive, fm, greedy, ladder, lns,
 // paredown; multi-type: exhaustive, fm, paredown.  The heuristic chain
@@ -105,7 +104,9 @@ void keepCheaperSeed(std::optional<Partitioning>& seed,
 }
 
 /// One partitioning strategy.  `runTyped` solves the multi-type,
-/// cost-aware problem and is null for plain-only strategies.
+/// cost-aware problem over the same PartitionProblem (its universe and
+/// counting mode; not its port budget) and is null for plain-only
+/// strategies.
 struct Strategy {
   /// Lookup key; lowercase, stable across releases.
   std::string_view name;
@@ -113,7 +114,8 @@ struct Strategy {
   std::string_view description;
   PartitionRun (*run)(const PartitionProblem& problem,
                       const EngineOptions& options);
-  PartitionRun (*runTyped)(const Network& net, const ProgCostModel& model,
+  PartitionRun (*runTyped)(const PartitionProblem& problem,
+                           const ProgCostModel& model,
                            const EngineOptions& options);
   /// True when the strategy reads EngineOptions::initialIncumbent, the
   /// only case where a cache near miss is worth looking up.
@@ -135,7 +137,8 @@ PartitionRun runPartitioner(std::string_view name,
 /// Runs the named strategy on the multi-type problem.  Throws
 /// std::invalid_argument (listing the multi-type names) when the name
 /// is unknown or the strategy is plain-only.
-PartitionRun runPartitioner(std::string_view name, const Network& net,
+PartitionRun runPartitioner(std::string_view name,
+                            const PartitionProblem& problem,
                             const ProgCostModel& model,
                             const EngineOptions& options = {});
 

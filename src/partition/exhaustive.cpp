@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/deadline.h"
 #include "partition/multitype.h"
 #include "partition/port_counter.h"
 #include "partition/validity.h"
@@ -25,14 +26,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::int16_t kUncovered = -1;
-
-Clock::time_point deadlineFor(double seconds) {
-  return seconds > 0
-             ? Clock::now() +
-                   std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(seconds))
-             : Clock::time_point::max();
-}
 
 double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -196,14 +189,14 @@ class TypedCost {
 /// Immutable per-search configuration shared by every worker.
 template <typename Policy>
 struct SearchContext {
-  SearchContext(Policy p, const CompactGraph& g, CountingMode m,
+  SearchContext(Policy p, const PartitionProblem& problem,
                 const ExhaustiveOptions& o)
       : policy(std::move(p)),
-        graph(g),
-        mode(m),
-        inner(g.innerBlocks()),
+        graph(problem.graph()),
+        mode(problem.spec().mode),
+        inner(problem.innerBlocks()),
         options(o),
-        deadline(deadlineFor(o.timeLimitSeconds)) {
+        deadline(deadlineAfter(o.timeLimitSeconds)) {
     // Pre-compute each universe block's irreducible connection counts
     // (edges to blocks outside the universe can never be internalized),
     // indexed by the block's dense inner rank -- the search always knows
@@ -684,8 +677,8 @@ int resolveSearchThreads(int threads) {
 PartitionRun exhaustiveSearch(const PartitionProblem& problem,
                               const ExhaustiveOptions& options) {
   const auto start = Clock::now();
-  SearchContext<PlainCost> ctx(PlainCost(problem, options), problem.graph(),
-                               problem.spec().mode, options);
+  SearchContext<PlainCost> ctx(PlainCost(problem, options), problem,
+                               options);
 
   // Trust but verify: only use a seed that is actually feasible -- every
   // partition valid on its own AND all pairwise disjoint (overlap would
@@ -705,21 +698,17 @@ PartitionRun exhaustiveSearch(const PartitionProblem& problem,
   return out;
 }
 
-PartitionRun multiTypeExhaustive(const Network& net,
+PartitionRun multiTypeExhaustive(const PartitionProblem& problem,
                                  const ProgCostModel& model,
                                  const ExhaustiveOptions& options) {
   const auto start = Clock::now();
-  // The multi-type entry takes a raw Network, so it owns the CSR view
-  // every bin counter of this search walks.
-  const CompactGraph graph(net);
-  const int n = static_cast<int>(graph.innerCount());
+  const int n = problem.innerCount();
   const MilliCostModel milli = toMilliCosts(model, n);
-  SearchContext<TypedCost> ctx(TypedCost(model, milli), graph, model.mode,
-                               options);
+  SearchContext<TypedCost> ctx(TypedCost(model, milli), problem, options);
 
   const bool seeded =
       options.seed &&
-      verifyPartitioning(net, model, *options.seed).empty();
+      verifyPartitioning(problem, model, *options.seed).empty();
   PartitionRun out = branchAndBound(
       ctx, milli.preDefinedBlockCost * n,
       seeded ? &*options.seed : nullptr,

@@ -56,7 +56,8 @@ namespace eblocks::partition {
 
 struct ExhaustiveOptions {
   /// Wall-clock budget; exceeded -> run.timedOut = true and the best
-  /// solution found so far is returned.  <= 0 disables the limit.
+  /// solution found so far is returned.  <= 0, NaN, or >= 1e9 disables
+  /// the limit (deadlineAfter in core/deadline.h).
   double timeLimitSeconds = 0.0;
   /// Require every partition to be convex (the classical DAG-covering
   /// constraint).  Off by default: the packet protocol keeps non-convex

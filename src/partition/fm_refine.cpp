@@ -80,14 +80,13 @@ struct Move {
 /// The shared pass engine (see the header comment for the algorithm).
 class Refiner {
  public:
-  Refiner(const CompactGraph& graph, CountingMode mode,
-          const CostAdapter& cost)
-      : graph_(&graph),
-        mode_(mode),
+  Refiner(const PartitionProblem& problem, const CostAdapter& cost)
+      : graph_(&problem.graph()),
+        mode_(problem.spec().mode),
         cost_(&cost),
-        binOf_(graph.blockCount(), -1),
-        entryGain_(graph.blockCount(), kNoEntry),
-        locked_(graph.blockCount(), 0),
+        binOf_(graph_->blockCount(), -1),
+        entryGain_(graph_->blockCount(), kNoEntry),
+        locked_(graph_->blockCount(), 0),
         binStamp_() {}
 
   /// Installs a solution: the given member sets become bins, every inner
@@ -349,11 +348,11 @@ class Refiner {
 
 /// Loads `initial` into a refiner over `cost`, refines it, and returns
 /// the refined bins of >= 2 members.
-PartitionRun refineUnder(const CompactGraph& graph, CountingMode mode,
+PartitionRun refineUnder(const PartitionProblem& problem,
                          const CostAdapter& cost, const Partitioning& initial,
                          const char* algorithm) {
   const auto start = std::chrono::steady_clock::now();
-  Refiner refiner(graph, mode, cost);
+  Refiner refiner(problem, cost);
   refiner.load(initial.partitions);
   refiner.refine();
   PartitionRun run;
@@ -376,20 +375,17 @@ PartitionRun fmRefine(const PartitionProblem& problem,
       static_cast<long long>(problem.innerCount() + 1) *
           (spec.inputs + spec.outputs) +
       1;
-  return refineUnder(problem.graph(), spec.mode, PlainCost(spec, w), initial,
-                     "fm");
+  return refineUnder(problem, PlainCost(spec, w), initial, "fm");
 }
 
-PartitionRun multiTypeFmRefine(const Network& net, const ProgCostModel& model,
+PartitionRun multiTypeFmRefine(const PartitionProblem& problem,
+                               const ProgCostModel& model,
                                const Partitioning& initial) {
-  const CompactGraph graph(net);
-  const TypedCost cost(
-      model, toMilliCosts(model, static_cast<int>(graph.innerCount())));
-  PartitionRun run =
-      refineUnder(graph, model.mode, cost, initial, "multitype-fm");
+  const TypedCost cost(model, toMilliCosts(model, problem.innerCount()));
+  PartitionRun run = refineUnder(problem, cost, initial, "multitype-fm");
   for (const BitSet& members : run.result.partitions)
-    run.result.optionIndex.push_back(
-        *cheapestFittingOption(net, members, model));
+    run.result.optionIndex.push_back(*cheapestFittingOption(
+        countIo(problem.network(), members, problem.spec().mode), model));
   return run;
 }
 

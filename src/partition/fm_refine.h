@@ -59,10 +59,12 @@ PartitionRun fmRefine(const PartitionProblem& problem,
 
 /// Multi-type counterpart: refines under the cost model's objective
 /// (cheapest-fitting-option cost per bin, preDefinedBlockCost per
-/// uncovered block).  `initial` must pass the multi-type
-/// verifyPartitioning; the result names each partition's cheapest
-/// fitting option.
-PartitionRun multiTypeFmRefine(const Network& net, const ProgCostModel& model,
+/// uncovered block) over the same problem -- its universe and counting
+/// mode; the spec's port budget does not apply (see multitype.h).
+/// `initial` must pass the multi-type verifyPartitioning; the result
+/// names each partition's cheapest fitting option.
+PartitionRun multiTypeFmRefine(const PartitionProblem& problem,
+                               const ProgCostModel& model,
                                const Partitioning& initial);
 
 }  // namespace eblocks::partition

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/deadline.h"
 #include "partition/fm_refine.h"
 #include "partition/greedy_seed.h"
 #include "partition/paredown.h"
@@ -28,11 +29,12 @@ bool cancelled(const EngineOptions& options) {
 PartitionRun degradationLadder(const PartitionProblem& problem,
                                const EngineOptions& options) {
   const auto start = Clock::now();
-  const double limit = options.timeLimitSeconds;
-  const bool unlimited = limit <= 0.0;
+  const Clock::time_point deadline = deadlineAfter(options.timeLimitSeconds);
+  const bool unlimited = deadline == Clock::time_point::max();
   const auto remaining = [&] {
     return unlimited ? std::numeric_limits<double>::infinity()
-                     : limit - elapsedSince(start);
+                     : std::chrono::duration<double>(deadline - Clock::now())
+                           .count();
   };
   const int inner = problem.innerCount();
   const auto costOf = [inner](const Partitioning& p) {

@@ -25,7 +25,8 @@
 // "greedy").  Quality is monotone down the ladder: each rung starts from
 // the previous rung's solution and can only improve it.
 //
-// timeLimitSeconds <= 0 means no deadline: the heuristic rungs still run
+// A limit of <= 0, NaN, or >= 1e9 seconds sets no deadline (deadlineAfter
+// in core/deadline.h): the heuristic rungs still run
 // (they are cheap and make the exact search faster via the warm start),
 // and rung 4 runs unbounded to completion.
 //

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <vector>
 
+#include "core/deadline.h"
 #include "partition/exhaustive.h"
 
 namespace eblocks::partition {
@@ -31,12 +32,7 @@ PartitionRun lnsSearch(const PartitionProblem& problem,
                        const Partitioning& initial,
                        const LnsOptions& options) {
   const auto start = Clock::now();
-  const Clock::time_point deadline =
-      options.timeLimitSeconds > 0
-          ? start + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            options.timeLimitSeconds))
-          : Clock::time_point::max();
+  const Clock::time_point deadline = deadlineAfter(options.timeLimitSeconds);
   const CompactGraph& graph = problem.graph();
   const int innerCount = problem.innerCount();
 

@@ -44,8 +44,9 @@
 namespace eblocks::partition {
 
 struct LnsOptions {
-  /// Wall-clock budget for the whole search; <= 0 disables the clock
-  /// (rounds/stall limits then bound the run).
+  /// Wall-clock budget for the whole search; <= 0, NaN, or >= 1e9
+  /// disables the clock (deadlineAfter in core/deadline.h), and the
+  /// rounds/stall limits then bound the run.
   double timeLimitSeconds = 60.0;
   /// Blocks per destroyed pocket; 0 = auto (12, clamped to the design).
   /// >= the design's inner count turns each round into a full exact

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "partition/validity.h"
-
 namespace eblocks::partition {
 
 namespace {
@@ -76,56 +74,6 @@ std::optional<int> cheapestFittingOption(const IoCount& io,
       best = static_cast<int>(i);
   }
   return best;
-}
-
-std::optional<int> cheapestFittingOption(const Network& net,
-                                         const BitSet& members,
-                                         const ProgCostModel& model) {
-  return cheapestFittingOption(countIo(net, members, model.mode), model);
-}
-
-std::vector<std::string> verifyPartitioning(const Network& net,
-                                            const ProgCostModel& model,
-                                            const Partitioning& typed) {
-  const MilliCostModel milli =
-      toMilliCosts(model, static_cast<int>(net.innerBlocks().size()));
-  std::vector<std::string> problems;
-  if (typed.partitions.size() != typed.optionIndex.size()) {
-    problems.push_back("partition/option count mismatch");
-    return problems;
-  }
-  BitSet seen = net.emptySet();
-  for (std::size_t i = 0; i < typed.partitions.size(); ++i) {
-    const BitSet& p = typed.partitions[i];
-    const std::string label = "partition #" + std::to_string(i);
-    const int idx = typed.optionIndex[i];
-    if (idx < 0 || idx >= static_cast<int>(model.options.size())) {
-      problems.push_back(label + ": option index out of range");
-      continue;
-    }
-    const ProgBlockOption& o = model.options[static_cast<std::size_t>(idx)];
-    const IoCount io = countIo(net, p, model.mode);
-    if (io.inputs > o.inputs || io.outputs > o.outputs)
-      problems.push_back(label + ": does not fit option " + o.name);
-    if (p.none()) problems.push_back(label + ": empty");
-    p.forEach([&](std::size_t bi) {
-      const BlockId b = static_cast<BlockId>(bi);
-      if (!net.isInner(b))
-        problems.push_back(label + ": member '" + net.block(b).name +
-                           "' is not inner");
-      if (seen.test(bi))
-        problems.push_back(label + ": member '" + net.block(b).name +
-                           "' in two partitions");
-      seen.set(bi);
-    });
-    // Cost sanity: a rational result never uses a partition that costs
-    // more than the blocks it replaces.
-    if (milli.optionCost[static_cast<std::size_t>(idx)] >
-        milli.preDefinedBlockCost * static_cast<int>(p.count()))
-      problems.push_back(label + ": option " + o.name +
-                         " costs more than the blocks it replaces");
-  }
-  return problems;
 }
 
 }  // namespace eblocks::partition

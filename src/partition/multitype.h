@@ -47,8 +47,6 @@ struct ProgBlockOption {
 struct ProgCostModel {
   double preDefinedBlockCost = 1.0;
   std::vector<ProgBlockOption> options;
-  /// Counting mode shared by every option.
-  CountingMode mode = CountingMode::kEdges;
 
   /// The paper's experimental setup: a single 2x2 programmable block whose
   /// cost sits between one and two pre-defined blocks.
@@ -76,15 +74,15 @@ struct MilliCostModel {
 /// such models.
 MilliCostModel toMilliCosts(const ProgCostModel& model, int innerCount);
 
-/// Index of the cheapest option that fits the subgraph, or nullopt.
-std::optional<int> cheapestFittingOption(const Network& net,
-                                         const BitSet& members,
-                                         const ProgCostModel& model);
-
-/// Same, for a port usage already known (e.g. from an incremental
-/// PortCounter) -- O(#options), no rescan of the member set.
+/// Index of the cheapest option that fits port usage `io` (e.g. an
+/// incremental PortCounter's), or nullopt.  O(#options).
 std::optional<int> cheapestFittingOption(const IoCount& io,
                                          const ProgCostModel& model);
+
+// Every multi-type entry point below solves `problem`: it places only the
+// problem's universe and counts ports under problem.spec().mode.  The
+// spec's inputs/outputs budget does not apply -- each option carries its
+// own -- and neither does the plain problem's requireConvex rule.
 
 /// PareDown generalized to the cost model: pares while *no* option fits
 /// the candidate.  Once one does, the candidate retires: it becomes a
@@ -92,31 +90,33 @@ std::optional<int> cheapestFittingOption(const IoCount& io,
 /// less than the pre-defined blocks it replaces, and is dropped whole
 /// otherwise (its blocks stay uncovered).  Implemented in paredown.cpp,
 /// on the plain heuristic's paring loop.
-PartitionRun multiTypePareDown(const Network& net,
+PartitionRun multiTypePareDown(const PartitionProblem& problem,
                                const ProgCostModel& model);
 
 /// Exhaustive branch-and-bound over assignments and option choices, on
-/// the plain search's kernel (exhaustive.cpp) and options.  The plain
-/// problem's requireConvex rule does not apply and is ignored.
-/// pruningBound generalizes to the cost model: each bin's future option
-/// cost is floored by the cheapest option fitting its *irreducible*
-/// crossing I/O (a bin fitting no option kills the subtree), and
-/// remaining blocks no option can ever host each add preDefinedBlockCost.
+/// the plain search's kernel (exhaustive.cpp) and options (requireConvex
+/// is ignored).  pruningBound generalizes to the cost model: each bin's
+/// future option cost is floored by the cheapest option fitting its
+/// *irreducible* crossing I/O (a bin fitting no option kills the
+/// subtree), and remaining blocks no option can ever host each add
+/// preDefinedBlockCost.
 /// A verified seed is purely an accelerator: the result is bit-identical
 /// to the unseeded search's, at every thread count, with the bound on or
 /// off.  A search stopped early drops from its incumbent every partition
 /// whose option costs more than the blocks it replaces, so its result
 /// verifies too.
-PartitionRun multiTypeExhaustive(const Network& net,
+PartitionRun multiTypeExhaustive(const PartitionProblem& problem,
                                  const ProgCostModel& model,
                                  const ExhaustiveOptions& options = {});
 
-/// The multi-type overload of verifyPartitioning() (verify.h): returns
-/// constraint violations, empty when `typed` is valid.  Checks one
-/// in-range option per partition, which the partition fits; members are
-/// inner blocks; partitions are non-empty and pairwise disjoint; and no
+/// The multi-type overload of verifyPartitioning(), defined in
+/// verify.cpp beside the plain one and sharing its member rules: returns
+/// constraint violations, empty when `typed` is valid.  Checks that
+/// members lie in the problem's universe and partitions are pairwise
+/// disjoint (as the plain verifier does); one in-range option per
+/// partition, which the partition fits; partitions are non-empty; and no
 /// option costs more than the blocks it replaces.
-std::vector<std::string> verifyPartitioning(const Network& net,
+std::vector<std::string> verifyPartitioning(const PartitionProblem& problem,
                                             const ProgCostModel& model,
                                             const Partitioning& typed);
 

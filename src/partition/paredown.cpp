@@ -43,22 +43,22 @@ BlockId chooseRemoval(const Network& net, const std::vector<int>& levels,
 }
 
 /// The paring loop (Figure 4) shared by both problems.  Candidates are
-/// drawn from `blocks`; `accept(candidate, out)` decides at every
-/// decision point whether the candidate fits.  A fitting candidate
+/// drawn from the problem's universe; `accept(candidate, out)` decides at
+/// every decision point whether the candidate fits.  A fitting candidate
 /// retires, and `accept` appends it to `out` when it is worth keeping; a
 /// candidate that does not fit loses its chosen border block.
 template <typename Accept>
-PartitionRun pare(const Network& net, const CompactGraph& graph,
-                  const std::vector<int>& levels, CountingMode mode,
-                  BitSet blocks, const PareDownOptions& options,
-                  Accept&& accept) {
+PartitionRun pare(const PartitionProblem& problem,
+                  const PareDownOptions& options, Accept&& accept) {
   PartitionRun run;
+  BitSet blocks = problem.innerSet();
   // The candidate's port usage, border set, and removal ranks are all
   // maintained incrementally: each paring round removes one block, so the
   // counter update is O(degree) instead of a full countIo() /
   // borderBlocks() / removalRank() rescan of the member set per decision.
   // The counter walks a shared CSR view (compact_graph.h).
-  PortCounter candidate(graph, mode, BorderTracking::kOn);
+  PortCounter candidate(problem.graph(), problem.spec().mode,
+                        BorderTracking::kOn);
   PareDownStep step;  // reused across rounds; the buffers keep capacity
   while (blocks.any()) {
     candidate.assign(blocks);
@@ -89,7 +89,8 @@ PartitionRun pare(const Network& net, const CompactGraph& graph,
         if (options.trace) options.trace(step);
         break;
       }
-      step.removed = chooseRemoval(net, levels, step.border, step.ranks);
+      step.removed = chooseRemoval(problem.network(), problem.levels(),
+                                   step.border, step.ranks);
       lastRemoved = step.removed;
       candidate.remove(step.removed);
       if (options.trace) options.trace(step);
@@ -119,9 +120,7 @@ PartitionRun pareDown(const PartitionProblem& problem,
   const auto start = std::chrono::steady_clock::now();
   const ProgBlockSpec& spec = problem.spec();
   PartitionRun run = pare(
-      problem.network(), problem.graph(), problem.levels(), spec.mode,
-      problem.innerSet(), options,
-      [&](const PortCounter& candidate, Partitioning& out) {
+      problem, options, [&](const PortCounter& candidate, Partitioning& out) {
         if (!fits(candidate.io(), spec)) return false;
         // A single fitting block is dropped: replacing one pre-defined
         // block with one programmable block brings no reduction.
@@ -134,15 +133,12 @@ PartitionRun pareDown(const PartitionProblem& problem,
   return run;
 }
 
-PartitionRun multiTypePareDown(const Network& net,
+PartitionRun multiTypePareDown(const PartitionProblem& problem,
                                const ProgCostModel& model) {
   const auto start = std::chrono::steady_clock::now();
-  const CompactGraph graph(net);
-  const MilliCostModel milli =
-      toMilliCosts(model, static_cast<int>(graph.innerCount()));
+  const MilliCostModel milli = toMilliCosts(model, problem.innerCount());
   PartitionRun run = pare(
-      net, graph, computeLevels(net), model.mode, net.innerSet(), {},
-      [&](const PortCounter& candidate, Partitioning& out) {
+      problem, {}, [&](const PortCounter& candidate, Partitioning& out) {
         const auto option = cheapestFittingOption(candidate.io(), model);
         if (!option) return false;
         // Replace only when the option costs less than the pre-defined

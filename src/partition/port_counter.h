@@ -59,7 +59,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/bitset.h"
@@ -127,8 +126,9 @@ class EndpointRefCount {
 
 }  // namespace detail
 
-/// Incrementally maintained I/O usage of a member set.  The CompactGraph
-/// (and the network behind it) must outlive the counter.  Not
+/// Incrementally maintained I/O usage of a member set.  The counter
+/// walks a CompactGraph it does not own -- normally the problem's
+/// (PartitionProblem::graph()) -- which must outlive it.  Not
 /// thread-safe; parallel search gives each worker (and each bin) its own
 /// counter over the one shared CompactGraph.
 class PortCounter {
@@ -147,21 +147,6 @@ class PortCounter {
               BorderTracking tracking = BorderTracking::kOff,
               const BitSet* frozen = nullptr)
       : graph_(&graph), mode_(mode), tracking_(tracking), frozen_(frozen) {
-    init();
-  }
-
-  /// Convenience for one-off counters (tests, single-run algorithms):
-  /// builds and owns a CompactGraph of `net`.  Code that creates many
-  /// counters over one network (the branch-and-bound's bins) should
-  /// build the graph once and use the CompactGraph constructor.
-  PortCounter(const Network& net, CountingMode mode,
-              BorderTracking tracking = BorderTracking::kOff,
-              const BitSet* frozen = nullptr)
-      : owned_(std::make_shared<CompactGraph>(net)),
-        graph_(owned_.get()),
-        mode_(mode),
-        tracking_(tracking),
-        frozen_(frozen) {
     init();
   }
 
@@ -305,9 +290,6 @@ class PortCounter {
     }
   }
 
-  // Backs the Network convenience constructor only (declared before
-  // graph_ so graph_ can point at it during member initialization).
-  std::shared_ptr<const CompactGraph> owned_;
   const CompactGraph* graph_;
   CountingMode mode_;
   BorderTracking tracking_;

@@ -34,12 +34,4 @@ IoCount irreducibleBlockIo(const CompactGraph& graph, BlockId b,
   return io;
 }
 
-bool fitsProgrammable(const Network& net, const BitSet& members,
-                      const ProgBlockSpec& spec) {
-  // One-shot query: the from-scratch count is the right tool.  The
-  // incremental algorithms keep a PortCounter instead and test its io()
-  // with fits() directly.
-  return fits(countIo(net, members, spec.mode), spec);
-}
-
 }  // namespace eblocks::partition

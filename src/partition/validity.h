@@ -8,18 +8,14 @@
 namespace eblocks::partition {
 
 /// True when the given port usage fits the programmable block.  The
-/// incremental algorithms test their PortCounter's io() with this.
+/// incremental algorithms test their PortCounter's io() with this; a
+/// one-off check passes countIo(net, members, spec.mode).  A single-node
+/// subgraph can fit yet still be an *invalid partition*; that rule
+/// (|P| >= 2) is enforced by the algorithms and by verifyPartitioning
+/// (verify.h), not here.
 inline bool fits(const IoCount& io, const ProgBlockSpec& spec) {
   return io.inputs <= spec.inputs && io.outputs <= spec.outputs;
 }
-
-/// True when the subgraph's port usage fits the programmable block
-/// (inputs <= spec.inputs and outputs <= spec.outputs, under spec.mode).
-/// Note: a single-node subgraph can fit yet still be an *invalid
-/// partition*; that rule (|P| >= 2) is enforced by the algorithms and by
-/// verifyPartitioning (verify.h), not here.
-bool fitsProgrammable(const Network& net, const BitSet& members,
-                      const ProgBlockSpec& spec);
 
 /// The irreducible I/O block `b` contributes to *any* bin containing it:
 /// its connections (kEdges) or distinct signals (kSignals) to and from

@@ -29,8 +29,8 @@ struct VerifyOptions {
 /// every inner block); partitions are pairwise disjoint; every partition
 /// has >= 2 members and fits the programmable block; (optionally) every
 /// partition is convex; and no option index is set (those belong to the
-/// multi-type problem, whose overload of this function is in
-/// multitype.h).
+/// multi-type problem, whose overload of this function is declared in
+/// multitype.h and shares the member rules above).
 std::vector<std::string> verifyPartitioning(const PartitionProblem& problem,
                                             const Partitioning& partitioning,
                                             const VerifyOptions& options = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <exception>
 
@@ -209,8 +210,10 @@ void Server::handleRequest(std::uint64_t conn, std::string_view frame) {
     badRequest("programmable-block port budget must be at least 1x1");
     return;
   }
-  if (request.threads < 0 || request.timeLimitSeconds < 0.0) {
-    badRequest("threads and time limit must be non-negative");
+  if (request.threads < 0 || !std::isfinite(request.timeLimitSeconds) ||
+      request.timeLimitSeconds < 0.0) {
+    badRequest("threads and time limit must be non-negative, and the time "
+               "limit finite");
     return;
   }
   auto job = std::make_shared<Job>();

@@ -1,5 +1,6 @@
 #include "shell/shell.h"
 
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -351,8 +352,9 @@ void Shell::cmdSynth(std::istream& args, std::ostream& out) {
       havePruning = true;
     } else if (word.rfind("limit=", 0) == 0 && !haveLimit) {
       double seconds = 0.0;
-      if (!parseNumber(word.substr(6), &seconds) || seconds < 0) {
-        out << "error: limit= expects seconds >= 0 (0 = no limit)\n";
+      if (!parseNumber(word.substr(6), &seconds) || !std::isfinite(seconds) ||
+          seconds < 0) {
+        out << "error: limit= expects finite seconds >= 0 (0 = no limit)\n";
         return;
       }
       options.engine.timeLimitSeconds = seconds;

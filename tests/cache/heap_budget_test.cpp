@@ -87,7 +87,7 @@ TEST(SolutionStoreBudget, HeapGrowthMatchesTheChargeWithinTenPercent) {
     gen.seed = 1000 + i;
     nets.push_back(randgen::randomNetwork(gen));
     const partition::PartitionProblem problem(nets.back(), {});
-    runs.push_back(partition::runPartitioner("paredown", problem, {}));
+    runs.push_back(partition::runPartitioner("paredown", problem));
     (void)structureHash(nets.back());
   }
 

@@ -68,7 +68,7 @@ Sample sampleOf(const Network& net, const std::string& dirName) {
     SolutionStore store{StoreOptions{dir}};
     const partition::PartitionProblem problem(net, {});
     store.insert(net, "paredown", {}, {},
-                 partition::runPartitioner("paredown", problem, {}));
+                 partition::runPartitioner("paredown", problem));
   }
   Sample s{net, "", "", {}, "", "", {}};
   std::string record;

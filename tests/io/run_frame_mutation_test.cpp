@@ -29,7 +29,7 @@ TEST(RunFrameMutation, EveryMutantDecodesOrThrowsBinaryError) {
   for (const auto& e : designs::designLibrary()) {
     const partition::PartitionProblem problem(e.network, {});
     const std::string frame = writePartitionRunBinary(
-        partition::runPartitioner("paredown", problem, {}));
+        partition::runPartitioner("paredown", problem));
     payloads.push_back(testutil::payloadOf(frame, SectionTag::kPartitionRun));
     varints.push_back(testutil::runVarintOffsets(frame));
   }

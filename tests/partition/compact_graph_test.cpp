@@ -20,7 +20,7 @@ namespace eblocks::partition {
 namespace {
 
 void expectMirrorsNetwork(const Network& net) {
-  const CompactGraph graph(net);
+  const CompactGraph graph(net, net.innerSet());
   ASSERT_EQ(graph.blockCount(), net.blockCount()) << net.name();
 
   // Adjacency: same neighbors in the same order as
@@ -101,7 +101,7 @@ TEST(CompactGraph, EndpointUniverseCoversAllOutputPorts) {
   // refcount arrays sized endpointCount() can never be indexed out of
   // range by a connection's source endpoint.
   const Network net = randgen::randomNetwork({.innerBlocks = 20, .seed = 9});
-  const CompactGraph graph(net);
+  const CompactGraph graph(net, net.innerSet());
   std::size_t totalOutputPorts = 0;
   for (BlockId b = 0; b < net.blockCount(); ++b)
     totalOutputPorts +=

@@ -58,7 +58,7 @@ TEST(Engine, UnknownNameThrowsListingRegistered) {
   }
   // A plain-only strategy is unknown to the multi-type problem.
   try {
-    runPartitioner("greedy", net, ProgCostModel::paperDefault());
+    runPartitioner("greedy", problem, ProgCostModel::paperDefault());
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()),
@@ -111,15 +111,16 @@ TEST(Engine, ExhaustiveStrategySeedsFromPareDownByDefault) {
 
 TEST(Engine, TypedStrategiesRunTheCostModel) {
   const Network net = designs::figure5();
+  const PartitionProblem problem(net, ProgBlockSpec{});
   const ProgCostModel model = ProgCostModel::paperDefault();
-  const PartitionRun heuristic = runPartitioner("paredown", net, model);
+  const PartitionRun heuristic = runPartitioner("paredown", problem, model);
   EXPECT_EQ(heuristic.algorithm, "multitype-paredown");
-  EXPECT_TRUE(verifyPartitioning(net, model, heuristic.result).empty());
+  EXPECT_TRUE(verifyPartitioning(problem, model, heuristic.result).empty());
 
   EngineOptions engineOptions;
   engineOptions.threads = 1;
   const PartitionRun exact =
-      runPartitioner("exhaustive", net, model, engineOptions);
+      runPartitioner("exhaustive", problem, model, engineOptions);
   EXPECT_EQ(exact.algorithm, "multitype-exhaustive");
   EXPECT_TRUE(exact.optimal);
   const MilliCostModel milli = toMilliCosts(model, 8);

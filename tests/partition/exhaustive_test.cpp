@@ -1,5 +1,7 @@
 #include "partition/exhaustive.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "blocks/catalog.h"
@@ -90,6 +92,30 @@ TEST(Exhaustive, TimeLimitReturnsBestSoFar) {
   EXPECT_FALSE(run.optimal);
   // Whatever it returns must still verify.
   EXPECT_TRUE(verifyPartitioning(problem, run.result).empty());
+}
+
+TEST(Exhaustive, LimitsTooLongForTheClockMeanNoLimit) {
+  // A limit past what steady_clock can hold (about 292 years), +inf, or
+  // NaN sets no deadline, like 0: the search is not cut short at its
+  // first 4096-node check.
+  const Network net = randgen::randomNetwork(
+      randgen::GeneratorOptions::largeNetwork(16, 3));
+  const PartitionProblem problem(net, ProgBlockSpec{});
+  ExhaustiveOptions options;
+  options.threads = 1;
+  const PartitionRun unlimited = exhaustiveSearch(problem, options);
+  ASSERT_TRUE(unlimited.optimal);
+  ASSERT_GT(unlimited.explored, 4096u);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double limit : {1e10, 1e300, kInf, kNaN}) {
+    options.timeLimitSeconds = limit;
+    const PartitionRun run = exhaustiveSearch(problem, options);
+    EXPECT_TRUE(run.optimal) << limit;
+    EXPECT_FALSE(run.timedOut) << limit;
+    EXPECT_EQ(run.explored, unlimited.explored) << limit;
+    EXPECT_EQ(run.result.partitions, unlimited.result.partitions) << limit;
+  }
 }
 
 TEST(Exhaustive, InvalidSeedIsIgnored) {

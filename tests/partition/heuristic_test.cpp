@@ -181,12 +181,10 @@ TEST(Heuristics, LargeNetworkIsTractable) {
 TEST(Heuristics, TypedFmRefinesUnderTheCostModel) {
   const ProgCostModel model = ProgCostModel::paperDefault();
   for (const auto& entry : designs::designLibrary()) {
-    const PartitionRun seed =
-        multiTypePareDown(entry.network, model);
-    const PartitionRun fm =
-        multiTypeFmRefine(entry.network, model, seed.result);
-    EXPECT_TRUE(verifyPartitioning(entry.network, model, fm.result)
-                    .empty())
+    const PartitionProblem problem(entry.network, ProgBlockSpec{});
+    const PartitionRun seed = multiTypePareDown(problem, model);
+    const PartitionRun fm = multiTypeFmRefine(problem, model, seed.result);
+    EXPECT_TRUE(verifyPartitioning(problem, model, fm.result).empty())
         << entry.name;
     const int n = static_cast<int>(entry.network.innerBlocks().size());
     const MilliCostModel milli = toMilliCosts(model, n);
@@ -205,10 +203,10 @@ TEST(Heuristics, TypedFmSurvivesRoutineInfeasibleProbes) {
   for (const std::uint32_t seed : {21u, 22u, 23u}) {
     const Network net = randgen::randomNetwork(
         randgen::GeneratorOptions::largeNetwork(40, seed));
-    const PartitionRun seeded = multiTypePareDown(net, model);
-    const PartitionRun fm =
-        multiTypeFmRefine(net, model, seeded.result);
-    EXPECT_TRUE(verifyPartitioning(net, model, fm.result).empty())
+    const PartitionProblem problem(net, ProgBlockSpec{});
+    const PartitionRun seeded = multiTypePareDown(problem, model);
+    const PartitionRun fm = multiTypeFmRefine(problem, model, seeded.result);
+    EXPECT_TRUE(verifyPartitioning(problem, model, fm.result).empty())
         << "seed=" << seed;
     const int n = static_cast<int>(net.innerBlocks().size());
     const MilliCostModel milli = toMilliCosts(model, n);
@@ -245,12 +243,12 @@ TEST(Heuristics, TypedFmWithinGapOfTypedExhaustive) {
   const ProgCostModel model = ProgCostModel::paperDefault();
   for (const auto& entry : designs::designLibrary()) {
     if (entry.innerBlocks > 12) continue;
+    const PartitionProblem problem(entry.network, ProgBlockSpec{});
     ExhaustiveOptions exact;
     exact.threads = 1;
-    const PartitionRun optimum =
-        multiTypeExhaustive(entry.network, model, exact);
+    const PartitionRun optimum = multiTypeExhaustive(problem, model, exact);
     ASSERT_TRUE(optimum.optimal) << entry.name;
-    const PartitionRun fm = runPartitioner("fm", entry.network, model);
+    const PartitionRun fm = runPartitioner("fm", problem, model);
     const int n = static_cast<int>(entry.network.innerBlocks().size());
     const MilliCostModel milli = toMilliCosts(model, n);
     // Gap pinned at one programmable-block upgrade's worth of cost.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 
 #include "designs/library.h"
 #include "partition/engine.h"
@@ -80,6 +81,29 @@ TEST(Ladder, GenerousDeadlineMatchesExactOptimumBitIdentically) {
     EXPECT_FALSE(run.timedOut) << entry.name;
     EXPECT_EQ(run.degradedTier, "") << entry.name;
     expectSamePartitions(run.result, reference.result, entry.name);
+  }
+}
+
+TEST(Ladder, LimitsTooLongForTheClockMeanNoLimit) {
+  // +inf, NaN, and limits past what steady_clock can hold set no
+  // deadline, like 0: every rung runs and the exact one completes.
+  const Network net = randgen::randomNetwork(
+      randgen::GeneratorOptions::largeNetwork(16, 3));
+  const PartitionProblem problem(net, ProgBlockSpec{});
+  EngineOptions options;
+  options.threads = 1;
+  options.timeLimitSeconds = 0.0;
+  const PartitionRun unlimited = degradationLadder(problem, options);
+  ASSERT_TRUE(unlimited.optimal);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double limit : {1e10, kInf, kNaN}) {
+    options.timeLimitSeconds = limit;
+    const PartitionRun run = degradationLadder(problem, options);
+    EXPECT_TRUE(run.optimal) << limit;
+    EXPECT_EQ(run.degradedTier, "") << limit;
+    EXPECT_EQ(run.explored, unlimited.explored) << limit;
+    expectSamePartitions(run.result, unlimited.result, "ladder");
   }
 }
 

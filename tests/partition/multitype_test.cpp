@@ -29,9 +29,9 @@ TEST(MultiType, PaperDefaultMatchesClassicPareDown) {
   for (std::uint32_t seed = 1; seed <= 8; ++seed) {
     const Network net = randgen::randomNetwork({.innerBlocks = 12,
                                                 .seed = seed});
-    const PartitionRun typed =
-        multiTypePareDown(net, ProgCostModel::paperDefault());
     const PartitionProblem problem(net, ProgBlockSpec{});
+    const PartitionRun typed =
+        multiTypePareDown(problem, ProgCostModel::paperDefault());
     const PartitionRun classic = pareDown(problem);
     ASSERT_EQ(typed.result.partitions.size(),
               classic.result.partitions.size())
@@ -48,7 +48,8 @@ TEST(MultiType, CheapestFittingOptionPrefersPrice) {
   pair.set(5);  // node 6
   pair.set(8);  // node 9
   const auto model = modelOf({{"big", 4, 4, 3.0}, {"small", 2, 2, 1.2}});
-  const auto idx = cheapestFittingOption(net, pair, model);
+  const auto idx =
+      cheapestFittingOption(countIo(net, pair, CountingMode::kEdges), model);
   ASSERT_TRUE(idx.has_value());
   EXPECT_EQ(model.options[static_cast<std::size_t>(*idx)].name, "small");
 }
@@ -56,8 +57,9 @@ TEST(MultiType, CheapestFittingOptionPrefersPrice) {
 TEST(MultiType, NoFittingOptionReturnsNull) {
   const Network net = designs::figure5();
   const auto model = modelOf({{"tiny", 1, 1, 1.2}});
-  EXPECT_FALSE(
-      cheapestFittingOption(net, net.innerSet(), model).has_value());
+  EXPECT_FALSE(cheapestFittingOption(
+                   countIo(net, net.innerSet(), CountingMode::kEdges), model)
+                   .has_value());
 }
 
 TEST(MultiType, WiderOptionSwallowsFigure5Whole) {
@@ -66,7 +68,8 @@ TEST(MultiType, WiderOptionSwallowsFigure5Whole) {
   const Network net = designs::figure5();
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
                               {"prog_2x3", 2, 3, 2.0}});
-  const PartitionRun run = multiTypePareDown(net, model);
+  const PartitionRun run =
+      multiTypePareDown(PartitionProblem(net, ProgBlockSpec{}), model);
   ASSERT_EQ(run.result.partitions.size(), 1u);
   EXPECT_EQ(run.result.partitions[0].count(), 8u);
   EXPECT_EQ(model.options[static_cast<std::size_t>(run.result.optionIndex[0])]
@@ -90,8 +93,9 @@ TEST(MultiType, ExpensiveProgrammableRaisesTheBar) {
   net.connect(b, 0, o, 0);
   const auto cheap = modelOf({{"prog", 2, 2, 1.5}});
   const auto pricey = modelOf({{"prog", 2, 2, 3.0}});
-  EXPECT_EQ(multiTypePareDown(net, cheap).result.partitions.size(), 1u);
-  EXPECT_TRUE(multiTypePareDown(net, pricey).result.partitions.empty());
+  const PartitionProblem problem(net, ProgBlockSpec{});
+  EXPECT_EQ(multiTypePareDown(problem, cheap).result.partitions.size(), 1u);
+  EXPECT_TRUE(multiTypePareDown(problem, pricey).result.partitions.empty());
 }
 
 TEST(MultiType, HeuristicResultsAlwaysVerify) {
@@ -101,8 +105,9 @@ TEST(MultiType, HeuristicResultsAlwaysVerify) {
   for (std::uint32_t seed = 1; seed <= 10; ++seed) {
     const Network net = randgen::randomNetwork({.innerBlocks = 20,
                                                 .seed = seed});
-    const PartitionRun run = multiTypePareDown(net, model);
-    const auto violations = verifyPartitioning(net, model, run.result);
+    const PartitionProblem problem(net, ProgBlockSpec{});
+    const PartitionRun run = multiTypePareDown(problem, model);
+    const auto violations = verifyPartitioning(problem, model, run.result);
     EXPECT_TRUE(violations.empty())
         << "seed " << seed << ": " << violations.front();
   }
@@ -116,13 +121,14 @@ TEST(MultiType, ExhaustiveNeverCostsMoreThanHeuristic) {
                                                 .seed = seed});
     const int n = static_cast<int>(net.innerBlocks().size());
     const MilliCostModel milli = toMilliCosts(model, n);
-    const PartitionRun heuristic = multiTypePareDown(net, model);
-    const PartitionRun exact = multiTypeExhaustive(net, model);
+    const PartitionProblem problem(net, ProgBlockSpec{});
+    const PartitionRun heuristic = multiTypePareDown(problem, model);
+    const PartitionRun exact = multiTypeExhaustive(problem, model);
     ASSERT_TRUE(exact.optimal);
     EXPECT_LE(milli.totalCost(exact.result, n),
               milli.totalCost(heuristic.result, n))
         << "seed " << seed;
-    EXPECT_TRUE(verifyPartitioning(net, model, exact.result).empty());
+    EXPECT_TRUE(verifyPartitioning(problem, model, exact.result).empty());
   }
 }
 
@@ -132,7 +138,8 @@ TEST(MultiType, ExhaustivePicksMixOfBlockSizes) {
   const Network net = designs::figure5();
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
                               {"prog_2x3", 2, 3, 2.0}});
-  const PartitionRun run = multiTypeExhaustive(net, model);
+  const PartitionRun run =
+      multiTypeExhaustive(PartitionProblem(net, ProgBlockSpec{}), model);
   ASSERT_TRUE(run.optimal);
   EXPECT_EQ(toMilliCosts(model, 8).totalCost(run.result, 8), 2000);
 }
@@ -143,12 +150,13 @@ TEST(MultiType, TimeLimitStillVerifies) {
   // 40 inner blocks: the search is still running after 20 s at 4 threads
   // (a 24-inner design finished in 45 ms, too close to the limit).
   const Network net = randgen::randomNetwork({.innerBlocks = 40, .seed = 5});
+  const PartitionProblem problem(net, ProgBlockSpec{});
   ExhaustiveOptions options;
   options.timeLimitSeconds = 0.02;
-  options.seed = multiTypePareDown(net, model).result;
-  const PartitionRun run = multiTypeExhaustive(net, model, options);
+  options.seed = multiTypePareDown(problem, model).result;
+  const PartitionRun run = multiTypeExhaustive(problem, model, options);
   EXPECT_TRUE(run.timedOut);
-  EXPECT_TRUE(verifyPartitioning(net, model, run.result).empty());
+  EXPECT_TRUE(verifyPartitioning(problem, model, run.result).empty());
 }
 
 TEST(MultiType, NodeBudgetStillVerifies) {
@@ -159,26 +167,28 @@ TEST(MultiType, NodeBudgetStillVerifies) {
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5},
                               {"prog_4x4", 4, 4, 2.5}});
   const Network net = randgen::randomNetwork({.innerBlocks = 40, .seed = 5});
+  const PartitionProblem problem(net, ProgBlockSpec{});
   ExhaustiveOptions options;
   options.threads = 1;
   options.nodeBudget = 100000;
-  options.seed = multiTypePareDown(net, model).result;
-  const PartitionRun run = multiTypeExhaustive(net, model, options);
+  options.seed = multiTypePareDown(problem, model).result;
+  const PartitionRun run = multiTypeExhaustive(problem, model, options);
   EXPECT_TRUE(run.timedOut);
-  EXPECT_TRUE(verifyPartitioning(net, model, run.result).empty());
+  EXPECT_TRUE(verifyPartitioning(problem, model, run.result).empty());
 }
 
 TEST(MultiType, VerifierCatchesViolations) {
   const Network net = designs::figure5();
+  const PartitionProblem problem(net, ProgBlockSpec{});
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5}});
   Partitioning bad;
   bad.partitions.push_back(net.innerSet());  // needs 3 outputs: no fit
   bad.optionIndex.push_back(0);
-  EXPECT_FALSE(verifyPartitioning(net, model, bad).empty());
+  EXPECT_FALSE(verifyPartitioning(problem, model, bad).empty());
 
   Partitioning mismatched;
   mismatched.partitions.push_back(net.innerSet());
-  EXPECT_FALSE(verifyPartitioning(net, model, mismatched).empty());
+  EXPECT_FALSE(verifyPartitioning(problem, model, mismatched).empty());
 
   Partitioning badIndex;
   BitSet pair = net.emptySet();
@@ -186,7 +196,7 @@ TEST(MultiType, VerifierCatchesViolations) {
   pair.set(8);
   badIndex.partitions.push_back(pair);
   badIndex.optionIndex.push_back(7);  // out of range
-  EXPECT_FALSE(verifyPartitioning(net, model, badIndex).empty());
+  EXPECT_FALSE(verifyPartitioning(problem, model, badIndex).empty());
 }
 
 TEST(MultiType, CostConversionIsExactOnTheMilliGrid) {
@@ -198,11 +208,12 @@ TEST(MultiType, CostConversionIsExactOnTheMilliGrid) {
 
 TEST(MultiType, CostConversionRejectsUnrepresentableModels) {
   const Network net = designs::figure5();  // 8 inner blocks
+  const PartitionProblem problem(net, ProgBlockSpec{});
   // Off the 0.001 grid: rejected by every entry point that compares costs.
   const auto offGrid = modelOf({{"odd", 2, 2, 1.2345}});
   EXPECT_THROW(toMilliCosts(offGrid, 8), std::invalid_argument);
-  EXPECT_THROW(multiTypeExhaustive(net, offGrid), std::invalid_argument);
-  EXPECT_THROW(multiTypePareDown(net, offGrid), std::invalid_argument);
+  EXPECT_THROW(multiTypeExhaustive(problem, offGrid), std::invalid_argument);
+  EXPECT_THROW(multiTypePareDown(problem, offGrid), std::invalid_argument);
   // Negative costs, on an option or on the pre-defined blocks.
   EXPECT_THROW(toMilliCosts(modelOf({{"neg", 2, 2, -1.5}}), 8),
                std::invalid_argument);
@@ -211,14 +222,15 @@ TEST(MultiType, CostConversionRejectsUnrepresentableModels) {
   // 8 blocks x 1e9 milli-units overflows the 32-bit cost key; 2 fit.
   const auto huge = modelOf({{"huge", 2, 2, 1e6}});
   EXPECT_THROW(toMilliCosts(huge, 8), std::invalid_argument);
-  EXPECT_THROW(multiTypeExhaustive(net, huge), std::invalid_argument);
+  EXPECT_THROW(multiTypeExhaustive(problem, huge), std::invalid_argument);
   EXPECT_NO_THROW(toMilliCosts(huge, 2));
 }
 
 TEST(MultiType, CostAccounting) {
   const auto model = modelOf({{"prog_2x2", 2, 2, 1.5}});
   const Network net = designs::figure5();
-  const PartitionRun run = multiTypePareDown(net, model);
+  const PartitionRun run =
+      multiTypePareDown(PartitionProblem(net, ProgBlockSpec{}), model);
   // Classic result: partitions {2,3,4,5} and {6,8,9}, node 7 left.
   ASSERT_EQ(run.result.partitions.size(), 2u);
   EXPECT_EQ(run.result.coveredBlocks(), 7);

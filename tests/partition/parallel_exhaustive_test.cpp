@@ -168,18 +168,19 @@ TEST(ParallelMultiType, MatchesSerialAcrossThreadCounts) {
   for (std::uint32_t seed = 1; seed <= 6; ++seed) {
     const Network net =
         randgen::randomNetwork({.innerBlocks = 8, .seed = seed});
+    const PartitionProblem problem(net, ProgBlockSpec{});
     const int n = static_cast<int>(net.innerBlocks().size());
     const MilliCostModel milli = toMilliCosts(model, n);
     ExhaustiveOptions serialOptions;
     serialOptions.threads = 1;
     const PartitionRun serial =
-        multiTypeExhaustive(net, model, serialOptions);
+        multiTypeExhaustive(problem, model, serialOptions);
     ASSERT_TRUE(serial.optimal) << "seed " << seed;
     for (int threads : {2, 4, 8}) {
       ExhaustiveOptions parallelOptions;
       parallelOptions.threads = threads;
       const PartitionRun parallel =
-          multiTypeExhaustive(net, model, parallelOptions);
+          multiTypeExhaustive(problem, model, parallelOptions);
       ASSERT_TRUE(parallel.optimal) << "seed " << seed;
       EXPECT_EQ(milli.totalCost(serial.result, n),
                 milli.totalCost(parallel.result, n))
@@ -194,7 +195,7 @@ TEST(ParallelMultiType, MatchesSerialAcrossThreadCounts) {
                   parallel.result.optionIndex[i]);
       }
       EXPECT_TRUE(
-          verifyPartitioning(net, model, parallel.result).empty());
+          verifyPartitioning(problem, model, parallel.result).empty());
     }
   }
 }

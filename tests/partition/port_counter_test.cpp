@@ -43,7 +43,8 @@ TEST_P(PortCounterModes, RandomizedAddRemoveMatchesFromScratchCount) {
     const Network net = randgen::randomNetwork(
         {.innerBlocks = 14, .seed = netSeed});
     const std::vector<BlockId> inner = net.innerBlocks();
-    PortCounter counter(net, mode);
+    const CompactGraph graph(net, net.innerSet());
+    PortCounter counter(graph, mode);
     BitSet reference = net.emptySet();
     std::mt19937 rng(netSeed * 7919);
     std::uniform_int_distribution<std::size_t> pick(0, inner.size() - 1);
@@ -69,7 +70,8 @@ TEST_P(PortCounterModes, AssignMatchesIncrementalBuild) {
     BitSet subset = net.emptySet();
     for (BlockId b : net.innerBlocks())
       if (rng() % 2) subset.set(b);
-    PortCounter counter(net, mode);
+    const CompactGraph graph(net, net.innerSet());
+    PortCounter counter(graph, mode);
     counter.assign(subset);
     expectMatchesReference(net, counter, subset, mode, trial);
   }
@@ -78,7 +80,8 @@ TEST_P(PortCounterModes, AssignMatchesIncrementalBuild) {
 TEST_P(PortCounterModes, ClearResetsEverything) {
   const CountingMode mode = GetParam();
   const Network net = designs::figure5();
-  PortCounter counter(net, mode);
+  const CompactGraph graph(net, net.innerSet());
+  PortCounter counter(graph, mode);
   counter.assign(net.innerSet());
   counter.clear();
   EXPECT_EQ(counter.memberCount(), 0);
@@ -97,7 +100,8 @@ TEST_P(PortCounterModes, ClearResetsEverything) {
 TEST_P(PortCounterModes, AddThenRemoveIsIdentity) {
   const CountingMode mode = GetParam();
   const Network net = randgen::randomNetwork({.innerBlocks = 10, .seed = 7});
-  PortCounter counter(net, mode);
+  const CompactGraph graph(net, net.innerSet());
+  PortCounter counter(graph, mode);
   BitSet base = net.emptySet();
   const std::vector<BlockId> inner = net.innerBlocks();
   for (std::size_t i = 0; i < inner.size(); i += 2) {
@@ -187,7 +191,8 @@ TEST_P(PortCounterModes, RandomizedFixedIoMatchesFromScratchReference) {
     BitSet frozen(net.blockCount());
     for (BlockId b = 0; b < net.blockCount(); ++b)
       if (!net.isInner(b)) frozen.set(b);
-    PortCounter counter(net, mode, BorderTracking::kOff, &frozen);
+    const CompactGraph graph(net, net.innerSet());
+    PortCounter counter(graph, mode, BorderTracking::kOff, &frozen);
     BitSet reference = net.emptySet();
     std::mt19937 rng(netSeed * 104729);
     std::uniform_int_distribution<std::size_t> pick(0, inner.size() - 1);
@@ -227,7 +232,8 @@ TEST_P(PortCounterModes, FixedIoGrowsMonotonicallyUnderAddAndFreeze) {
   BitSet frozen(net.blockCount());
   for (BlockId b = 0; b < net.blockCount(); ++b)
     if (!net.isInner(b)) frozen.set(b);
-  PortCounter counter(net, mode, BorderTracking::kOff, &frozen);
+  const CompactGraph graph(net, net.innerSet());
+  PortCounter counter(graph, mode, BorderTracking::kOff, &frozen);
   std::mt19937 rng(31337);
   IoCount last;
   for (const BlockId b : net.innerBlocks()) {
@@ -249,7 +255,8 @@ TEST_P(PortCounterModes, ClearResetsFixedTracking) {
   BitSet frozen(net.blockCount());
   for (BlockId b = 0; b < net.blockCount(); ++b)
     if (!net.isInner(b)) frozen.set(b);
-  PortCounter counter(net, mode, BorderTracking::kOff, &frozen);
+  const CompactGraph graph(net, net.innerSet());
+  PortCounter counter(graph, mode, BorderTracking::kOff, &frozen);
   counter.assign(net.innerSet());
   EXPECT_TRUE(counter.tracksFixed());
   counter.clear();
@@ -292,7 +299,8 @@ TEST_P(PortCounterModes, RandomizedBorderAndRankMatchFromScratchScan) {
     const Network net = randgen::randomNetwork(
         {.innerBlocks = 14, .seed = netSeed});
     const std::vector<BlockId> inner = net.innerBlocks();
-    PortCounter counter(net, mode, BorderTracking::kOn);
+    const CompactGraph graph(net, net.innerSet());
+    PortCounter counter(graph, mode, BorderTracking::kOn);
     BitSet reference = net.emptySet();
     std::mt19937 rng(netSeed * 104729);
     std::uniform_int_distribution<std::size_t> pick(0, inner.size() - 1);
@@ -314,7 +322,8 @@ TEST_P(PortCounterModes, RandomizedBorderAndRankMatchFromScratchScan) {
 TEST_P(PortCounterModes, BorderTrackingSurvivesAssignAndClear) {
   const CountingMode mode = GetParam();
   const Network net = randgen::randomNetwork({.innerBlocks = 16, .seed = 77});
-  PortCounter counter(net, mode, BorderTracking::kOn);
+  const CompactGraph graph(net, net.innerSet());
+  PortCounter counter(graph, mode, BorderTracking::kOn);
   std::mt19937 rng(123);
   for (int trial = 0; trial < 20; ++trial) {
     BitSet subset = net.emptySet();
@@ -349,7 +358,8 @@ TEST_P(PortCounterModes, DenseKernelMatchesReferencesOn25RandomDesigns) {
     BitSet frozen(net.blockCount());
     for (BlockId b = 0; b < net.blockCount(); ++b)
       if (!net.isInner(b)) frozen.set(b);
-    PortCounter counter(net, mode, BorderTracking::kOn, &frozen);
+    const CompactGraph graph(net, net.innerSet());
+    PortCounter counter(graph, mode, BorderTracking::kOn, &frozen);
     BitSet reference = net.emptySet();
     std::mt19937 rng(seed * 2654435761u);
     std::uniform_int_distribution<std::size_t> pick(0, inner.size() - 1);
@@ -410,8 +420,9 @@ TEST(PortCounter, MultiTypePareDownMakesNoFullScanBorderOrRankQueries) {
   for (const std::uint32_t seed : {11u, 12u, 13u}) {
     const Network net =
         randgen::randomNetwork({.innerBlocks = 20, .seed = seed});
+    const PartitionProblem problem(net, ProgBlockSpec{});
     const SubgraphScanCounts before = subgraphScanCounts();
-    const PartitionRun run = multiTypePareDown(net, model);
+    const PartitionRun run = multiTypePareDown(problem, model);
     EXPECT_GT(run.explored, 0u);
     const SubgraphScanCounts after = subgraphScanCounts();
     EXPECT_EQ(after.borderScans, before.borderScans) << "seed " << seed;
@@ -434,13 +445,14 @@ TEST(PortCounter, SignalsModeSharesFanoutPorts) {
   net.connect(b, 0, o1, 0);
   net.connect(b, 0, o2, 0);
 
-  PortCounter edges(net, CountingMode::kEdges);
+  const CompactGraph graph(net, net.innerSet());
+  PortCounter edges(graph, CountingMode::kEdges);
   edges.add(a);
   edges.add(b);
   EXPECT_EQ(edges.io().inputs, 1);
   EXPECT_EQ(edges.io().outputs, 2);
 
-  PortCounter signals(net, CountingMode::kSignals);
+  PortCounter signals(graph, CountingMode::kSignals);
   signals.add(a);
   signals.add(b);
   EXPECT_EQ(signals.io().inputs, 1);

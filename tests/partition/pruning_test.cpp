@@ -163,20 +163,21 @@ TEST(PruningBound, MultiTypeBitIdenticalAcrossThreadsAndSchedulers) {
   for (std::uint32_t seed = 1; seed <= 6; ++seed) {
     const Network net =
         randgen::randomNetwork({.innerBlocks = 9, .seed = seed});
+    const PartitionProblem problem(net, ProgBlockSpec{});
     const int n = static_cast<int>(net.innerBlocks().size());
     const MilliCostModel milli = toMilliCosts(model, n);
     ExhaustiveOptions reference;
     reference.threads = 1;
     reference.pruningBound = false;
     const PartitionRun unpruned =
-        multiTypeExhaustive(net, model, reference);
+        multiTypeExhaustive(problem, model, reference);
     ASSERT_TRUE(unpruned.optimal) << "seed " << seed;
     EXPECT_EQ(unpruned.pruned, 0u);
     for (int threads : kThreadCounts) {
       ExhaustiveOptions options;
       options.threads = threads;
       const PartitionRun pruned =
-          multiTypeExhaustive(net, model, options);
+          multiTypeExhaustive(problem, model, options);
       ASSERT_TRUE(pruned.optimal) << "seed " << seed;
       const std::string label =
           "seed " + std::to_string(seed) + " @" + std::to_string(threads);
@@ -194,7 +195,7 @@ TEST(PruningBound, MultiTypeBitIdenticalAcrossThreadsAndSchedulers) {
                   pruned.result.optionIndex[i])
             << label;
       }
-      EXPECT_TRUE(verifyPartitioning(net, model, pruned.result).empty())
+      EXPECT_TRUE(verifyPartitioning(problem, model, pruned.result).empty())
           << label;
       if (threads == 1) {
         EXPECT_LE(pruned.explored, unpruned.explored) << label;
@@ -206,19 +207,20 @@ TEST(PruningBound, MultiTypeBitIdenticalAcrossThreadsAndSchedulers) {
 TEST(PruningBound, MultiTypeSignalsModeBitIdentical) {
   ProgCostModel model;
   model.preDefinedBlockCost = 1.0;
-  model.mode = CountingMode::kSignals;
   model.options = {ProgBlockOption{"prog_2x2", 2, 2, 1.5}};
   const Network net = randgen::randomNetwork({.innerBlocks = 10, .seed = 9});
+  const PartitionProblem problem(
+      net, ProgBlockSpec{.mode = CountingMode::kSignals});
   const int n = static_cast<int>(net.innerBlocks().size());
   const MilliCostModel milli = toMilliCosts(model, n);
   ExhaustiveOptions reference;
   reference.threads = 1;
   reference.pruningBound = false;
   const PartitionRun unpruned =
-      multiTypeExhaustive(net, model, reference);
+      multiTypeExhaustive(problem, model, reference);
   ExhaustiveOptions options;
   options.threads = 4;
-  const PartitionRun pruned = multiTypeExhaustive(net, model, options);
+  const PartitionRun pruned = multiTypeExhaustive(problem, model, options);
   EXPECT_EQ(milli.totalCost(unpruned.result, n),
             milli.totalCost(pruned.result, n));
   ASSERT_EQ(unpruned.result.partitions.size(),

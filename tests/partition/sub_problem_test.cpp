@@ -11,6 +11,8 @@
 
 #include "designs/library.h"
 #include "partition/exhaustive.h"
+#include "partition/fm_refine.h"
+#include "partition/multitype.h"
 #include "partition/paredown.h"
 #include "partition/verify.h"
 #include "randgen/generator.h"
@@ -26,6 +28,15 @@ BitSet setOf(const Network& net, std::initializer_list<BlockId> ids) {
   BitSet s = net.emptySet();
   for (BlockId b : ids) s.set(b);
   return s;
+}
+
+/// Every other inner block of `net`: a universe whose members border
+/// blocks the search must treat as fixed.
+BitSet everyOtherInnerBlock(const Network& net) {
+  BitSet universe = net.emptySet();
+  const std::vector<BlockId> inner = net.innerBlocks();
+  for (std::size_t i = 0; i < inner.size(); i += 2) universe.set(inner[i]);
+  return universe;
 }
 
 /// True when every partition of `p` lies inside `universe`.
@@ -83,12 +94,7 @@ TEST(SubProblem, SearchesPlaceOnlyUniverseMembers) {
         randgen::GeneratorOptions::largeNetwork(16, seed));
     for (const CountingMode mode :
          {CountingMode::kEdges, CountingMode::kSignals}) {
-      // Every other inner block: a universe whose members border blocks
-      // the search must treat as fixed.
-      BitSet universe = net.emptySet();
-      const std::vector<BlockId> inner = net.innerBlocks();
-      for (std::size_t i = 0; i < inner.size(); i += 2)
-        universe.set(inner[i]);
+      const BitSet universe = everyOtherInnerBlock(net);
       const PartitionProblem whole(
           net, ProgBlockSpec{.inputs = 2, .outputs = 2, .mode = mode});
       const PartitionProblem sub(net, whole.spec(), universe);
@@ -110,6 +116,66 @@ TEST(SubProblem, SearchesPlaceOnlyUniverseMembers) {
       EXPECT_EQ(again.pruned, exact.pruned) << seed;
       EXPECT_EQ(again.result.partitions, exact.result.partitions) << seed;
       EXPECT_EQ(pareDown(derived).result.partitions, pared.result.partitions)
+          << seed;
+    }
+  }
+}
+
+TEST(SubProblem, TypedVerifyRejectsAMemberOutsideTheUniverse) {
+  const Network net = designs::figure5();
+  const PartitionProblem whole(net, ProgBlockSpec{});
+  const PartitionProblem sub(net, ProgBlockSpec{},
+                             setOf(net, {N(2), N(3), N(4), N(5)}));
+  const ProgCostModel model = ProgCostModel::paperDefault();
+  Partitioning typed;
+  typed.partitions.push_back(setOf(net, {N(6), N(8), N(9)}));
+  typed.optionIndex.push_back(0);
+  EXPECT_TRUE(verifyPartitioning(whole, model, typed).empty());
+  // Both verifiers walk members alike, so the typed one reports the
+  // plain one's three membership violations, word for word.
+  Partitioning plain;
+  plain.partitions = typed.partitions;
+  const std::vector<std::string> problems =
+      verifyPartitioning(sub, model, typed);
+  ASSERT_EQ(problems.size(), 3u);
+  EXPECT_EQ(problems, verifyPartitioning(sub, plain));
+}
+
+TEST(SubProblem, TypedSearchesPlaceOnlyUniverseMembers) {
+  ProgCostModel model;
+  model.options = {ProgBlockOption{"prog_2x2", 2, 2, 1.5},
+                   ProgBlockOption{"prog_3x2", 3, 2, 1.8}};
+  for (std::uint32_t seed = 1; seed <= 10; ++seed) {
+    const Network net = randgen::randomNetwork(
+        randgen::GeneratorOptions::largeNetwork(16, seed));
+    const BitSet universe = everyOtherInnerBlock(net);
+    for (const CountingMode mode :
+         {CountingMode::kEdges, CountingMode::kSignals}) {
+      const PartitionProblem whole(net, ProgBlockSpec{.mode = mode});
+      const PartitionProblem sub(whole, universe);
+      const int n = sub.innerCount();
+      const MilliCostModel milli = toMilliCosts(model, n);
+      const PartitionRun pared = multiTypePareDown(sub, model);
+      const PartitionRun fm = multiTypeFmRefine(sub, model, pared.result);
+      ExhaustiveOptions options;
+      options.threads = 1;
+      const PartitionRun exact = multiTypeExhaustive(sub, model, options);
+      EXPECT_TRUE(exact.optimal) << seed;
+      for (const PartitionRun* run : {&pared, &fm, &exact}) {
+        EXPECT_TRUE(within(run->result, universe))
+            << run->algorithm << " seed " << seed;
+        EXPECT_TRUE(verifyPartitioning(sub, model, run->result).empty())
+            << run->algorithm << " seed " << seed;
+        // A sub-problem's solution is a valid partial solution of the
+        // whole.
+        EXPECT_TRUE(verifyPartitioning(whole, model, run->result).empty())
+            << run->algorithm << " seed " << seed;
+      }
+      EXPECT_LE(milli.totalCost(fm.result, n),
+                milli.totalCost(pared.result, n))
+          << seed;
+      EXPECT_LE(milli.totalCost(exact.result, n),
+                milli.totalCost(fm.result, n))
           << seed;
     }
   }

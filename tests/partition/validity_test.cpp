@@ -32,16 +32,18 @@ bool validAlone(const PartitionProblem& problem, const BitSet& members,
 
 TEST(Validity, FitsRespectsSpecLimits) {
   const Network net = designs::figure5();
-  const BitSet p = setOf(net, {N(2), N(3), N(4), N(5)});
-  EXPECT_TRUE(fitsProgrammable(net, p, ProgBlockSpec{2, 2}));
-  EXPECT_FALSE(fitsProgrammable(net, p, ProgBlockSpec{1, 2}));
-  EXPECT_FALSE(fitsProgrammable(net, p, ProgBlockSpec{2, 1}));
+  const IoCount io = countIo(net, setOf(net, {N(2), N(3), N(4), N(5)}),
+                             CountingMode::kEdges);
+  EXPECT_TRUE(fits(io, ProgBlockSpec{2, 2}));
+  EXPECT_FALSE(fits(io, ProgBlockSpec{1, 2}));
+  EXPECT_FALSE(fits(io, ProgBlockSpec{2, 1}));
 }
 
 TEST(Validity, FullInnerSetNeedsThreeOutputs) {
   const Network net = designs::figure5();
-  EXPECT_FALSE(fitsProgrammable(net, net.innerSet(), ProgBlockSpec{2, 2}));
-  EXPECT_TRUE(fitsProgrammable(net, net.innerSet(), ProgBlockSpec{2, 3}));
+  const IoCount io = countIo(net, net.innerSet(), CountingMode::kEdges);
+  EXPECT_FALSE(fits(io, ProgBlockSpec{2, 2}));
+  EXPECT_TRUE(fits(io, ProgBlockSpec{2, 3}));
 }
 
 TEST(Validity, SingleBlockPartitionRejectedByFullCheck) {
@@ -89,8 +91,8 @@ TEST(Validity, SignalsModeCountsSharedFanoutOnce) {
   pair.set(i2);
   ProgBlockSpec edges{1, 2, CountingMode::kEdges};
   ProgBlockSpec signals{1, 2, CountingMode::kSignals};
-  EXPECT_FALSE(fitsProgrammable(net, pair, edges));
-  EXPECT_TRUE(fitsProgrammable(net, pair, signals));
+  EXPECT_FALSE(fits(countIo(net, pair, edges.mode), edges));
+  EXPECT_TRUE(fits(countIo(net, pair, signals.mode), signals));
 }
 
 }  // namespace

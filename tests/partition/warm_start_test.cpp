@@ -43,8 +43,10 @@ void expectSameTyped(const Partitioning& a, const Partitioning& b,
   EXPECT_EQ(a.optionIndex, b.optionIndex) << label;
 }
 
-Partitioning typedFmSolution(const Network& net, const ProgCostModel& model) {
-  return multiTypeFmRefine(net, model, multiTypePareDown(net, model).result)
+Partitioning typedFmSolution(const PartitionProblem& problem,
+                             const ProgCostModel& model) {
+  return multiTypeFmRefine(problem, model,
+                           multiTypePareDown(problem, model).result)
       .result;
 }
 
@@ -183,6 +185,7 @@ TEST(WarmStart, OverlappingSeedIsRejected) {
 TEST(WarmStart, TypedIncumbentKeepsOptimumAndPrunes) {
   const ProgCostModel model = ProgCostModel::paperDefault();
   const Network net = designs::byName("Noise At Night Detector");
+  const PartitionProblem problem(net, ProgBlockSpec{});
   const int n = static_cast<int>(net.innerBlocks().size());
   const MilliCostModel milli = toMilliCosts(model, n);
 
@@ -190,13 +193,13 @@ TEST(WarmStart, TypedIncumbentKeepsOptimumAndPrunes) {
   cold.threads = 1;
   cold.seedFromPareDown = false;
   const PartitionRun baseline =
-      runPartitioner("exhaustive", net, model, cold);
+      runPartitioner("exhaustive", problem, model, cold);
   ASSERT_TRUE(baseline.optimal);
 
   EngineOptions warm = cold;
-  warm.initialIncumbent = typedFmSolution(net, model);
+  warm.initialIncumbent = typedFmSolution(problem, model);
   const PartitionRun seeded =
-      runPartitioner("exhaustive", net, model, warm);
+      runPartitioner("exhaustive", problem, model, warm);
   EXPECT_TRUE(seeded.optimal);
   EXPECT_EQ(milli.totalCost(seeded.result, n),
             milli.totalCost(baseline.result, n));
@@ -206,11 +209,16 @@ TEST(WarmStart, TypedIncumbentKeepsOptimumAndPrunes) {
 
 /// The typed sweep: the Table-1 rows with <= 13 inner blocks under the
 /// paper's cost model, plus 25 random designs under a two-option model
-/// and the same 25 under a three-option kSignals model.
+/// and the same 25 under a three-option model in kSignals mode.
 struct TypedDesign {
   std::string label;
   Network net;
   ProgCostModel model;
+  CountingMode mode = CountingMode::kEdges;
+
+  PartitionProblem problem() const {
+    return PartitionProblem(net, ProgBlockSpec{.mode = mode});
+  }
 };
 
 std::vector<TypedDesign> typedSweep() {
@@ -226,7 +234,6 @@ std::vector<TypedDesign> typedSweep() {
   threeSignals.options = {ProgBlockOption{"prog_2x2", 2, 2, 1.5},
                           ProgBlockOption{"prog_3x2", 3, 2, 1.8},
                           ProgBlockOption{"prog_4x4", 4, 4, 2.6}};
-  threeSignals.mode = CountingMode::kSignals;
   for (const ProgCostModel* model : {&twoOptions, &threeSignals})
     for (std::uint32_t seed = 1; seed <= 25; ++seed)
       sweep.push_back({"seed " + std::to_string(seed) +
@@ -234,7 +241,9 @@ std::vector<TypedDesign> typedSweep() {
                        randgen::randomNetwork(
                            {.innerBlocks = 8 + static_cast<int>(seed % 3),
                             .seed = seed}),
-                       *model});
+                       *model,
+                       model == &threeSignals ? CountingMode::kSignals
+                                              : CountingMode::kEdges});
   return sweep;
 }
 
@@ -247,26 +256,27 @@ TEST(WarmStart, TypedSeedsReturnTheColdPartitioningOnTheSweep) {
   ASSERT_EQ(sweep.size(), 62u);
 
   for (const TypedDesign& d : sweep) {
+    const PartitionProblem problem = d.problem();
     EngineOptions cold;
     cold.threads = 1;
     cold.seedFromPareDown = false;
     const PartitionRun baseline =
-        runPartitioner("exhaustive", d.net, d.model, cold);
+        runPartitioner("exhaustive", problem, d.model, cold);
     ASSERT_TRUE(baseline.optimal) << d.label;
 
     EngineOptions pareDownSeeded = cold;
     pareDownSeeded.seedFromPareDown = true;
     const PartitionRun fromPareDown =
-        runPartitioner("exhaustive", d.net, d.model, pareDownSeeded);
+        runPartitioner("exhaustive", problem, d.model, pareDownSeeded);
     EXPECT_TRUE(fromPareDown.optimal) << d.label;
     expectSameTyped(fromPareDown.result, baseline.result,
                     d.label + " (PareDown seed)");
     EXPECT_LE(fromPareDown.explored, baseline.explored) << d.label;
 
     EngineOptions fmSeeded = cold;
-    fmSeeded.initialIncumbent = typedFmSolution(d.net, d.model);
+    fmSeeded.initialIncumbent = typedFmSolution(problem, d.model);
     const PartitionRun fromFm =
-        runPartitioner("exhaustive", d.net, d.model, fmSeeded);
+        runPartitioner("exhaustive", problem, d.model, fmSeeded);
     EXPECT_TRUE(fromFm.optimal) << d.label;
     expectSameTyped(fromFm.result, baseline.result, d.label + " (fm seed)");
     EXPECT_LE(fromFm.explored, baseline.explored) << d.label;
@@ -303,12 +313,13 @@ TEST(WarmStart, TypedResultsMatchTheRecordedDigests) {
   // Any change to these digests is a change in typed behavior.
   Fnv1a64 pareDown, fm, exact;
   for (const TypedDesign& d : typedSweep()) {
-    pareDown.add(runPartitioner("paredown", d.net, d.model));
-    fm.add(runPartitioner("fm", d.net, d.model));
+    const PartitionProblem problem = d.problem();
+    pareDown.add(runPartitioner("paredown", problem, d.model));
+    fm.add(runPartitioner("fm", problem, d.model));
     EngineOptions cold;
     cold.threads = 1;
     cold.seedFromPareDown = false;
-    exact.add(runPartitioner("exhaustive", d.net, d.model, cold));
+    exact.add(runPartitioner("exhaustive", problem, d.model, cold));
   }
   EXPECT_EQ(pareDown.hash, 0x9e731863f3e403e2ull)
       << std::hex << pareDown.hash;

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <variant>
@@ -370,6 +371,30 @@ TEST(Server, BadRequestContentRejectedCleanly) {
   // The connection survived all three rejections.
   const SynthRequest good = paredownRequest(4, net);
   result = client.call(good, kCallTimeoutMs);
+  ASSERT_TRUE(result.ok());
+  expectBitIdentical(net, good, *result.response);
+}
+
+TEST(Server, NonFiniteTimeLimitIsABadRequest) {
+  // A limit of +inf or NaN is not a budget; the daemon answers
+  // bad-request rather than letting each search read it its own way.
+  Server server(quickOptions(1, 4));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.connectTo("127.0.0.1", server.port(), &error)) << error;
+  const Network net = designs::figure5();
+  std::uint64_t id = 1;
+  for (const double limit : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    SynthRequest request = paredownRequest(id++, net);
+    request.timeLimitSeconds = limit;
+    const CallResult result = client.call(request, kCallTimeoutMs);
+    ASSERT_TRUE(result.error) << "expected kBadRequest for " << limit;
+    EXPECT_EQ(result.error->code, ErrorCode::kBadRequest);
+  }
+  const SynthRequest good = paredownRequest(id, net);
+  const CallResult result = client.call(good, kCallTimeoutMs);
   ASSERT_TRUE(result.ok());
   expectBitIdentical(net, good, *result.response);
 }

@@ -196,6 +196,10 @@ TEST(Shell, SynthHeuristicKeywordErrorPaths) {
             std::string::npos);
   EXPECT_NE(exec(shell, "synth lns limit=-1").find("error: limit="),
             std::string::npos);
+  EXPECT_NE(exec(shell, "synth lns limit=inf").find("error: limit="),
+            std::string::npos);
+  EXPECT_NE(exec(shell, "synth lns limit=nan").find("error: limit="),
+            std::string::npos);
   EXPECT_NE(exec(shell, "synth lns pocket=2x").find("error: pocket="),
             std::string::npos);
   EXPECT_NE(exec(shell, "synth lns pocket=-4").find("error: pocket="),
